@@ -198,7 +198,7 @@ def _report_payload(fx: Fixture, point: PointC2, degree: int,
 
 
 def _emit_report(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
     else:

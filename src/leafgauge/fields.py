@@ -29,7 +29,6 @@ from .wirtinger import (
     complex_hessian,
     homogeneity_degree,
     poly_diff,
-    poly_eval,
     poly_is_real,
 )
 
@@ -73,9 +72,37 @@ class PointC2:
         return PointC2(t * self.z, t * self.w)
 
 
-def _compile(poly: WirtingerPoly):
-    return [(complex(float(re), float(im)), a, b, c, d)
-            for (a, b, c, d), (re, im) in poly.items()]
+# Factors per emitted product statement: keeps every expression shallow, so
+# no exponent can push the compiler into its recursion limit.
+_CHUNK = 32
+
+
+def _compile(polys: Sequence[WirtingerPoly], name: str):
+    """Straight-line float code for (z, w) -> (p(z, w) for p in polys).
+
+    Each term is coeff * z^a * zbar^b * w^c * wbar^d, multiplied left to
+    right and accumulated from 0j in lexicographic term order.  The
+    coefficients are bound as names in the function's globals rather than
+    formatted into the source, and the function is taken out of that
+    namespace so the two do not form a reference cycle.
+    """
+    ns: dict = {}
+    lines = ["def f(z, w):", "    zb = z.conjugate()", "    wb = w.conjugate()"]
+    for k, poly in enumerate(polys):
+        lines.append(f"    r{k} = 0j")
+        for exp, (re, im) in poly.items():
+            coeff = f"c{len(ns)}"
+            ns[coeff] = complex(float(re), float(im))
+            factors = [coeff]
+            for var, e in zip(("z", "zb", "w", "wb"), exp):
+                factors += [var] * e
+            prods = [" * ".join(factors[i:i + _CHUNK]) for i in range(0, len(factors), _CHUNK)]
+            lines.append(f"    t = {prods[0]}")
+            lines += [f"    t = t * {prod}" for prod in prods[1:]]
+            lines.append(f"    r{k} += t")
+    lines.append("    return " + ", ".join(f"r{k}" for k in range(len(polys))))
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), ns)
+    return ns.pop("f")
 
 
 @dataclass(frozen=True)
@@ -97,48 +124,13 @@ class VectorFieldC2:
             raise ValueError("degree must be a nonnegative integer")
 
     @cached_property
-    def _compiled(self):
-        return (_compile(self.comp_z), _compile(self.comp_w))
+    def _eval(self):
+        return _compile((self.comp_z, self.comp_w), "field")
 
     def eval_complex(self, z: complex, w: complex) -> tuple[complex, complex]:
-        """Fast float evaluation of both components; the hot path for flows.
-        Exponents are small, so powers are unrolled into multiplies."""
-        zb = z.conjugate()
-        wb = w.conjugate()
-        cz, cw = self._compiled
-        acc_z = 0j
-        for coeff, a, b, c, d in cz:
-            t = coeff
-            while a:
-                t *= z
-                a -= 1
-            while b:
-                t *= zb
-                b -= 1
-            while c:
-                t *= w
-                c -= 1
-            while d:
-                t *= wb
-                d -= 1
-            acc_z += t
-        acc_w = 0j
-        for coeff, a, b, c, d in cw:
-            t = coeff
-            while a:
-                t *= z
-                a -= 1
-            while b:
-                t *= zb
-                b -= 1
-            while c:
-                t *= w
-                c -= 1
-            while d:
-                t *= wb
-                d -= 1
-            acc_w += t
-        return acc_z, acc_w
+        """Float values of both components at (z, w), from the field's
+        compiled straight-line code; the only pointwise evaluator."""
+        return self._eval(z, w)
 
     @cached_property
     def _real_derivative_polys(self):
@@ -152,6 +144,12 @@ class VectorFieldC2:
 
         return (four(self.comp_z), four(self.comp_w))
 
+    @cached_property
+    def _jacobian(self):
+        # (z, w) -> the eight values of _real_derivative_polys, z row first
+        dz, dw = self._real_derivative_polys
+        return _compile(dz + dw, "jacobian")
+
 
 class CheckResult(NamedTuple):
     passed: bool
@@ -159,8 +157,8 @@ class CheckResult(NamedTuple):
 
 
 def field_eval(V: VectorFieldC2, q: PointC2) -> PointC2:
-    """Componentwise exact evaluation folded to complex floats."""
-    return PointC2(poly_eval(V.comp_z, q), poly_eval(V.comp_w, q))
+    """The value of V at q as a point of C^2."""
+    return PointC2(*V.eval_complex(q.z, q.w))
 
 
 def real_views(V: VectorFieldC2, q: PointC2) -> tuple[np.ndarray, np.ndarray]:
@@ -218,29 +216,22 @@ def annihilation_check(P: WirtingerPoly, V: VectorFieldC2) -> bool:
     return r0.is_zero and r1.is_zero
 
 
-def _real_jacobians(V: VectorFieldC2, p: PointC2):
-    dz_polys, dw_polys = V._real_derivative_polys
-    dz = [poly_eval(poly, p) for poly in dz_polys]
-    dw = [poly_eval(poly, p) for poly in dw_polys]
-    DX1 = np.array([[v.real for v in dz],
-                    [v.imag for v in dz],
-                    [v.real for v in dw],
-                    [v.imag for v in dw]])
-    DX2 = np.array([[-v.imag for v in dz],
-                    [v.real for v in dz],
-                    [-v.imag for v in dw],
-                    [v.real for v in dw]])
-    return DX1, DX2
-
-
 def lie_bracket_real(V: VectorFieldC2, p: PointC2) -> np.ndarray:
-    """[X1, X2](p) = DX2(p) X1(p) - DX1(p) X2(p) with Jacobians obtained by
-    exact symbolic differentiation in the four real coordinates."""
-    X1 = np.array(field_eval(V, p).to_real4())
-    iv = field_eval(V, p)
-    X2 = np.array([-iv.z.imag, iv.z.real, -iv.w.imag, iv.w.real])
-    DX1, DX2 = _real_jacobians(V, p)
-    return DX2 @ X1 - DX1 @ X2
+    """[X1, X2](p) = DX2(p) X1(p) - DX1(p) X2(p), with the real Jacobians
+    taken from the compiled first derivatives of the field.
+
+    Written per component as D u = sum_j u_j dV/dx_j, DX1 u is the real
+    view of D u and DX2 u that of i D u, so the bracket is the real view
+    of i D X1 - D X2."""
+    vz, vw = V.eval_complex(p.z, p.w)
+    X1 = (vz.real, vz.imag, vw.real, vw.imag)
+    X2 = (-vz.imag, vz.real, -vw.imag, vw.real)
+    jac = V._jacobian(p.z, p.w)
+    out = []
+    for d in (jac[:4], jac[4:]):
+        b = 1j * sum(dj * u for dj, u in zip(d, X1)) - sum(dj * u for dj, u in zip(d, X2))
+        out += (b.real, b.imag)
+    return np.array(out)
 
 
 def bracket_span_residual(V: VectorFieldC2, p: PointC2) -> float:

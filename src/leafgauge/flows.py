@@ -10,9 +10,12 @@ absolute/relative error control and the FSAL reuse of the last stage.  It
 is hand-rolled rather than delegated so that the step budget and the
 rank-drop monitor (field norm falling below the nonvanishing threshold)
 are first-class failures, and so that runs are bit-deterministic.  The
-state is a plain 4-tuple of floats and the stage combinations are written
-out explicitly: this integrator sits under every chart projection and
-gauge evaluation, so constant factors matter.
+state is the complex pair (z, w), handed to the field's compiled evaluator
+as is, and the stage combinations are written out explicitly: this
+integrator sits under every chart projection and gauge evaluation, so
+constant factors matter.  A real coefficient times a complex stage rounds
+each component as the real product would, so the steps are those of the
+same scheme over the four real components.
 """
 
 from __future__ import annotations
@@ -74,26 +77,25 @@ def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
     ev = V.eval_complex
     thr_sq = NONVANISH_THRESHOLD * NONVANISH_THRESHOLD
 
-    def rhs(y0, y1, y2, y3):
-        vz, vw = ev(complex(y0, y1), complex(y2, y3))
+    def rhs(z, w):
+        vz, vw = ev(z, w)
         nv_sq = vz.real * vz.real + vz.imag * vz.imag + vw.real * vw.real + vw.imag * vw.imag
-        scale_sq = max(1.0, y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3) ** deg
+        r_sq = z.real * z.real + z.imag * z.imag + w.real * w.real + w.imag * w.imag
+        scale_sq = (r_sq if r_sq > 1.0 else 1.0) ** deg  # max(1.0, r_sq), minus the call
         if nv_sq <= thr_sq * scale_sq:
             raise RankDropError("field norm below threshold along trajectory")
-        rz = mix * vz
-        rw = mix * vw
-        return (rz.real, rz.imag, rw.real, rw.imag)
+        return mix * vz, mix * vw
 
-    y = q0.to_real4()
+    z, w = complex(q0.z), complex(q0.w)
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     direction = 1.0 if s > 0 else -1.0
     t = 0.0
-    k1 = rhs(*y)
+    k1z, k1w = rhs(z, w)
 
     # Hairer-style initial step: a small fraction of the solution scale over
     # the derivative scale, so the first attempt is rarely rejected.
-    d0 = math.sqrt(sum(yi * yi for yi in y))
-    d1 = math.sqrt(sum(ki * ki for ki in k1))
+    d0 = math.sqrt(sum(v * v for v in (z.real, z.imag, w.real, w.imag)))
+    d1 = math.sqrt(sum(v * v for v in (k1z.real, k1z.imag, k1w.real, k1w.imag)))
     h = min(abs(s), cfg.max_step, 0.01 * (d0 + atol) / (d1 + 1e-300))
     h = direction * max(h, 1e-12 * abs(s))
 
@@ -104,47 +106,34 @@ def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
         steps += 1
         if direction * (t + h) > direction * s:
             h = s - t
-        y0, y1, y2, y3 = y
-        k10, k11, k12, k13 = k1
 
-        k2 = rhs(y0 + h * (_A21 * k10),
-                 y1 + h * (_A21 * k11),
-                 y2 + h * (_A21 * k12),
-                 y3 + h * (_A21 * k13))
-        k3 = rhs(y0 + h * (_A31 * k10 + _A32 * k2[0]),
-                 y1 + h * (_A31 * k11 + _A32 * k2[1]),
-                 y2 + h * (_A31 * k12 + _A32 * k2[2]),
-                 y3 + h * (_A31 * k13 + _A32 * k2[3]))
-        k4 = rhs(y0 + h * (_A41 * k10 + _A42 * k2[0] + _A43 * k3[0]),
-                 y1 + h * (_A41 * k11 + _A42 * k2[1] + _A43 * k3[1]),
-                 y2 + h * (_A41 * k12 + _A42 * k2[2] + _A43 * k3[2]),
-                 y3 + h * (_A41 * k13 + _A42 * k2[3] + _A43 * k3[3]))
-        k5 = rhs(y0 + h * (_A51 * k10 + _A52 * k2[0] + _A53 * k3[0] + _A54 * k4[0]),
-                 y1 + h * (_A51 * k11 + _A52 * k2[1] + _A53 * k3[1] + _A54 * k4[1]),
-                 y2 + h * (_A51 * k12 + _A52 * k2[2] + _A53 * k3[2] + _A54 * k4[2]),
-                 y3 + h * (_A51 * k13 + _A52 * k2[3] + _A53 * k3[3] + _A54 * k4[3]))
-        k6 = rhs(y0 + h * (_A61 * k10 + _A62 * k2[0] + _A63 * k3[0] + _A64 * k4[0] + _A65 * k5[0]),
-                 y1 + h * (_A61 * k11 + _A62 * k2[1] + _A63 * k3[1] + _A64 * k4[1] + _A65 * k5[1]),
-                 y2 + h * (_A61 * k12 + _A62 * k2[2] + _A63 * k3[2] + _A64 * k4[2] + _A65 * k5[2]),
-                 y3 + h * (_A61 * k13 + _A62 * k2[3] + _A63 * k3[3] + _A64 * k4[3] + _A65 * k5[3]))
-        yn = (y0 + h * (_B1 * k10 + _B3 * k3[0] + _B4 * k4[0] + _B5 * k5[0] + _B6 * k6[0]),
-              y1 + h * (_B1 * k11 + _B3 * k3[1] + _B4 * k4[1] + _B5 * k5[1] + _B6 * k6[1]),
-              y2 + h * (_B1 * k12 + _B3 * k3[2] + _B4 * k4[2] + _B5 * k5[2] + _B6 * k6[2]),
-              y3 + h * (_B1 * k13 + _B3 * k3[3] + _B4 * k4[3] + _B5 * k5[3] + _B6 * k6[3]))
-        k7 = rhs(*yn)
+        k2z, k2w = rhs(z + h * (_A21 * k1z), w + h * (_A21 * k1w))
+        k3z, k3w = rhs(z + h * (_A31 * k1z + _A32 * k2z),
+                       w + h * (_A31 * k1w + _A32 * k2w))
+        k4z, k4w = rhs(z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z),
+                       w + h * (_A41 * k1w + _A42 * k2w + _A43 * k3w))
+        k5z, k5w = rhs(z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z),
+                       w + h * (_A51 * k1w + _A52 * k2w + _A53 * k3w + _A54 * k4w))
+        k6z, k6w = rhs(z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z + _A65 * k5z),
+                       w + h * (_A61 * k1w + _A62 * k2w + _A63 * k3w + _A64 * k4w + _A65 * k5w))
+        zn = z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
+        wn = w + h * (_B1 * k1w + _B3 * k3w + _B4 * k4w + _B5 * k5w + _B6 * k6w)
+        k7z, k7w = rhs(zn, wn)
 
+        ez = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
+        ew = h * (_E1 * k1w + _E3 * k3w + _E4 * k4w + _E5 * k5w + _E6 * k6w + _E7 * k7w)
         err = 0.0
-        for i in range(4):
-            e = h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i]
-                     + _E5 * k5[i] + _E6 * k6[i] + _E7 * k7[i])
-            sc = atol + rtol * max(abs(y[i]), abs(yn[i]))
+        for e, y, yn in ((ez.real, z.real, zn.real), (ez.imag, z.imag, zn.imag),
+                         (ew.real, w.real, wn.real), (ew.imag, w.imag, wn.imag)):
+            y, yn = abs(y), abs(yn)
+            sc = atol + rtol * (yn if yn > y else y)
             err += (e / sc) ** 2
         err = math.sqrt(err / 4.0)
 
         if err <= 1.0:
             t += h
-            y = yn
-            k1 = k7  # FSAL
+            z, w = zn, wn
+            k1z, k1w = k7z, k7w  # FSAL
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
         else:
@@ -153,7 +142,7 @@ def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
         if abs(h) > cfg.max_step:
             h = direction * cfg.max_step
 
-    return PointC2.from_real4(y)
+    return PointC2(z, w)
 
 
 def leaf_flow_map(V: VectorFieldC2, q: PointC2, s1: float, s2: float,

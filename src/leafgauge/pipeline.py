@@ -37,9 +37,9 @@ from .verify import (
     DEFAULT_SEED,
     CheckEntry,
     VerificationReport,
-    _entry,
-    _rng,
     assemble_report,
+    check_entry,
+    check_rng,
     run_standard_suite,
     sample_chart_ball,
 )
@@ -87,6 +87,16 @@ class PipelineConfig:
     involutivity_tol: float = 1e-8
     velocity_step: float = 1e-4
     t_grid: tuple = (0.92, 0.96, 1.04, 1.08)
+
+    def __post_init__(self):
+        if min(self.n_samples, self.n_involutivity, self.max_steps) < 1:
+            raise ValueError("sample counts and max_steps must be >= 1")
+        if not all(v > 0 for v in (self.newton_tol, self.root_tol, self.ode_abs_tol,
+                                   self.ode_rel_tol, self.max_step,
+                                   self.involutivity_tol, self.velocity_step)):
+            raise ValueError("tolerances and steps must be positive")
+        if not (0 < self.chart_radius < 1 and 0 < self.bracket_halfwidth < 1):
+            raise ValueError("chart_radius and bracket_halfwidth must lie in (0, 1)")
 
     def flow_cfg(self) -> FlowConfig:
         return FlowConfig(abs_tol=self.ode_abs_tol, rel_tol=self.ode_rel_tol,
@@ -167,7 +177,7 @@ def leaf_harmonicity_check(P: WirtingerPoly, V: VectorFieldC2, chart: LeafChart,
     leaves: the Levi form of P in the (unit) field direction vanishes at
     samples, and second differences of P along both leaf flow directions
     stay at noise level."""
-    rng = _rng(seed, "leaf_harmonicity")
+    rng = check_rng(seed, "leaf_harmonicity")
     samples = sample_chart_ball(chart, n_samples, rng, shrink=0.8)
     worst_levi = 0.0
     worst_second = 0.0
@@ -190,14 +200,14 @@ def leaf_harmonicity_check(P: WirtingerPoly, V: VectorFieldC2, chart: LeafChart,
                                             chart.flow_cfg)).real
             worst_second = max(worst_second, abs(up - 2 * p0 + dn) / (h * h * scale))
     return [
-        _entry("leaf_levi_form", worst_levi, 1e-9, samples=len(samples)),
-        _entry("leaf_second_difference", worst_second, 1e-6, samples=len(samples)),
+        check_entry("leaf_levi_form", worst_levi, 1e-9, samples=len(samples)),
+        check_entry("leaf_second_difference", worst_second, 1e-6, samples=len(samples)),
     ]
 
 
 def _assumption_entries(V: VectorFieldC2, x: PointC2,
                         cfg: PipelineConfig) -> list[CheckEntry]:
-    rng = _rng(cfg.seed, "involutivity")
+    rng = check_rng(cfg.seed, "involutivity")
     radius = cfg.chart_radius * x.norm()
     samples = []
     for _ in range(cfg.n_involutivity):
@@ -214,9 +224,9 @@ def _assumption_entries(V: VectorFieldC2, x: PointC2,
         raise AssumptionError("transversality failed at the base point")
     tr_norm = tr.residual / (x.norm() * field_eval(V, x).norm())
     return [
-        _entry("field_involutivity", inv.residual, cfg.involutivity_tol,
-               samples=len(samples)),
-        _entry("base_transversality", tr_norm, 1e-8, mode="min", samples=1),
+        check_entry("field_involutivity", inv.residual, cfg.involutivity_tol,
+                    samples=len(samples)),
+        check_entry("base_transversality", tr_norm, 1e-8, mode="min", samples=1),
     ]
 
 

@@ -29,6 +29,8 @@ __all__ = [
     "CheckEntry",
     "VerificationReport",
     "assemble_report",
+    "check_entry",
+    "check_rng",
     "report_to_dict",
     "report_to_json",
     "report_to_text",
@@ -76,7 +78,8 @@ class VerificationReport:
         return all(e.passed for e in self.entries)
 
 
-def _entry(name, residual, tolerance, mode="max", samples=0, skipped=0) -> CheckEntry:
+def check_entry(name, residual, tolerance, mode="max", samples=0, skipped=0) -> CheckEntry:
+    """One report entry; the verdict follows from the residual and mode."""
     residual = float(residual)
     passed = residual <= tolerance if mode == "max" else residual >= tolerance
     return CheckEntry(name=name, residual=residual, tolerance=tolerance,
@@ -110,7 +113,8 @@ def report_to_dict(report: VerificationReport) -> dict:
 
 
 def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    return json.dumps(report_to_dict(report), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def report_to_text(report: VerificationReport) -> str:
@@ -129,7 +133,8 @@ def report_to_text(report: VerificationReport) -> str:
 # samplers
 # ---------------------------------------------------------------------------
 
-def _rng(seed: int, check: str) -> np.random.Generator:
+def check_rng(seed: int, check: str) -> np.random.Generator:
+    """The sample stream of one named check under a run seed."""
     return np.random.default_rng([seed, _STREAMS[check]])
 
 
@@ -188,7 +193,7 @@ def check_chart(chart: LeafChart, n_samples: int = 50,
     """The four chart invariants: leaf constancy of the coordinates,
     submersion rank, orthogonality to the field directions, and stability
     of coordinate agreement under radial scaling."""
-    rng = _rng(seed, "chart")
+    rng = check_rng(seed, "chart")
     samples = sample_chart_ball(chart, n_samples, rng, shrink=0.8)
 
     worst_const = 0.0
@@ -205,18 +210,18 @@ def check_chart(chart: LeafChart, n_samples: int = 50,
         used += 1
         pairs.append((q, mate, float(np.linalg.norm(u_m - u_q))))
     _check_skips("chart leaf constancy", used, skipped)
-    e_const = _entry("chart_u_leaf_constancy", worst_const, 1e-7,
-                     samples=used, skipped=skipped)
+    e_const = check_entry("chart_u_leaf_constancy", worst_const, 1e-7,
+                          samples=used, skipped=skipped)
 
     step = 1e-4 * chart.base_norm
     J = leaf_coords_jacobian(chart, chart.base, step)
     sv = np.linalg.svd(J, compute_uv=False)
-    e_subm = _entry("chart_submersion_sv", float(sv[-1]), 1e-3, mode="min", samples=1)
+    e_subm = check_entry("chart_submersion_sv", float(sv[-1]), 1e-3, mode="min", samples=1)
 
     X1, X2 = real_views(chart.field, chart.base)
     worst_orth = max(float(np.linalg.norm(J @ (X1 / np.linalg.norm(X1)))),
                      float(np.linalg.norm(J @ (X2 / np.linalg.norm(X2)))))
-    e_orth = _entry("chart_leaf_orthogonality", worst_orth, 1e-6, samples=2)
+    e_orth = check_entry("chart_leaf_orthogonality", worst_orth, 1e-6, samples=2)
 
     # Coordinate agreement must survive radial scaling: pairs on one leaf
     # stay coordinate-equal after both are scaled by the same factor.
@@ -232,8 +237,8 @@ def check_chart(chart: LeafChart, n_samples: int = 50,
             worst_scale = max(worst_scale, float(np.linalg.norm(ua - ub)))
         used_s += 1
     _check_skips("chart leaf scaling", used_s, skipped_s)
-    e_scale = _entry("chart_leaf_scaling", worst_scale, 1e-6,
-                     samples=used_s, skipped=skipped_s)
+    e_scale = check_entry("chart_leaf_scaling", worst_scale, 1e-6,
+                          samples=used_s, skipped=skipped_s)
 
     return [e_const, e_subm, e_orth, e_scale]
 
@@ -247,7 +252,7 @@ def check_leaf_constancy(G: GaugeFunction, n_samples: int = 50,
     """Gauge drift between leaf mates (relative) and normalized directional
     derivatives of the gauge along the field directions."""
     chart = G.chart
-    rng = _rng(seed, "leaf_constancy")
+    rng = check_rng(seed, "leaf_constancy")
     samples = sample_chart_ball(chart, n_samples, rng, shrink=0.8)
     h = 1e-5 * chart.base_norm
 
@@ -273,8 +278,8 @@ def check_leaf_constancy(G: GaugeFunction, n_samples: int = 50,
         used += 1
     _check_skips("gauge leaf constancy", used, skipped)
     return [
-        _entry("gauge_leaf_constancy", worst_drift, 1e-6, samples=used, skipped=skipped),
-        _entry("gauge_leaf_derivative", worst_deriv, 1e-4, samples=used, skipped=skipped),
+        check_entry("gauge_leaf_constancy", worst_drift, 1e-6, samples=used, skipped=skipped),
+        check_entry("gauge_leaf_derivative", worst_deriv, 1e-4, samples=used, skipped=skipped),
     ]
 
 
@@ -282,7 +287,7 @@ def check_homogeneity(G: GaugeFunction, t_grid=(0.92, 0.96, 1.04, 1.08),
                       n_samples: int = 50, seed: int = DEFAULT_SEED) -> list[CheckEntry]:
     """Relative error of g(t*q) against t**degree * g(q) over the grid."""
     chart = G.chart
-    rng = _rng(seed, "homogeneity")
+    rng = check_rng(seed, "homogeneity")
     samples = sample_chart_ball(chart, n_samples, rng, shrink=0.6)
     worst = 0.0
     used = skipped = 0
@@ -307,7 +312,7 @@ def check_homogeneity(G: GaugeFunction, t_grid=(0.92, 0.96, 1.04, 1.08),
         else:
             skipped += 1
     _check_skips("gauge homogeneity", used, skipped)
-    return [_entry("gauge_homogeneity", worst, 1e-6, samples=used, skipped=skipped)]
+    return [check_entry("gauge_homogeneity", worst, 1e-6, samples=used, skipped=skipped)]
 
 
 def check_ray_consistency(chart: LeafChart, n_samples: int = 50,
@@ -315,7 +320,7 @@ def check_ray_consistency(chart: LeafChart, n_samples: int = 50,
     """Points on one radial ray trace a curve in leaf coordinates whose
     chords stay parallel to the local scaling direction: the orthogonal
     component of u(t1*p) - u(t2*p) must vanish to first order."""
-    rng = _rng(seed, "ray_consistency")
+    rng = check_rng(seed, "ray_consistency")
     samples = sample_chart_ball(chart, n_samples, rng, shrink=0.7)
     worst = 0.0
     used = skipped = 0
@@ -340,7 +345,7 @@ def check_ray_consistency(chart: LeafChart, n_samples: int = 50,
         worst = max(worst, float(np.linalg.norm(ortho)))
         used += 1
     _check_skips("ray consistency", used, skipped)
-    return [_entry("ray_consistency", worst, 1e-5, samples=used, skipped=skipped)]
+    return [check_entry("ray_consistency", worst, 1e-5, samples=used, skipped=skipped)]
 
 
 def check_scaling_laws(G: GaugeFunction, n_samples: int = 50,
@@ -348,7 +353,7 @@ def check_scaling_laws(G: GaugeFunction, n_samples: int = 50,
     """Positivity, root consistency, scale-factor reciprocity under radial
     scaling, and the homogeneity identity <grad g, q> = degree * g."""
     chart = G.chart
-    rng = _rng(seed, "scaling_laws")
+    rng = check_rng(seed, "scaling_laws")
     samples = sample_chart_ball(chart, n_samples, rng, shrink=0.6)
     h = 1e-5 * chart.base_norm
 
@@ -388,11 +393,11 @@ def check_scaling_laws(G: GaugeFunction, n_samples: int = 50,
     _check_skips("gauge scale reciprocity", used - skipped_recip, skipped_recip)
 
     return [
-        _entry("gauge_positivity", min_g, 0.0, mode="min", samples=used),
-        _entry("gauge_root_consistency", worst_root, G.root_tol, samples=used),
-        _entry("gauge_scale_reciprocity", worst_recip, 1e-8,
-               samples=used - skipped_recip, skipped=skipped_recip),
-        _entry("gauge_euler_identity", worst_euler, 1e-4, samples=used),
+        check_entry("gauge_positivity", min_g, 0.0, mode="min", samples=used),
+        check_entry("gauge_root_consistency", worst_root, G.root_tol, samples=used),
+        check_entry("gauge_scale_reciprocity", worst_recip, 1e-8,
+                    samples=used - skipped_recip, skipped=skipped_recip),
+        check_entry("gauge_euler_identity", worst_euler, 1e-4, samples=used),
     ]
 
 

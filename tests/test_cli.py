@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -167,10 +168,15 @@ def test_cross_process_determinism(tmp_path):
     import subprocess
     import sys
 
+    import leafgauge
+
+    # the child imports the same package as this process, installed or not
+    src = str(Path(leafgauge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outs = []
     for tag, hash_seed in (("a", "1"), ("b", "2")):
         out = tmp_path / f"{tag}.json"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "leafgauge.cli", "build-gauge",
              fx("field_v3.json"), "--samples", "10", "--out", str(out)],
@@ -192,3 +198,18 @@ def test_point_and_degree_overrides(tmp_path):
 
 def test_bad_point_is_exit_4():
     assert main(["build-gauge", fx("field_v3.json"), "--point", "1,0,1"]) == 4
+
+
+@pytest.mark.parametrize("flags", [
+    ["--samples", "0"],
+    ["--samples", "-3"],
+    ["--tol-root", "-1"],
+    ["--tol-ode", "-1"],
+    ["--chart-radius", "2"],
+])
+def test_bad_config_is_exit_4(flags, tmp_path, capsys):
+    # rejected before any work: no vacuous pass, no traceback, no report
+    out = tmp_path / "rep.json"
+    assert main(["build-gauge", fx("pz4.json"), *flags, "--out", str(out)]) == 4
+    assert "bad configuration" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,6 +1,8 @@
 """Vector fields: candidate derivation, selection, and the admissibility
 checks (annihilation, bracket, involutivity, transversality, homogeneity)."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from leafgauge import (
     homogeneity_check_field,
     involutivity_check,
     lie_bracket_real,
+    poly_eval,
     select_field,
     transversality_check,
 )
@@ -233,3 +236,100 @@ def test_field_scaling_law():
                 scale = t ** V.degree
                 assert abs(vt.z - scale * vq.z) <= 1e-12 * max(1, abs(scale * vq.z))
                 assert abs(vt.w - scale * vq.w) <= 1e-12 * max(1, abs(scale * vq.w))
+
+
+# -- compiled evaluator against the exact reference ---------------------------------
+
+def _random_field(rng) -> VectorFieldC2:
+    # homogeneous of degree 0..6, 0..6 terms per component (an empty
+    # component included), complex rational coefficients
+    deg = int(rng.integers(0, 7))
+    comps = []
+    for _ in range(2):
+        terms = []
+        for _ in range(int(rng.integers(0, 7))):
+            cuts = sorted(int(c) for c in rng.integers(0, deg + 1, 3))
+            exp = (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], deg - cuts[2])
+            coeff = tuple(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                          for _ in range(2))
+            terms.append((exp, coeff))
+        comps.append(WirtingerPoly(terms))
+    return VectorFieldC2(comps[0], comps[1], deg)
+
+
+def _field_family():
+    rng = np.random.default_rng(2024)
+    family = [derive_candidate_fields(make_pz4())[0]]   # comp_z is empty
+    family += [_random_field(rng) for _ in range(60)]
+    points = [PointC2(complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2)))
+              for _ in range(8)]
+    return family, points
+
+
+def _magnitude(poly, q) -> float:
+    # sum of |term| at q: the scale of the rounding error of any evaluation
+    return sum(abs(complex(float(re), float(im))) * abs(q.z) ** (a + b) * abs(q.w) ** (c + d)
+               for (a, b, c, d), (re, im) in poly.items())
+
+
+def _exact_bracket(V, q):
+    # the bracket assembled from exact values of the field and of its
+    # real first derivatives, in the matrix form of the definition
+    vz, vw = poly_eval(V.comp_z, q), poly_eval(V.comp_w, q)
+    X1 = np.array([vz.real, vz.imag, vw.real, vw.imag])
+    X2 = np.array([-vz.imag, vz.real, -vw.imag, vw.real])
+    dz, dw = ([poly_eval(p, q) for p in polys] for polys in V._real_derivative_polys)
+    DX1 = np.array([[v.real for v in dz], [v.imag for v in dz],
+                    [v.real for v in dw], [v.imag for v in dw]])
+    DX2 = np.array([[-v.imag for v in dz], [v.real for v in dz],
+                    [-v.imag for v in dw], [v.real for v in dw]])
+    return DX2 @ X1 - DX1 @ X2
+
+
+def test_compiled_field_and_jacobian_match_exact():
+    family, points = _field_family()
+    assert any(V.comp_z.is_zero or V.comp_w.is_zero for V in family)
+    assert {V.degree for V in family} == set(range(7))
+    for V in family:
+        derivs = V._real_derivative_polys[0] + V._real_derivative_polys[1]
+        for q in points:
+            got = V.eval_complex(q.z, q.w)
+            for value, poly in zip(got, (V.comp_z, V.comp_w)):
+                assert abs(value - poly_eval(poly, q)) <= 1e-13 * _magnitude(poly, q)
+            assert field_eval(V, q) == PointC2(*got)
+            jac = V._jacobian(q.z, q.w)
+            assert len(jac) == 8
+            for value, poly in zip(jac, derivs):
+                assert abs(value - poly_eval(poly, q)) <= 1e-13 * _magnitude(poly, q)
+
+
+def test_compiled_bracket_matches_exact_bracket():
+    family, points = _field_family()
+    for V in family:
+        derivs = V._real_derivative_polys[0] + V._real_derivative_polys[1]
+        for q in points:
+            scale = (sum(_magnitude(p, q) for p in derivs)
+                     * (_magnitude(V.comp_z, q) + _magnitude(V.comp_w, q)))
+            err = np.abs(lie_bracket_real(V, q) - _exact_bracket(V, q)).max()
+            assert err <= 1e-13 * scale
+
+
+def test_compiled_evaluator_handles_high_degree():
+    # one term of degree 4000, deeper than the compiler accepts as a single
+    # expression: the flat statements still compile, and the product
+    # matches one formed with complex powers
+    V = VectorFieldC2(mono(1500, 1000, 900, 600, 1, -1), WirtingerPoly.zero(), 4000)
+    z, w = 0.999 + 0.01j, 1.0005 - 0.02j
+    got, zero = V.eval_complex(z, w)
+    want = (1 - 1j) * z ** 1500 * z.conjugate() ** 1000 * w ** 900 * w.conjugate() ** 600
+    assert zero == 0
+    assert abs(got - want) <= 1e-11 * abs(want)
+
+
+def test_compiled_code_hygiene():
+    fn = make_field_nonholo()._eval
+    # the function is not held by its own namespace (no reference cycle)
+    assert fn not in fn.__globals__.values()
+    # coefficients are bound as names, never baked into the code
+    assert set(fn.__code__.co_consts) <= {None, 0j}
+    assert sorted(k for k in fn.__globals__ if not k.startswith("__")) == ["c0", "c1"]

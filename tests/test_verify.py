@@ -15,7 +15,7 @@ from leafgauge import (
     report_to_text,
     run_standard_suite,
 )
-from leafgauge.verify import CheckEntry, _entry
+from leafgauge.verify import CheckEntry, check_entry
 
 
 def test_empty_report_passes_vacuously():
@@ -25,7 +25,7 @@ def test_empty_report_passes_vacuously():
 
 
 def test_single_failure_fails_overall():
-    entries = [_entry("a", 1.0, 0.5), _entry("b", 0.1, 0.5)]
+    entries = [check_entry("a", 1.0, 0.5), check_entry("b", 0.1, 0.5)]
     report = assemble_report(entries)
     assert not report.overall_pass
     assert [e.name for e in report.entries] == ["a", "b"]
@@ -33,25 +33,25 @@ def test_single_failure_fails_overall():
 
 def test_duplicate_names_rejected():
     with pytest.raises(ValueError, match="duplicate check"):
-        assemble_report([_entry("a", 0.0, 1.0), _entry("a", 0.0, 1.0)])
+        assemble_report([check_entry("a", 0.0, 1.0), check_entry("a", 0.0, 1.0)])
 
 
 def test_entries_sorted_by_name():
-    report = assemble_report([_entry("zeta", 0, 1), _entry("alpha", 0, 1)])
+    report = assemble_report([check_entry("zeta", 0, 1), check_entry("alpha", 0, 1)])
     assert [e.name for e in report.entries] == ["alpha", "zeta"]
 
 
 def test_loosening_tolerances_keeps_passing():
     residuals = [0.3, 1e-9, 0.9]
-    tight = [_entry(f"c{i}", r, tol) for i, (r, tol) in
+    tight = [check_entry(f"c{i}", r, tol) for i, (r, tol) in
              enumerate(zip(residuals, [0.5, 1e-8, 1.0]))]
     assert assemble_report(tight).overall_pass
-    loose = [_entry(f"c{i}", r, tol * 10) for i, (r, tol) in
+    loose = [check_entry(f"c{i}", r, tol * 10) for i, (r, tol) in
              enumerate(zip(residuals, [0.5, 1e-8, 1.0]))]
     assert assemble_report(loose).overall_pass
     # and for lower bounds, loosening means lowering the bound
-    assert _entry("m", 0.5, 1e-3, mode="min").passed
-    assert _entry("m", 0.5, 1e-4, mode="min").passed
+    assert check_entry("m", 0.5, 1e-3, mode="min").passed
+    assert check_entry("m", 0.5, 1e-4, mode="min").passed
 
 
 def test_reports_deterministic(chart_pzw):
