@@ -1,19 +1,24 @@
 """Leaf charts: transversal coordinates that are constant along leaves.
 
 A chart at a base point x consists of an orthonormal frame of R^4 whose
-first two vectors span the leaf tangent space at x (the real span of the
-field views X1, X2) and whose last two span the Euclidean complement, used
-as an affine transversal plane through x.
+first two vectors e1, e2 span the leaf tangent space at x (the real span
+of the field views X1, X2) and whose last two n1, n2 span the Euclidean
+complement, used as an affine transversal plane through x.
 
-leaf_coords(q) slides q along its own leaf, by solving for the pair of
-flow times that lands it on the transversal, and reads off the two
-transversal components of the landed point relative to x.  Two points get
+leaf_coords(q) finds the point p where the leaf of q meets the
+transversal plane and reads off n1.(p - x), n2.(p - x).  Two points get
 the same coordinates iff they lie on the same local leaf, which makes the
 map a numerical submersion whose level sets are the leaves.
 
+One solver, _project, serves both the chart and the gauge: a Newton
+iteration on the leaf of q that re-bases at its last landed point, where
+the Jacobian is exact from a single field value.  With a free scale
+factor t and a third row it solves the gauge equation (see gauge.py);
+with t = 1 it is the leaf projection.
+
 The documented domain is the ball of radius radius_scale * |x| around x;
-evaluation is attempted for any query and fails only if the projection
-Newton iteration does not converge.
+evaluation is attempted for any query and fails with ProjectionError
+only if the Newton iteration does not converge.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AssumptionError, NumericError, ProjectionError
+from .errors import AssumptionError, DegenerateRootError, NumericError, ProjectionError
 from .fields import PointC2, VectorFieldC2, real_views, transversality_check, vanish_scale
 from .flows import FlowConfig, integrate_flow
 
@@ -42,14 +47,13 @@ class ChartConfig:
     radius_scale: float = 0.05          # chart ball radius, relative to |x|
     newton_tol: float = 1e-11           # projection residual, relative to |x|
     newton_max_iter: int = 40
-    fd_step: float = 1e-6               # flow-time step for FD Jacobians
     flow: FlowConfig = dc_field(default_factory=FlowConfig)
 
     def __post_init__(self):
         if not (0 < self.radius_scale < 1):
             raise ValueError("radius_scale must lie in (0, 1)")
-        if self.newton_tol <= 0 or self.fd_step <= 0:
-            raise ValueError("newton_tol and fd_step must be positive")
+        if self.newton_tol <= 0:
+            raise ValueError("newton_tol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +64,6 @@ class LeafChart:
     radius_scale: float
     newton_tol: float
     newton_max_iter: int
-    fd_step: float
     flow_cfg: FlowConfig
 
     @cached_property
@@ -128,11 +131,9 @@ def build_chart(V: VectorFieldC2, x: PointC2,
 
     rho = cfg.radius_scale
     while True:
-        chart = LeafChart(
-            field=V, base=x, frame=frame, radius_scale=rho,
-            newton_tol=cfg.newton_tol, newton_max_iter=cfg.newton_max_iter,
-            fd_step=cfg.fd_step, flow_cfg=cfg.flow,
-        )
+        chart = LeafChart(field=V, base=x, frame=frame, radius_scale=rho,
+                          newton_tol=cfg.newton_tol, newton_max_iter=cfg.newton_max_iter,
+                          flow_cfg=cfg.flow)
         try:
             _probe(chart)
             return chart
@@ -152,129 +153,78 @@ def _probe(chart: LeafChart) -> None:
             _project(chart, probe)
 
 
-def _coarse_cfg(cfg: FlowConfig) -> FlowConfig:
-    tol = max(1e-9, 1e3 * cfg.abs_tol)
-    if tol <= cfg.abs_tol:
-        return cfg
-    return FlowConfig(abs_tol=tol, rel_tol=max(1e-9, 1e3 * cfg.rel_tol),
-                      max_step=cfg.max_step, max_steps=cfg.max_steps)
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
-def _project(chart: LeafChart, q: PointC2, guess=None):
-    """Damped Newton solve for the pair of leaf flow times landing q on the
-    transversal plane.  Returns ((s1, s2), landed_point4).
+def _newton_step(J, r):
+    """-J^-1 r for a 3x3 J by the adjugate, or None when |det J| is below
+    1e-12 of its Hadamard bound (the product of the row norms)."""
+    (a, b, c), (d, e, f), (g, h, i) = J
+    C00, C01, C02 = e * i - f * h, f * g - d * i, d * h - e * g
+    det = a * C00 + b * C01 + c * C02
+    if not abs(det) > 1e-12 * math.prod(math.hypot(*row) for row in J):
+        return None
+    r0, r1, r2 = r
+    return (-(C00 * r0 + (c * h - b * i) * r1 + (b * f - c * e) * r2) / det,
+            -(C01 * r0 + (a * i - c * g) * r1 + (c * d - a * f) * r2) / det,
+            -(C02 * r0 + (b * g - a * h) * r1 + (a * e - b * d) * r2) / det)
 
-    Leaf points are reached by the mixed flow of s1*X1 + s2*X2 over unit
-    time (one integration per trial instead of two composed legs); the
-    landed point is the locally unique intersection of the leaf plaque
-    with the transversal plane, so the resulting coordinates do not depend
-    on this parametrization.
 
-    The Jacobian starts from the field values at the current landed point
-    (the exact directional derivatives at zero flow times), picks up
-    rank-one secant corrections from the observed steps, and falls back to
-    forward finite differences when progress stalls.  Far from the
-    solution the flows run at a coarse tolerance; the final iterations and
-    the returned landing always use the configured tight tolerance.
+def _project(chart: LeafChart, q: PointC2, m=None, t: float = 1.0):
+    """Newton solve on the leaf of q for a point p of that leaf with t*p on
+    the transversal plane.  Given a unit normal vector m, the scale factor
+    t is a third unknown and m.(t*p - x) = 0 a third equation; otherwise t
+    stays fixed.  Returns (t, p) with p as a real 4-tuple.
+
+    Every iteration re-bases at the last landed point p, where the flow
+    times are zero, so one field value gives the exact Jacobian: against
+    the rows e1, e2 (and m) its columns are t*X1(p), t*X2(p) (and p).  The
+    correction (ds1, ds2) is the mixed flow of ds1*X1 + ds2*X2 from p over
+    unit time; the whole step is halved, at most 8 tries, until the residual
+    drops.
     """
-    tight = chart.flow_cfg
-    coarse = _coarse_cfg(tight)
-    tol = chart.newton_tol * chart.base_norm
-    switch_rn = max(1e-6 * chart.base_norm, 10 * tol)
-    s1, s2 = guess if guess is not None else (0.0, 0.0)
-    b0, b1, b2, b3 = chart._base_t
+    x0, x1, x2, x3 = chart._base_t
     e1, e2 = chart._frame_t[0], chart._frame_t[1]
-    ev = chart.field.eval_complex
-    V = chart.field
+    free = m is not None
+    rows = (e1, e2, m) if free else (e1, e2)
+    V, cfg = chart.field, chart.flow_cfg
+    tol = chart.newton_tol * chart.base_norm
 
-    def residual(L):
-        d0, d1, d2, d3 = L[0] - b0, L[1] - b1, L[2] - b2, L[3] - b3
-        return (d0 * e1[0] + d1 * e1[1] + d2 * e1[2] + d3 * e1[3],
-                d0 * e2[0] + d1 * e2[1] + d2 * e2[2] + d3 * e2[3])
+    def residual(p, t):
+        d = (t * p[0] - x0, t * p[1] - x1, t * p[2] - x2, t * p[3] - x3)
+        r = [_dot(d, a) for a in rows]
+        return r if free else r + [0.0]
 
-    def land(a, b, cfg):
-        if a == 0.0 and b == 0.0:
-            return q.to_real4()
-        return integrate_flow(V, (a, b), 1.0, q, cfg).to_real4()
-
-    def analytic_jacobian(L):
-        vz, vw = ev(complex(L[0], L[1]), complex(L[2], L[3]))
+    point, p = q, q.to_real4()
+    r = residual(p, t)
+    rn = math.hypot(*r)
+    for _ in range(chart.newton_max_iter):
+        if rn <= tol:
+            return t, p
+        vz, vw = V.eval_complex(complex(p[0], p[1]), complex(p[2], p[3]))
         X1 = (vz.real, vz.imag, vw.real, vw.imag)
         X2 = (-vz.imag, vz.real, -vw.imag, vw.real)
-        return (X1[0] * e1[0] + X1[1] * e1[1] + X1[2] * e1[2] + X1[3] * e1[3],
-                X2[0] * e1[0] + X2[1] * e1[1] + X2[2] * e1[2] + X2[3] * e1[3],
-                X1[0] * e2[0] + X1[1] * e2[1] + X1[2] * e2[2] + X1[3] * e2[3],
-                X2[0] * e2[0] + X2[1] * e2[1] + X2[2] * e2[2] + X2[3] * e2[3])
-
-    # Warm starts arrive essentially converged: skip the coarse phase.
-    flow_cfg = tight if (guess is not None or coarse is tight) else coarse
-    L = land(s1, s2, flow_cfg)
-    r1, r2 = residual(L)
-    rn = math.hypot(r1, r2)
-    if flow_cfg is not tight and rn <= switch_rn:
-        flow_cfg = tight
-        L = land(s1, s2, tight)
-        r1, r2 = residual(L)
-        rn = math.hypot(r1, r2)
-
-    use_fd = False
-    J = None
-    h = chart.fd_step
-
-    for _ in range(chart.newton_max_iter):
-        if rn <= tol and flow_cfg is tight:
-            return (s1, s2), L
-        if use_fd:
-            ra = residual(land(s1 + h, s2, flow_cfg))
-            rb = residual(land(s1, s2 + h, flow_cfg))
-            J = ((ra[0] - r1) / h, (rb[0] - r1) / h,
-                 (ra[1] - r2) / h, (rb[1] - r2) / h)
-        elif J is None:
-            J = analytic_jacobian(L)
-        J00, J01, J10, J11 = J
-        det = J00 * J11 - J01 * J10
-        if abs(det) < 1e-14 * (1 + max(abs(J00), abs(J01), abs(J10), abs(J11))) ** 2:
-            if not use_fd:
-                use_fd = True
-                continue
-            raise ProjectionError("leaf projection failed: singular Jacobian")
-        d1 = -(J11 * r1 - J01 * r2) / det
-        d2 = -(-J10 * r1 + J00 * r2) / det
-
+        J = [(t * _dot(X1, a), t * _dot(X2, a), _dot(p, a) if free else 0.0) for a in rows]
+        if not free:
+            J.append((0.0, 0.0, 1.0))
+        step = _newton_step(J, r)
+        if step is None:
+            raise (DegenerateRootError if free else ProjectionError)(
+                "leaf projection failed: singular Newton system")
+        ds1, ds2, dt = step
         lam = 1.0
-        improved = False
         for _ in range(8):
-            t1, t2 = s1 + lam * d1, s2 + lam * d2
-            Lt = land(t1, t2, flow_cfg)
-            q1, q2 = residual(Lt)
-            qn = math.hypot(q1, q2)
-            if qn < rn:
-                improved = True
+            trial = integrate_flow(V, (lam * ds1, lam * ds2), 1.0, point, cfg)
+            pt, tt = trial.to_real4(), t + lam * dt
+            rt = residual(pt, tt)
+            rtn = math.hypot(*rt)
+            if rtn < rn:
                 break
             lam /= 2
-        if not improved:
-            if not use_fd:
-                use_fd = True
-                continue
+        else:
             raise ProjectionError("leaf projection failed: no descent direction")
-        if not use_fd:
-            # rank-one secant correction of J from the observed step
-            ds1, ds2 = t1 - s1, t2 - s2
-            dsq = ds1 * ds1 + ds2 * ds2
-            if dsq > 0.0:
-                w1 = (q1 - r1 - (J00 * ds1 + J01 * ds2)) / dsq
-                w2 = (q2 - r2 - (J10 * ds1 + J11 * ds2)) / dsq
-                J = (J00 + w1 * ds1, J01 + w1 * ds2,
-                     J10 + w2 * ds1, J11 + w2 * ds2)
-            if qn > 0.5 * rn:
-                use_fd = True  # secant model is not contracting: refine
-        s1, s2, L, r1, r2, rn = t1, t2, Lt, q1, q2, qn
-        if flow_cfg is not tight and rn <= switch_rn:
-            flow_cfg = tight
-            L = land(s1, s2, tight)
-            r1, r2 = residual(L)
-            rn = math.hypot(r1, r2)
-
+        point, p, t, r, rn = trial, pt, tt, rt, rtn
     raise ProjectionError("leaf projection failed: iteration budget exhausted")
 
 
@@ -282,16 +232,7 @@ def leaf_coords(chart: LeafChart, q: PointC2) -> tuple[float, float]:
     """Transversal coordinates of the leaf through q, with value (0, 0) at
     the base point.  Raises ProjectionError when the projection does not
     converge."""
-    u, _ = leaf_coords_with_times(chart, q)
-    return u
-
-
-def leaf_coords_with_times(chart: LeafChart, q: PointC2, guess=None):
-    """Like leaf_coords but also returns the converged flow times, which
-    callers evaluating nearby points can pass back as a warm start."""
-    (s1, s2), L = _project(chart, q, guess)
-    b = chart._base_t
-    d0, d1, d2, d3 = L[0] - b[0], L[1] - b[1], L[2] - b[2], L[3] - b[3]
-    n1, n2 = chart._frame_t[2], chart._frame_t[3]
-    return ((d0 * n1[0] + d1 * n1[1] + d2 * n1[2] + d3 * n1[3],
-             d0 * n2[0] + d1 * n2[1] + d2 * n2[2] + d3 * n2[3]), (s1, s2))
+    _, p = _project(chart, q)
+    x = chart._base_t
+    d = (p[0] - x[0], p[1] - x[1], p[2] - x[2], p[3] - x[3])
+    return (_dot(d, chart._frame_t[2]), _dot(d, chart._frame_t[3]))

@@ -234,15 +234,22 @@ def cmd_verify(args) -> int:
         raise FixtureError(f"cannot read report {args.report}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FixtureError(f"report is not valid JSON: {exc}") from exc
-    desc = data.get("description", data)
-    if "fixture" not in desc:
+    if not isinstance(data, dict) or data.get("schema") != REPORT_SCHEMA:
+        raise FixtureError(f"report schema is not {REPORT_SCHEMA}")
+    desc = data.get("description")
+    if not isinstance(desc, dict) or "fixture" not in desc:
         raise FixtureError("report carries no gauge description")
-    fx = parse_fixture(desc["fixture"], name=desc["fixture"].get("name", "saved"))
-    point = PointC2.from_real4(desc["point"])
-    degree = int(desc["degree"])
-    saved = desc.get("config", {})
+    try:
+        fx = parse_fixture(desc["fixture"], name=desc["fixture"].get("name", "saved"))
+        point = PointC2.from_real4(desc["point"])
+        degree = int(desc["degree"])
+        saved = dict(desc.get("config", {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FixtureError(f"malformed report description: {exc!r}") from exc
+    # fixture-only keys (such as involutivity_tol) come from the saved
+    # fixture; the saved run config overrides the rest
     cfg = resolve_config(
-        {},
+        fx.config,
         chart_radius=saved.get("chart_radius"),
         newton_tol=saved.get("newton_tol"),
         bracket_halfwidth=saved.get("bracket_halfwidth"),

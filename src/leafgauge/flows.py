@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import RankDropError, StepBudgetError
+from .errors import NumericError, RankDropError, StepBudgetError
 from .fields import NONVANISH_THRESHOLD, PointC2, VectorFieldC2
 
 __all__ = ["FlowConfig", "integrate_flow", "leaf_flow_map", "trace_leaf"]
@@ -64,9 +64,10 @@ def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
                    q0: PointC2, cfg: FlowConfig | None = None) -> PointC2:
     """Solve q' = a*X1(q) + b*X2(q) from q0 over the time interval [0, s].
 
-    Raises StepBudgetError when the step budget is exhausted and
+    Raises StepBudgetError when the step budget is exhausted,
     RankDropError when the field norm falls below the relative
-    nonvanishing threshold along the trajectory.
+    nonvanishing threshold along the trajectory, and NumericError when the
+    trajectory blows up.
     """
     cfg = cfg or FlowConfig()
     a, b = coeffs
@@ -81,7 +82,10 @@ def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
         vz, vw = ev(z, w)
         nv_sq = vz.real * vz.real + vz.imag * vz.imag + vw.real * vw.real + vw.imag * vw.imag
         r_sq = z.real * z.real + z.imag * z.imag + w.real * w.real + w.imag * w.imag
-        scale_sq = (r_sq if r_sq > 1.0 else 1.0) ** deg  # max(1.0, r_sq), minus the call
+        try:
+            scale_sq = (r_sq if r_sq > 1.0 else 1.0) ** deg  # max(1.0, r_sq), minus the call
+        except OverflowError:
+            raise NumericError("flow blew up: state norm overflowed") from None
         if nv_sq <= thr_sq * scale_sq:
             raise RankDropError("field norm below threshold along trajectory")
         return mix * vz, mix * vw

@@ -11,18 +11,25 @@ is a unique scale factor t in (1 - delta, 1 + delta) with
 radial_mismatch(q, t) = 0.  The gauge value is that factor to the power
 -degree: it is positive, constant along leaves, and homogeneous of the
 requested degree.
+
+The field is homogeneous, so leaf(t*q) = t*leaf(q) and the scale factor
+is found on the leaf of q itself: one Newton system in a point p of that
+leaf and t, with rows e1.(t*p - x) = e2.(t*p - x) = m.(t*p - x) = 0 for
+the unit vector m along d1*n1 + d2*n2 (charts._project).  Its zero set is
+exactly that of the radial mismatch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .charts import LeafChart, leaf_coords, leaf_coords_with_times
-from .errors import AssumptionError, DegenerateRootError, ProjectionError, RootSearchError
-from .fields import PointC2
+from .charts import LeafChart, _project, leaf_coords
+from .errors import AssumptionError, ProjectionError, RootSearchError
+from .fields import PointC2, homogeneity_check_field
 
 __all__ = [
     "GaugeFunction",
@@ -33,9 +40,6 @@ __all__ = [
     "gauge_eval",
     "gauge_grid_rows",
 ]
-
-_SLOPE_FLOOR = 1e-10
-_MAX_ROOT_ITER = 60
 
 
 def scaling_velocity(chart: LeafChart, step: float = 1e-4) -> tuple[float, float]:
@@ -65,6 +69,15 @@ class GaugeFunction:
     bracket_halfwidth: float            # scale factor searched in (1-d, 1+d)
     root_tol: float
 
+    @cached_property
+    def _ray_normal(self) -> tuple[float, ...]:
+        # unit vector along d1*n1 + d2*n2; zero when d = 0, which makes the
+        # Newton system singular
+        d1, d2 = self.ray_velocity
+        _, _, n1, n2 = self.chart._frame_t
+        scale = math.hypot(d1, d2) or 1.0
+        return tuple((d1 * a + d2 * b) / scale for a, b in zip(n1, n2))
+
 
 def build_gauge(chart: LeafChart, degree: int, bracket_halfwidth: float = 0.15,
                 root_tol: float = 1e-11, velocity_step: float = 1e-4) -> GaugeFunction:
@@ -74,6 +87,9 @@ def build_gauge(chart: LeafChart, degree: int, bracket_halfwidth: float = 0.15,
         raise ValueError("bracket halfwidth must lie in (0, 1)")
     if root_tol <= 0:
         raise ValueError("root_tol must be positive")
+    if not homogeneity_check_field(chart.field):
+        # the scale-factor solve relies on leaf(t*q) = t*leaf(q)
+        raise AssumptionError("gauge needs a field homogeneous of its declared degree")
     d = scaling_velocity(chart, velocity_step)
     G = GaugeFunction(chart=chart, ray_velocity=d, degree=int(degree),
                       bracket_halfwidth=bracket_halfwidth, root_tol=root_tol)
@@ -91,99 +107,28 @@ def radial_mismatch(G: GaugeFunction, q: PointC2, t: float) -> float:
 
 
 def solve_scale(G: GaugeFunction, q: PointC2, t_guess: float | None = None) -> float:
-    """Unique root of t -> radial_mismatch(G, q, t) in the bracket
-    (1 - delta, 1 + delta).
-
-    Safeguarded Newton: the slope comes from finite differences of the
-    iterates (secant), iterates leaving the bracket or a known sign-change
-    interval fall back to bisection, and the bracket endpoints are only
-    evaluated when the iteration needs them.  Raises RootSearchError when
-    no root exists in the bracket and DegenerateRootError when the slope
-    collapses away from a root.
+    """The unique scale factor t in (1 - delta, 1 + delta) with
+    radial_mismatch(G, q, t) = 0, by Newton on the leaf of q from t_guess
+    (default 1).  Raises RootSearchError when the iteration does not
+    converge or its root lies outside that interval, and
+    DegenerateRootError when the Newton system is singular.
     """
-    delta = G.bracket_halfwidth
-    lo, hi = 1.0 - delta, 1.0 + delta
-    d1, d2 = G.ray_velocity
-    chart = G.chart
-    warm = [None]
-
-    def f(t: float) -> float:
-        try:
-            u, times = leaf_coords_with_times(chart, q.scale(t), warm[0])
-        except ProjectionError:
-            # A stale warm start can sabotage the projection after a long
-            # bisection jump; retry cold before declaring the point outside.
-            try:
-                u, times = leaf_coords_with_times(chart, q.scale(t), None)
-            except ProjectionError as exc:
-                raise RootSearchError(f"point outside gauge domain: {exc}") from exc
-        warm[0] = times
-        return u[0] * d1 + u[1] * d2
-
-    seen: list[tuple[float, float]] = []
-    bracket = [None]  # narrowest (ta, fa, tb, fb) with a sign change
-
-    def note(t: float, ft: float):
-        for (ts, fs) in seen:
-            if fs == 0.0 or ft == 0.0:
-                continue
-            if (fs > 0) != (ft > 0):
-                a, b = (ts, t) if ts < t else (t, ts)
-                if bracket[0] is None or (b - a) < (bracket[0][1] - bracket[0][0]):
-                    fa = fs if ts < t else ft
-                    fb = ft if ts < t else fs
-                    bracket[0] = (a, b, fa, fb)
-        seen.append((t, ft))
-
-    def endpoints() -> None:
-        # Lazy: bring the interval endpoints into `seen` to look for a sign
-        # change when Newton cannot make progress on its own.
-        for te in (lo + 1e-12, hi - 1e-12):
-            if all(abs(te - ts) > 1e-12 for ts, _ in seen):
-                note(te, f(te))
-
-    t0 = 1.0 if t_guess is None else min(max(t_guess, lo + 1e-9), hi - 1e-9)
-    f0 = f(t0)
-    if abs(f0) <= G.root_tol:
-        return t0
-    note(t0, f0)
-    h = 1e-6 if t0 + 1e-6 <= hi else -1e-6
-    t1 = t0 + h
-    f1 = f(t1)
-    note(t1, f1)
-
-    for _ in range(_MAX_ROOT_ITER):
-        if abs(f1) <= G.root_tol:
-            return t1
-        slope = (f1 - f0) / (t1 - t0) if t1 != t0 else 0.0
-        t_next = None
-        if abs(slope) >= _SLOPE_FLOOR:
-            t_next = t1 - f1 / slope
-        if bracket[0] is not None:
-            a, b, _, _ = bracket[0]
-            if t_next is None or not (a < t_next < b) or abs(t_next - t1) < 1e-15:
-                t_next = 0.5 * (a + b)
-        elif t_next is None or not (lo < t_next < hi):
-            endpoints()
-            hit = next((ts for ts, fs in seen if abs(fs) <= G.root_tol), None)
-            if hit is not None:
-                return hit
-            if bracket[0] is None:
-                if abs(slope) < _SLOPE_FLOOR:
-                    raise DegenerateRootError("degenerate implicit equation")
-                raise RootSearchError("point outside gauge domain: no sign change in bracket")
-            t_next = 0.5 * (bracket[0][0] + bracket[0][1])
-        f_next = f(t_next)
-        note(t_next, f_next)
-        t0, f0, t1, f1 = t1, f1, t_next, f_next
-
-    raise RootSearchError("scale factor iteration did not converge")
+    lo, hi = 1.0 - G.bracket_halfwidth, 1.0 + G.bracket_halfwidth
+    t0 = 1.0 if t_guess is None else min(max(t_guess, lo), hi)
+    try:
+        t, _ = _project(G.chart, q, G._ray_normal, t0)
+    except ProjectionError as exc:
+        raise RootSearchError(f"point outside gauge domain: {exc}") from exc
+    if not lo < t < hi:
+        raise RootSearchError(
+            f"point outside gauge domain: scale factor {t!r} outside ({lo!r}, {hi!r})")
+    return t
 
 
 def gauge_eval(G: GaugeFunction, q: PointC2, t_guess: float | None = None) -> float:
     """g(q) = solve_scale(q) ** (-degree); positive on the whole domain.
-    An optional scale-factor guess (e.g. from a nearby point) warm-starts
-    the root search without changing the result."""
+    An optional scale-factor guess (e.g. from a nearby point) starts the
+    Newton iteration there without changing the result."""
     t = solve_scale(G, q, t_guess)
     value = t ** (-G.degree)
     if not (value > 0.0) or not math.isfinite(value):

@@ -57,6 +57,13 @@ def test_trace_leaf_first_integral(tmp_path, capsys):
         assert abs(zw - 1) <= 1e-8
 
 
+def test_trace_leaf_blow_up_is_exit_3(capsys):
+    # the leaf flow escapes to infinity within the requested span
+    assert main(["trace-leaf", fx("pzw.json"), "--point", "0.9,0.2,1.1,-0.3",
+                 "--grid", "3x3", "--span", "1.0"]) == 3
+    assert "blew up" in capsys.readouterr().err
+
+
 def test_bad_grid_is_exit_4():
     assert main(["trace-leaf", fx("pzw.json"), "--grid", "5by5"]) == 4
 
@@ -141,6 +148,34 @@ def test_verify_rejects_plain_json(tmp_path):
     p = tmp_path / "x.json"
     p.write_text("{}")
     assert main(["verify", str(p)]) == 4
+
+
+def test_verify_keeps_fixture_config(tmp_path):
+    data = json.loads((FIXTURE_DIR / "field_v3.json").read_text())
+    data["config"]["involutivity_tol"] = 1e-3
+    fixture = tmp_path / "loose.json"
+    fixture.write_text(json.dumps(data))
+    report_path = tmp_path / "rep.json"
+    again = tmp_path / "again.json"
+    assert main(["build-gauge", str(fixture), "--samples", "10",
+                 "--out", str(report_path)]) == 0
+    assert main(["verify", str(report_path), "--out", str(again)]) == 0
+    for path in (report_path, again):
+        entries = json.loads(path.read_text())["report"]["entries"]
+        inv = next(e for e in entries if e["name"] == "field_involutivity")
+        assert inv["tolerance"] == 1e-3
+    assert again.read_bytes() == report_path.read_bytes()
+
+
+def test_verify_rejects_other_schema(tmp_path):
+    report_path = tmp_path / "rep.json"
+    assert main(["build-gauge", fx("pz4.json"), "--samples", "10",
+                 "--out", str(report_path)]) == 0
+    data = json.loads(report_path.read_text())
+    data["schema"] = "leafgauge-report@0"
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(data))
+    assert main(["verify", str(old)]) == 4
 
 
 def test_fixture_round_trip():

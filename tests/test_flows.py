@@ -8,6 +8,7 @@ import pytest
 
 from leafgauge import (
     FlowConfig,
+    NumericError,
     PointC2,
     RankDropError,
     StepBudgetError,
@@ -132,6 +133,14 @@ def test_rank_drop_detected():
     V = VectorFieldC2(mono(1, 0, 0, 0, -1), WirtingerPoly.zero(), 1)
     with pytest.raises(RankDropError):
         integrate_flow(V, (1, 0), 25.0, PointC2(1, 1), FLOW_TIGHT)
+
+
+def test_blow_up_is_numeric_error():
+    # the first pzw candidate field is quadratic, and this mixed flow
+    # escapes to infinity before unit time
+    V = derive_candidate_fields(make_pzw())[0]
+    with pytest.raises(NumericError, match="blew up"):
+        integrate_flow(V, (1, 1), 1.0, PointC2(0.9 + 0.2j, 1.1 - 0.3j), FLOW_TIGHT)
 
 
 def test_config_validation():

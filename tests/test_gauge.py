@@ -1,22 +1,30 @@
 """Gauge construction: scaling velocity, mismatch, scale roots, values."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-import leafgauge.gauge as gauge_mod
 from leafgauge import (
+    AssumptionError,
     DegenerateRootError,
     GaugeFunction,
     PointC2,
     RootSearchError,
+    VectorFieldC2,
+    WirtingerPoly,
+    build_chart,
     build_gauge,
     gauge_eval,
+    leaf_coords,
     radial_mismatch,
     scaling_velocity,
     solve_scale,
 )
 from leafgauge.gauge import gauge_grid_rows
+from leafgauge.verify import sample_chart_ball
+from conftest import X_PZW, chart_cfg
 
 
 def test_scaling_velocity_pz4(chart_pz4):
@@ -85,12 +93,24 @@ def test_root_outside_bracket(chart_pz4):
         solve_scale(narrow, PointC2(1.25, 0.1))
 
 
-def test_degenerate_slope_detected(chart_pz4, monkeypatch):
-    G = build_gauge(chart_pz4, 2, bracket_halfwidth=0.3)
-    monkeypatch.setattr(gauge_mod, "leaf_coords_with_times",
-                        lambda chart, q, guess=None: ((0.5, 0.0), (0.0, 0.0)))
+def test_degenerate_slope_detected(chart_pz4):
+    # leaves {z = const}: along n2 = Im z neither the leaf directions nor
+    # the ray through a point with real z move, so the Newton system on
+    # the leaf is singular
+    G = dataclasses.replace(build_gauge(chart_pz4, 2, bracket_halfwidth=0.3),
+                            ray_velocity=(0.0, 1.0))
     with pytest.raises(DegenerateRootError):
-        solve_scale(G, PointC2(1.1, 0))
+        solve_scale(G, PointC2(1.1, 0.2))
+
+
+def test_inhomogeneous_field_rejected():
+    # (-z, w + w^2) declared of degree 1: its leaves do not scale with the
+    # point, so no gauge may be built on them
+    V = VectorFieldC2(WirtingerPoly.monomial(1, 0, 0, 0, -1),
+                      WirtingerPoly.monomial(0, 0, 1, 0) + WirtingerPoly.monomial(0, 0, 2, 0), 1)
+    chart = build_chart(V, X_PZW, chart_cfg(0.1))
+    with pytest.raises(AssumptionError, match="homogeneous"):
+        build_gauge(chart, 2)
 
 
 def test_warm_start_does_not_change_result(gauge_pzw_n4):
@@ -126,3 +146,33 @@ def test_concurrent_evaluation_matches_serial(gauge_pzw_n4):
     with ThreadPoolExecutor(max_workers=4) as pool:
         threaded = list(pool.map(lambda q: gauge_eval(gauge_pzw_n4, q), points))
     assert threaded == serial
+
+
+def test_work_count_ceilings(gauge_pzw_n4, monkeypatch):
+    # deterministic work per cold evaluation over the chart ball, counted
+    # as calls of the one pointwise evaluator; catches solver regressions
+    # without timing noise
+    calls = [0]
+    evaluate = VectorFieldC2.eval_complex
+
+    def counted(self, z, w):
+        calls[0] += 1
+        return evaluate(self, z, w)
+
+    monkeypatch.setattr(VectorFieldC2, "eval_complex", counted)
+    G = gauge_pzw_n4
+    points = sample_chart_ball(G.chart, 100, np.random.default_rng(0x5EED), shrink=0.8)
+
+    def work(fn) -> list[int]:
+        counts = []
+        for q in points:
+            before = calls[0]
+            fn(q)
+            counts.append(calls[0] - before)
+        return counts
+
+    gauge = work(lambda q: gauge_eval(G, q))
+    assert sum(gauge) / len(gauge) <= 400
+    assert max(gauge) <= 600
+    coords = work(lambda q: leaf_coords(G.chart, q))
+    assert sum(coords) / len(coords) <= 350
