@@ -12,9 +12,10 @@ map a numerical submersion whose level sets are the leaves.
 
 One solver, _project, serves both the chart and the gauge: a Newton
 iteration on the leaf of q that re-bases at its last landed point, where
-the Jacobian is exact from a single field value.  With a free scale
-factor t and a third row it solves the gauge equation (see gauge.py);
-with t = 1 it is the leaf projection.
+the Jacobian is exact from a single field value, and applies each
+correction (ds1, ds2) as the unit-speed flow along it over time |ds|.
+With a free scale factor t and a third row it solves the gauge equation
+(see gauge.py); with t = 1 it is the leaf projection.
 
 The documented domain is the ball of radius radius_scale * |x| around x;
 evaluation is attempted for any query and fails with ProjectionError
@@ -180,9 +181,11 @@ def _project(chart: LeafChart, q: PointC2, m=None, t: float = 1.0):
     Every iteration re-bases at the last landed point p, where the flow
     times are zero, so one field value gives the exact Jacobian: against
     the rows e1, e2 (and m) its columns are t*X1(p), t*X2(p) (and p).  The
-    correction (ds1, ds2) is the mixed flow of ds1*X1 + ds2*X2 from p over
-    unit time; the whole step is halved, at most 8 tries, until the residual
-    drops.
+    correction (ds1, ds2) is the unit-speed mixed flow of
+    (ds1*X1 + ds2*X2) / |ds| from p over time |ds|: the point of the
+    unit-time flow of ds1*X1 + ds2*X2, with the steps sized by the
+    displacement rather than by max_step.  The whole step is halved, at
+    most 8 tries, until the residual drops.
     """
     x0, x1, x2, x3 = chart._base_t
     e1, e2 = chart._frame_t[0], chart._frame_t[1]
@@ -213,9 +216,11 @@ def _project(chart: LeafChart, q: PointC2, m=None, t: float = 1.0):
             raise (DegenerateRootError if free else ProjectionError)(
                 "leaf projection failed: singular Newton system")
         ds1, ds2, dt = step
+        n = math.hypot(ds1, ds2)
+        unit = (ds1 / n, ds2 / n) if n > 0.0 else (0.0, 0.0)
         lam = 1.0
         for _ in range(8):
-            trial = integrate_flow(V, (lam * ds1, lam * ds2), 1.0, point, cfg)
+            trial = integrate_flow(V, unit, lam * n, point, cfg)
             pt, tt = trial.to_real4(), t + lam * dt
             rt = residual(pt, tt)
             rtn = math.hypot(*rt)

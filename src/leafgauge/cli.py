@@ -5,10 +5,11 @@ Subcommands:
     derive-field  print the two candidate tangent fields of a polynomial
     trace-leaf    sample one leaf on a flow-time grid, emit CSV
     build-gauge   full pipeline, JSON report and optional gauge sample CSV
-    verify        re-run the suite against a saved report's description
+    verify        rebuild a saved report and compare the rebuild with it
 
 Exit codes: 0 pass, 2 hypothesis/assumption violation, 3 numeric failure
-(including a failing verification report), 4 malformed input.
+(including a failing verification report, and a saved report that verify's
+rebuild does not reproduce), 4 malformed input.
 """
 
 from __future__ import annotations
@@ -239,6 +240,11 @@ def cmd_verify(args) -> int:
     desc = data.get("description")
     if not isinstance(desc, dict) or "fixture" not in desc:
         raise FixtureError("report carries no gauge description")
+    saved_gauge, saved_report = data.get("gauge"), data.get("report")
+    saved_entries = saved_report.get("entries") if isinstance(saved_report, dict) else None
+    if not (isinstance(saved_gauge, dict) and isinstance(saved_entries, list)
+            and all(isinstance(e, dict) for e in saved_entries)):
+        raise FixtureError("report carries no gauge block or entry list")
     try:
         fx = parse_fixture(desc["fixture"], name=desc["fixture"].get("name", "saved"))
         point = PointC2.from_real4(desc["point"])
@@ -262,7 +268,54 @@ def cmd_verify(args) -> int:
     gauge, report = _run_fixture_pipeline(fx, point, degree, cfg)
     payload = _report_payload(fx, point, gauge.degree, cfg, gauge, report)
     _emit_report(payload, args.out)
-    return EXIT_PASS if report.overall_pass else EXIT_NUMERIC
+    same_seed = "seed" in saved and cfg.seed == saved["seed"]
+    drift = _artifact_drift(saved_gauge, saved_entries if same_seed else None, payload)
+    for key, was, now in drift:
+        print(f"drift {key}: saved {was!r}, rebuilt {now!r}", file=sys.stderr)
+    return EXIT_PASS if report.overall_pass and not drift else EXIT_NUMERIC
+
+
+# the frame rows and the ray velocity are computed in float and compared
+# within this tolerance relative to their norm; every other field is exact
+_DRIFT_REL_TOL = 1e-9
+
+
+def _close(saved, rebuilt) -> bool:
+    try:
+        a = np.array(saved, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    b = np.array(rebuilt, dtype=float)
+    if a.shape != b.shape:
+        return False
+    scale = np.maximum(np.linalg.norm(a, axis=-1, keepdims=True),
+                       np.linalg.norm(b, axis=-1, keepdims=True))
+    return bool(np.all(np.abs(a - b) <= _DRIFT_REL_TOL * scale))
+
+
+def _artifact_drift(saved_gauge: dict, saved_entries: list | None,
+                    rebuilt: dict) -> list[tuple]:
+    """(key, saved value, rebuilt value) for every saved field that the
+    rebuild does not reproduce: the gauge block, and each entry's name,
+    verdict and sample counts unless saved_entries is None."""
+    drift = []
+    rg = rebuilt["gauge"]
+    for key in sorted(set(saved_gauge) | set(rg)):
+        was, now = saved_gauge.get(key), rg.get(key)
+        same = (key in saved_gauge and key in rg
+                and (_close(was, now) if key in ("frame", "ray_velocity") else was == now))
+        if not same:
+            drift.append((f"gauge.{key}", was, now))
+    if saved_entries is not None:
+        ours = rebuilt["report"]["entries"]
+        if len(saved_entries) != len(ours):
+            drift.append(("report.entries", len(saved_entries), len(ours)))
+        else:
+            for was, now in zip(saved_entries, ours):
+                drift += [(f"report.entries[{now['name']}].{k}", was.get(k), now[k])
+                          for k in ("name", "passed", "samples", "skipped")
+                          if was.get(k) != now[k]]
+    return drift
 
 
 # ---------------------------------------------------------------------------

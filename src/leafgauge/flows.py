@@ -31,6 +31,9 @@ __all__ = ["FlowConfig", "integrate_flow", "leaf_flow_map", "trace_leaf"]
 
 @dataclass(frozen=True)
 class FlowConfig:
+    """Error control of integrate_flow.  max_step bounds the step in the
+    time of a unit-coefficient flow, such as those of leaf_flow_map."""
+
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_step: float = 0.1

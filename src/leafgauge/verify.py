@@ -3,8 +3,8 @@
 Each check draws deterministic samples (seeded numpy generator, uniform in
 the chart ball), measures a residual per sample, and reports the worst
 case against a fixed tolerance.  Samples whose derived points leave the
-chart ball are skipped and counted; a check errors out when more than half
-of its samples are skipped.
+chart ball are skipped and counted; a check errors out when it used no
+sample or when more than half of its samples are skipped.
 
 Entries use two comparison modes: "max" passes when the recorded residual
 is <= tolerance, "min" passes when it is >= tolerance (used for lower
@@ -166,6 +166,8 @@ def _leaf_mate(chart: LeafChart, q: PointC2, rng: np.random.Generator) -> PointC
 
 
 def _check_skips(name: str, used: int, skipped: int) -> None:
+    if used == 0:
+        raise NumericError(f"{name}: no sample was used")
     if skipped > used:
         raise NumericError(f"{name}: more than half of the samples were skipped")
 

@@ -84,6 +84,21 @@ X_PZW = PointC2(1, 1)
 X_PZ4 = PointC2(1, 0)
 
 
+@pytest.fixture
+def field_evals(monkeypatch):
+    """A one-element list counting calls of the one pointwise evaluator,
+    VectorFieldC2.eval_complex: a deterministic measure of solver work."""
+    calls = [0]
+    evaluate = VectorFieldC2.eval_complex
+
+    def counted(self, z, w):
+        calls[0] += 1
+        return evaluate(self, z, w)
+
+    monkeypatch.setattr(VectorFieldC2, "eval_complex", counted)
+    return calls
+
+
 # -- session charts and gauges ----------------------------------------------
 
 @pytest.fixture(scope="session")

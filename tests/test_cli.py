@@ -178,6 +178,64 @@ def test_verify_rejects_other_schema(tmp_path):
     assert main(["verify", str(old)]) == 4
 
 
+def _saved_pz4(tmp_path):
+    report_path = tmp_path / "rep.json"
+    assert main(["build-gauge", fx("pz4.json"), "--samples", "10",
+                 "--out", str(report_path)]) == 0
+    return report_path, json.loads(report_path.read_text())
+
+
+def _resaved(tmp_path, data):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_verify_untouched_round_trip(tmp_path, capsys):
+    report_path, data = _saved_pz4(tmp_path)
+    # a perturbation of the float frame far inside the relative 1e-9 is no drift
+    data["gauge"]["frame"][0][0] *= 1 + 1e-12
+    again = tmp_path / "again.json"
+    capsys.readouterr()
+    assert main(["verify", _resaved(tmp_path, data), "--out", str(again)]) == 0
+    assert "drift" not in capsys.readouterr().err
+    assert again.read_bytes() == report_path.read_bytes()
+
+
+def test_verify_detects_tampered_gauge(tmp_path, capsys):
+    _, data = _saved_pz4(tmp_path)
+    data["gauge"]["ray_velocity"] = [5, 5]
+    data["gauge"]["frame"][2][3] += 1e-6
+    data["gauge"]["degree"] = 3
+    capsys.readouterr()
+    assert main(["verify", _resaved(tmp_path, data)]) == 3
+    err = capsys.readouterr().err
+    for key in ("gauge.ray_velocity", "gauge.frame", "gauge.degree"):
+        assert f"drift {key}:" in err
+    assert "gauge.base" not in err
+
+
+def test_verify_detects_tampered_entries(tmp_path, capsys):
+    _, data = _saved_pz4(tmp_path)
+    for entry in data["report"]["entries"]:
+        entry["passed"] = False
+    data["report"]["entries"][0]["samples"] += 1
+    capsys.readouterr()
+    assert main(["verify", _resaved(tmp_path, data)]) == 3
+    err = capsys.readouterr().err
+    first = data["report"]["entries"][0]["name"]
+    assert f"drift report.entries[{first}].samples:" in err
+    assert err.count(".passed:") == len(data["report"]["entries"])
+    # under another seed the entries are not comparable, only the gauge is
+    assert main(["verify", _resaved(tmp_path, data), "--seed", "7"]) == 0
+
+
+def test_verify_rejects_report_without_gauge(tmp_path):
+    _, data = _saved_pz4(tmp_path)
+    del data["gauge"]
+    assert main(["verify", _resaved(tmp_path, data)]) == 4
+
+
 def test_fixture_round_trip():
     for name in ("pzw.json", "pz4.json", "ball.json", "field_v3.json",
                  "field_nonholo.json", "field_bad.json"):

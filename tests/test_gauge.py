@@ -148,18 +148,11 @@ def test_concurrent_evaluation_matches_serial(gauge_pzw_n4):
     assert threaded == serial
 
 
-def test_work_count_ceilings(gauge_pzw_n4, monkeypatch):
+def test_work_count_ceilings(gauge_pzw_n4, field_evals):
     # deterministic work per cold evaluation over the chart ball, counted
     # as calls of the one pointwise evaluator; catches solver regressions
     # without timing noise
-    calls = [0]
-    evaluate = VectorFieldC2.eval_complex
-
-    def counted(self, z, w):
-        calls[0] += 1
-        return evaluate(self, z, w)
-
-    monkeypatch.setattr(VectorFieldC2, "eval_complex", counted)
+    calls = field_evals
     G = gauge_pzw_n4
     points = sample_chart_ball(G.chart, 100, np.random.default_rng(0x5EED), shrink=0.8)
 
@@ -172,7 +165,7 @@ def test_work_count_ceilings(gauge_pzw_n4, monkeypatch):
         return counts
 
     gauge = work(lambda q: gauge_eval(G, q))
-    assert sum(gauge) / len(gauge) <= 400
-    assert max(gauge) <= 600
+    assert sum(gauge) / len(gauge) <= 130
+    assert max(gauge) <= 250
     coords = work(lambda q: leaf_coords(G.chart, q))
-    assert sum(coords) / len(coords) <= 350
+    assert sum(coords) / len(coords) <= 130

@@ -170,3 +170,16 @@ def test_curved_leaf_geometry():
 
     report = assemble_report(run_standard_suite(G, n_samples=40, seed=0x5EED))
     assert report.overall_pass
+
+
+def test_build_work_count_ceiling(field_evals):
+    # deterministic work of one full build at the shipped field_v3 config
+    # (105k field evaluations; 362k when each Newton correction was flowed
+    # over unit time), so a flow-layer regression shows without timing noise
+    from leafgauge.fixtures import load_fixture, resolve_config
+    from conftest import FIXTURE_DIR
+
+    fx = load_fixture(FIXTURE_DIR / "field_v3.json")
+    _, report = run_field_pipeline(fx.field, fx.point, fx.degree, resolve_config(fx.config))
+    assert report.overall_pass
+    assert field_evals[0] <= 150_000

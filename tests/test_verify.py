@@ -100,6 +100,19 @@ def test_too_many_skips_is_an_error(chart_pzw):
         check_homogeneity(tiny, (0.92, 1.08), 12, 0x5EED)
 
 
+@pytest.mark.parametrize("check, name", [
+    (lambda G: check_chart(G.chart, n_samples=0), "chart leaf constancy"),
+    (lambda G: check_leaf_constancy(G, n_samples=0), "gauge leaf constancy"),
+    (lambda G: check_homogeneity(G, n_samples=0), "gauge homogeneity"),
+    (lambda G: check_ray_consistency(G.chart, n_samples=0), "ray consistency"),
+    (lambda G: check_scaling_laws(G, n_samples=0), "gauge scale reciprocity"),
+])
+def test_zero_used_samples_is_an_error(gauge_pz4_n4, check, name):
+    # a check that measured nothing must not pass vacuously
+    with pytest.raises(NumericError, match=f"^{name}: no sample was used"):
+        check(gauge_pz4_n4)
+
+
 def test_entry_is_frozen():
     e = CheckEntry(name="x", residual=0.0, tolerance=1.0, passed=True)
     with pytest.raises(AttributeError):
