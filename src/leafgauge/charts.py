@@ -154,17 +154,14 @@ def _probe(chart: LeafChart) -> None:
             _project(chart, probe)
 
 
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
-
-
 def _newton_step(J, r):
     """-J^-1 r for a 3x3 J by the adjugate, or None when |det J| is below
     1e-12 of its Hadamard bound (the product of the row norms)."""
     (a, b, c), (d, e, f), (g, h, i) = J
     C00, C01, C02 = e * i - f * h, f * g - d * i, d * h - e * g
     det = a * C00 + b * C01 + c * C02
-    if not abs(det) > 1e-12 * math.prod(math.hypot(*row) for row in J):
+    if not abs(det) > 1e-12 * (math.hypot(a, b, c) * math.hypot(d, e, f)
+                                * math.hypot(g, h, i)):
         return None
     r0, r1, r2 = r
     return (-(C00 * r0 + (c * h - b * i) * r1 + (b * f - c * e) * r2) / det,
@@ -188,16 +185,17 @@ def _project(chart: LeafChart, q: PointC2, m=None, t: float = 1.0):
     most 8 tries, until the residual drops.
     """
     x0, x1, x2, x3 = chart._base_t
-    e1, e2 = chart._frame_t[0], chart._frame_t[1]
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = chart._frame_t[0], chart._frame_t[1]
     free = m is not None
-    rows = (e1, e2, m) if free else (e1, e2)
+    c0, c1, c2, c3 = m if free else (0.0, 0.0, 0.0, 0.0)
     V, cfg = chart.field, chart.flow_cfg
     tol = chart.newton_tol * chart.base_norm
 
     def residual(p, t):
-        d = (t * p[0] - x0, t * p[1] - x1, t * p[2] - x2, t * p[3] - x3)
-        r = [_dot(d, a) for a in rows]
-        return r if free else r + [0.0]
+        d0, d1, d2, d3 = t * p[0] - x0, t * p[1] - x1, t * p[2] - x2, t * p[3] - x3
+        return (d0 * a0 + d1 * a1 + d2 * a2 + d3 * a3,
+                d0 * b0 + d1 * b1 + d2 * b2 + d3 * b3,
+                d0 * c0 + d1 * c1 + d2 * c2 + d3 * c3 if free else 0.0)
 
     point, p = q, q.to_real4()
     r = residual(p, t)
@@ -205,12 +203,17 @@ def _project(chart: LeafChart, q: PointC2, m=None, t: float = 1.0):
     for _ in range(chart.newton_max_iter):
         if rn <= tol:
             return t, p
-        vz, vw = V.eval_complex(complex(p[0], p[1]), complex(p[2], p[3]))
-        X1 = (vz.real, vz.imag, vw.real, vw.imag)
-        X2 = (-vz.imag, vz.real, -vw.imag, vw.real)
-        J = [(t * _dot(X1, a), t * _dot(X2, a), _dot(p, a) if free else 0.0) for a in rows]
-        if not free:
-            J.append((0.0, 0.0, 1.0))
+        v = V.eval_complex(complex(p[0], p[1]), complex(p[2], p[3]))
+        u0, u1, u2, u3 = v[0].real, v[0].imag, v[1].real, v[1].imag
+        J = ((t * (u0 * a0 + u1 * a1 + u2 * a2 + u3 * a3),
+              t * (-u1 * a0 + u0 * a1 + -u3 * a2 + u2 * a3),
+              p[0] * a0 + p[1] * a1 + p[2] * a2 + p[3] * a3 if free else 0.0),
+             (t * (u0 * b0 + u1 * b1 + u2 * b2 + u3 * b3),
+              t * (-u1 * b0 + u0 * b1 + -u3 * b2 + u2 * b3),
+              p[0] * b0 + p[1] * b1 + p[2] * b2 + p[3] * b3 if free else 0.0),
+             (t * (u0 * c0 + u1 * c1 + u2 * c2 + u3 * c3),
+              t * (-u1 * c0 + u0 * c1 + -u3 * c2 + u2 * c3),
+              p[0] * c0 + p[1] * c1 + p[2] * c2 + p[3] * c3) if free else (0.0, 0.0, 1.0))
         step = _newton_step(J, r)
         if step is None:
             raise (DegenerateRootError if free else ProjectionError)(
@@ -220,7 +223,7 @@ def _project(chart: LeafChart, q: PointC2, m=None, t: float = 1.0):
         unit = (ds1 / n, ds2 / n) if n > 0.0 else (0.0, 0.0)
         lam = 1.0
         for _ in range(8):
-            trial = integrate_flow(V, unit, lam * n, point, cfg)
+            trial = integrate_flow(V, unit, lam * n, point, cfg, v)
             pt, tt = trial.to_real4(), t + lam * dt
             rt = residual(pt, tt)
             rtn = math.hypot(*rt)
@@ -238,6 +241,7 @@ def leaf_coords(chart: LeafChart, q: PointC2) -> tuple[float, float]:
     the base point.  Raises ProjectionError when the projection does not
     converge."""
     _, p = _project(chart, q)
-    x = chart._base_t
-    d = (p[0] - x[0], p[1] - x[1], p[2] - x[2], p[3] - x[3])
-    return (_dot(d, chart._frame_t[2]), _dot(d, chart._frame_t[3]))
+    (x0, x1, x2, x3), (_, _, n1, n2) = chart._base_t, chart._frame_t
+    d0, d1, d2, d3 = p[0] - x0, p[1] - x1, p[2] - x2, p[3] - x3
+    return (d0 * n1[0] + d1 * n1[1] + d2 * n1[2] + d3 * n1[3],
+            d0 * n2[0] + d1 * n2[1] + d2 * n2[2] + d3 * n2[3])

@@ -127,6 +127,8 @@ def cmd_derive_field(args) -> int:
 
 
 def _grid_times(text: str, span: float):
+    if not 0 < span < float("inf"):
+        raise FixtureError(f"bad --span {span!r}, expected a positive finite number")
     try:
         rows, cols = (int(v) for v in text.lower().split("x"))
         if rows < 1 or cols < 1:
@@ -207,6 +209,8 @@ def _emit_report(payload: dict, out: str | None) -> None:
 
 
 def cmd_build_gauge(args) -> int:
+    if args.grid_n < 1:
+        raise FixtureError(f"bad --grid-n {args.grid_n}, expected at least 1")
     fx = load_fixture(args.fixture)
     point = _require_point(fx, args)
     degree = _resolve_degree(fx, args)

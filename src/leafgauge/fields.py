@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AssumptionError, RankDropError
+from .errors import AssumptionError, NumericError, RankDropError
 from .wirtinger import (
     WirtingerPoly,
     complex_hessian,
@@ -76,33 +76,106 @@ class PointC2:
 # no exponent can push the compiler into its recursion limit.
 _CHUNK = 32
 
+# Dormand-Prince 5(4) tableau (Dormand & Prince 1980): the rows of stages
+# 2-6, the 5th-order weights (also the row of the FSAL stage 7) and the
+# error weights, the difference to the embedded 4th-order ones.  Zero
+# weights are left out of the emitted sums.
+_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
-def _compile(polys: Sequence[WirtingerPoly], name: str):
-    """Straight-line float code for (z, w) -> (p(z, w) for p in polys).
+# Stage k = mix * V(z, w), after the nonvanishing monitor on V(z, w) = (r0, r1).
+_STAGE = """\
+nv_sq = r0.real * r0.real + r0.imag * r0.imag + r1.real * r1.real + r1.imag * r1.imag
+r_sq = {z}.real * {z}.real + {z}.imag * {z}.imag + {w}.real * {w}.real + {w}.imag * {w}.imag
+try:
+    scale_sq = (r_sq if r_sq > 1.0 else 1.0) ** deg
+except OverflowError:
+    raise NumericError("flow blew up: state norm overflowed") from None
+if nv_sq <= thr_sq * scale_sq:
+    raise RankDropError("field norm below threshold along trajectory")
+k{k}z = mix * r0
+k{k}w = mix * r1"""
 
-    Each term is coeff * z^a * zbar^b * w^c * wbar^d, multiplied left to
-    right and accumulated from 0j in lexicographic term order.  The
-    coefficients are bound as names in the function's globals rather than
-    formatted into the source, and the function is taken out of that
-    namespace so the two do not form a reference cycle.
-    """
-    ns: dict = {}
-    lines = ["def f(z, w):", "    zb = z.conjugate()", "    wb = w.conjugate()"]
+
+def _field_lines(polys, ns: dict, z: str = "z", w: str = "w") -> list[str]:
+    """Statements setting r0, r1, ... to the polynomials at (z, w), with the
+    coefficients bound in ns as c0, c1, ... rather than formatted into the
+    source.  Each term is coeff * z^a * zbar^b * w^c * wbar^d, multiplied
+    left to right and accumulated from 0j in lexicographic term order."""
+    lines = [f"{z}b = {z}.conjugate()", f"{w}b = {w}.conjugate()"]
+    n = 0
     for k, poly in enumerate(polys):
-        lines.append(f"    r{k} = 0j")
+        lines.append(f"r{k} = 0j")
         for exp, (re, im) in poly.items():
-            coeff = f"c{len(ns)}"
+            coeff = f"c{n}"
             ns[coeff] = complex(float(re), float(im))
+            n += 1
             factors = [coeff]
-            for var, e in zip(("z", "zb", "w", "wb"), exp):
+            for var, e in zip((z, z + "b", w, w + "b"), exp):
                 factors += [var] * e
             prods = [" * ".join(factors[i:i + _CHUNK]) for i in range(0, len(factors), _CHUNK)]
-            lines.append(f"    t = {prods[0]}")
-            lines += [f"    t = t * {prod}" for prod in prods[1:]]
-            lines.append(f"    r{k} += t")
-    lines.append("    return " + ", ".join(f"r{k}" for k in range(len(polys))))
-    exec(compile("\n".join(lines), f"<{name}>", "exec"), ns)
-    return ns.pop("f")
+            lines.append(f"t = {prods[0]}")
+            lines += [f"t = t * {prod}" for prod in prods[1:]]
+            lines.append(f"r{k} += t")
+    return lines
+
+
+def _exec(defs: dict, name: str, ns: dict) -> tuple:
+    """Compile the functions defs ({signature: body lines}) with the globals
+    ns, and take them out of ns so that the two form no reference cycle."""
+    src = [line for sig, body in defs.items()
+           for line in (f"def {sig}:", *("    " + b for b in body))]
+    exec(compile("\n".join(src), f"<{name}>", "exec"), ns)
+    return tuple(ns.pop(sig[:sig.index("(")]) for sig in defs)
+
+
+def _compile(polys: Sequence[WirtingerPoly], name: str):
+    """Straight-line float code for (z, w) -> (p(z, w) for p in polys); the
+    same statements are inlined into every stage of the generated DP5(4) step."""
+    ns: dict = {}
+    body = _field_lines(polys, ns) + ["return " + ", ".join(f"r{k}" for k in range(len(polys)))]
+    return _exec({"f(z, w)": body}, name, ns)[0]
+
+
+def _compile_dp5(V: "VectorFieldC2"):
+    """Straight-line code of one Dormand-Prince 5(4) step of q' = mix * V(q):
+    first(z, w, vz, vw, mix) -> (k1z, k1w) takes the first stage from a
+    given field value, and step(z, w, h, mix, k1z, k1w, atol, rtol) ->
+    (zn, wn, k7z, k7w, err_sq) runs stages 2-7 with the field inlined and
+    returns the 5th-order update, its FSAL stage and the sum of the squared
+    scaled errors of the four real components.  Every stage runs the
+    nonvanishing monitor on its field value."""
+    polys = (V.comp_z, V.comp_w)
+    ns = dict(deg=V.degree, thr_sq=NONVANISH_THRESHOLD * NONVANISH_THRESHOLD,
+              NumericError=NumericError, RankDropError=RankDropError)
+
+    def combo(row, prefix: str, var: str) -> str:
+        ns.update((f"{prefix}{j}", a) for j, a in enumerate(row, 1) if a)
+        return " + ".join(f"{prefix}{j} * k{j}{var}" for j, a in enumerate(row, 1) if a)
+
+    def stage(z: str, w: str, k: int) -> list[str]:
+        return _field_lines(polys, ns, z, w) + _STAGE.format(z=z, w=w, k=k).split("\n")
+
+    step = []
+    for k, row in enumerate(_DP_A, 2):
+        step += [f"z{k} = z + h * ({combo(row, f'A{k}', 'z')})",
+                 f"w{k} = w + h * ({combo(row, f'A{k}', 'w')})", *stage(f"z{k}", f"w{k}", k)]
+    step += [f"zn = z + h * ({combo(_DP_B, 'B', 'z')})",
+             f"wn = w + h * ({combo(_DP_B, 'B', 'w')})", *stage("zn", "wn", 7),
+             f"ez = h * ({combo(_DP_E, 'E', 'z')})", f"ew = h * ({combo(_DP_E, 'E', 'w')})"]
+    err = "err ="
+    for v in "zw":
+        for part in ("real", "imag"):
+            step += [f"y = abs({v}.{part})", f"yn = abs({v}n.{part})",
+                     f"{err} (e{v}.{part} / (atol + rtol * (yn if yn > y else y))) ** 2"]
+            err = "err +="
+    step.append("return zn, wn, k7z, k7w, err")
+    first = _STAGE.format(z="z", w="w", k=1).split("\n") + ["return k1z, k1w"]
+    return _exec({"first(z, w, r0, r1, mix)": first,
+                  "step(z, w, h, mix, k1z, k1w, atol, rtol)": step}, "dp5", ns)
 
 
 @dataclass(frozen=True)
@@ -131,6 +204,11 @@ class VectorFieldC2:
         """Float values of both components at (z, w), from the field's
         compiled straight-line code; the only pointwise evaluator."""
         return self._eval(z, w)
+
+    @cached_property
+    def _dp5(self):
+        # (first, step) of the DP5(4) flow; generated lazily, at the first flow
+        return _compile_dp5(self)
 
     @cached_property
     def _real_derivative_polys(self):

@@ -13,7 +13,7 @@ degree, nonvanishing, involutivity, transversality).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,9 +105,6 @@ class PipelineConfig:
     def chart_cfg(self) -> ChartConfig:
         return ChartConfig(radius_scale=self.chart_radius, newton_tol=self.newton_tol,
                            flow=self.flow_cfg())
-
-    def with_overrides(self, **kwargs) -> "PipelineConfig":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -86,16 +86,30 @@ X_PZ4 = PointC2(1, 0)
 
 @pytest.fixture
 def field_evals(monkeypatch):
-    """A one-element list counting calls of the one pointwise evaluator,
-    VectorFieldC2.eval_complex: a deterministic measure of solver work."""
+    """A one-element list counting field evaluations, a deterministic
+    measure of solver work: each call of VectorFieldC2.eval_complex, and
+    six for each call of a field's generated DP5(4) step (its stages 2-7).
+    The class-level property over the cached (first, step) pair takes
+    precedence over the instance cache, so fields built earlier count too."""
     calls = [0]
     evaluate = VectorFieldC2.eval_complex
+    dp5 = VectorFieldC2._dp5
 
     def counted(self, z, w):
         calls[0] += 1
         return evaluate(self, z, w)
 
+    def counted_dp5(self):
+        first, step = dp5.__get__(self, VectorFieldC2)
+
+        def counted_step(*args):
+            calls[0] += 6
+            return step(*args)
+
+        return first, counted_step
+
     monkeypatch.setattr(VectorFieldC2, "eval_complex", counted)
+    monkeypatch.setattr(VectorFieldC2, "_dp5", property(counted_dp5))
     return calls
 
 

@@ -68,6 +68,25 @@ def test_bad_grid_is_exit_4():
     assert main(["trace-leaf", fx("pzw.json"), "--grid", "5by5"]) == 4
 
 
+@pytest.mark.parametrize("span", ["inf", "-inf", "nan", "0", "-0.1"])
+def test_bad_span_is_exit_4(span, tmp_path, capsys):
+    # a non-finite span used to put the base point at flow time inf
+    out = tmp_path / "leaf.csv"
+    assert main(["trace-leaf", fx("pzw.json"), "--grid", "2x1", f"--span={span}",
+                 "--out", str(out)]) == 4
+    assert "bad --span" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_grid_n_is_exit_4(tmp_path, capsys):
+    # --grid-n 0 used to write an empty grid CSV and exit 0
+    grid = tmp_path / "grid.csv"
+    assert main(["build-gauge", fx("pz4.json"), "--grid-n", "0",
+                 "--grid-out", str(grid)]) == 4
+    assert "bad --grid-n" in capsys.readouterr().err
+    assert not grid.exists()
+
+
 def test_build_gauge_pzw(tmp_path, capsys):
     report_path = tmp_path / "rep.json"
     code = main(["build-gauge", fx("pzw.json"), "--samples", "15",

@@ -314,22 +314,43 @@ def test_compiled_bracket_matches_exact_bracket():
             assert err <= 1e-13 * scale
 
 
-def test_compiled_evaluator_handles_high_degree():
+@pytest.mark.parametrize("code", ["field", "dp5"])
+def test_compiled_evaluator_handles_high_degree(code):
     # one term of degree 4000, deeper than the compiler accepts as a single
     # expression: the flat statements still compile, and the product
     # matches one formed with complex powers
     V = VectorFieldC2(mono(1500, 1000, 900, 600, 1, -1), WirtingerPoly.zero(), 4000)
     z, w = 0.999 + 0.01j, 1.0005 - 0.02j
-    got, zero = V.eval_complex(z, w)
+    if code == "field":
+        got, zero = V.eval_complex(z, w)
+    else:
+        # a degree-4000 monomial is always below the relative nonvanishing
+        # threshold, so switch the step's monitor off; a zero step puts
+        # every stage at (z, w), and stage 7 with mix = 1 is V(z, w)
+        _, step = V._dp5
+        step.__globals__.update(deg=0, thr_sq=-1.0)
+        _, _, got, zero, _ = step(z, w, 0.0, 1 + 0j, 0j, 0j, 1e-12, 1e-12)
     want = (1 - 1j) * z ** 1500 * z.conjugate() ** 1000 * w ** 900 * w.conjugate() ** 600
     assert zero == 0
     assert abs(got - want) <= 1e-11 * abs(want)
 
 
-def test_compiled_code_hygiene():
-    fn = make_field_nonholo()._eval
-    # the function is not held by its own namespace (no reference cycle)
-    assert fn not in fn.__globals__.values()
-    # coefficients are bound as names, never baked into the code
-    assert set(fn.__code__.co_consts) <= {None, 0j}
-    assert sorted(k for k in fn.__globals__ if not k.startswith("__")) == ["c0", "c1"]
+@pytest.mark.parametrize("code", ["field", "dp5"])
+def test_compiled_code_hygiene(code):
+    V = make_field_nonholo()
+    fns = (V._eval,) if code == "field" else V._dp5
+    names = ["c0", "c1"]
+    if code != "field":
+        names += ["A21", "A31", "A32", "A41", "A42", "A43", "A51", "A52", "A53", "A54",
+                  "A61", "A62", "A63", "A64", "A65", "B1", "B3", "B4", "B5", "B6",
+                  "E1", "E3", "E4", "E5", "E6", "E7",
+                  "NumericError", "RankDropError", "deg", "thr_sq"]
+    for fn in fns:
+        # the function is not held by its own namespace (no reference cycle)
+        assert fn not in fn.__globals__.values()
+        # coefficients and tableau weights are bound as names, never baked
+        # into the code; the step keeps only its monitor's 1.0, the
+        # exponent 2 of its error norm and its two messages
+        consts = {c for c in fn.__code__.co_consts if not isinstance(c, str)}
+        assert consts <= ({None, 0j} if code == "field" else {None, 0j, 1.0, 2})
+        assert sorted(k for k in fn.__globals__ if not k.startswith("__")) == sorted(names)

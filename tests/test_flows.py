@@ -135,6 +135,35 @@ def test_rank_drop_detected():
         integrate_flow(V, (1, 0), 25.0, PointC2(1, 1), FLOW_TIGHT)
 
 
+def test_given_first_stage_is_monitored():
+    # a first stage handed in by the caller passes the same rank-drop
+    # monitor as an evaluated one
+    V = make_field_v3()
+    with pytest.raises(RankDropError):
+        integrate_flow(V, (1, 0), 0.1, PointC2(1, 1), FLOW_TIGHT, (1e-9, -1e-9j))
+
+
+def test_single_step_work_count(field_evals):
+    # one DP5(4) step evaluates the field 7 times (FSAL stage included),
+    # and 6 when the caller hands in the first stage (taken here from the
+    # compiled evaluator, which the fixture does not count)
+    V, q = make_field_v3(), PointC2(1, 1)
+    integrate_flow(V, (1, 0), 1e-4, q, FLOW_TIGHT)
+    assert field_evals[0] == 7
+    integrate_flow(V, (1, 0), 1e-4, q, FLOW_TIGHT, V._eval(q.z, q.w))
+    assert field_evals[0] == 7 + 6
+
+
+@pytest.mark.parametrize("s, coeffs", [(math.inf, (1, 0)), (-math.inf, (1, 0)),
+                                       (math.nan, (1, 0)), (0.1, (math.nan, 0.0)),
+                                       (0.1, (1.0, math.inf))])
+def test_non_finite_flow_is_numeric_error(s, coeffs):
+    # a non-finite time returned q0 unchanged, and a NaN coefficient ran
+    # the whole step budget before failing
+    with pytest.raises(NumericError, match="not finite"):
+        integrate_flow(make_field_v3(), coeffs, s, PointC2(1, 1), FLOW_TIGHT)
+
+
 def test_blow_up_is_numeric_error():
     # the first pzw candidate field is quadratic, and this mixed flow
     # escapes to infinity before unit time
@@ -267,5 +296,10 @@ def test_flow_goldens_bit_for_bit(name):
     cases = {key[1:]: want for key, want in FLOW_GOLDENS.items() if key[0] == name}
     assert len(cases) == 12
     for (q4, coeffs, s), want in cases.items():
-        got = integrate_flow(V, coeffs, s, PointC2.from_real4(q4), FLOW_TIGHT)
+        q0 = PointC2.from_real4(q4)
+        got = integrate_flow(V, coeffs, s, q0, FLOW_TIGHT)
         assert tuple(float.hex(v) for v in got.to_real4()) == want, (q4, coeffs, s)
+        # the field value at q0, when the caller holds it, is the first
+        # stage in place of an evaluation and changes no bit
+        given = integrate_flow(V, coeffs, s, q0, FLOW_TIGHT, V.eval_complex(q0.z, q0.w))
+        assert tuple(float.hex(v) for v in given.to_real4()) == want, (q4, coeffs, s)

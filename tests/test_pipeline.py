@@ -174,7 +174,7 @@ def test_curved_leaf_geometry():
 
 def test_build_work_count_ceiling(field_evals):
     # deterministic work of one full build at the shipped field_v3 config
-    # (105k field evaluations; 362k when each Newton correction was flowed
+    # (100k field evaluations; 362k when each Newton correction was flowed
     # over unit time), so a flow-layer regression shows without timing noise
     from leafgauge.fixtures import load_fixture, resolve_config
     from conftest import FIXTURE_DIR
