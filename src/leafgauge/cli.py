@@ -25,12 +25,12 @@ import numpy as np
 
 from .errors import AssumptionError, FixtureError, LeafgaugeError, NumericError
 from .fields import PointC2, derive_candidate_fields, select_field
-from .fixtures import Fixture, fixture_to_dict, load_fixture, parse_fixture, resolve_config
+from .fixtures import (Fixture, fixture_to_dict, load_fixture, parse_fixture,
+                       point_from_real4, resolve_config)
 from .flows import trace_leaf
 from .gauge import gauge_grid_rows
 from .pipeline import PipelineConfig, run_field_pipeline, run_pipeline, validate_hypotheses
 from .verify import report_to_dict, report_to_text, sample_chart_ball
-from .wirtinger import levi_determinant
 
 __all__ = ["main"]
 
@@ -54,10 +54,9 @@ def _parse_point(text: str) -> PointC2:
     if len(parts) != 4:
         raise FixtureError("--point expects four comma-separated reals")
     try:
-        coords = [float(p) for p in parts]
+        return point_from_real4(parts)
     except ValueError as exc:
         raise FixtureError(f"bad --point value: {exc}") from exc
-    return PointC2.from_real4(coords)
 
 
 def _require_point(fx: Fixture, args) -> PointC2:
@@ -109,10 +108,9 @@ def cmd_check_poly(args) -> int:
         verdict = "PASS" if check.passed else "FAIL"
         detail = f" ({check.detail})" if check.detail else ""
         print(f"{check.name}: {verdict}{detail}")
-    levi = levi_determinant(fx.polynomial) if any(
-        c.name == "real_valued" and c.passed for c in checklist.checks) else None
-    if levi is not None:
-        print(f"levi_det: {'ZERO' if levi.is_zero else 'NONZERO'}")
+    verdicts = {c.name: c.passed for c in checklist.checks}
+    if verdicts["real_valued"]:
+        print(f"levi_det: {'ZERO' if verdicts['levi_determinant_zero'] else 'NONZERO'}")
     return EXIT_PASS if checklist.all_passed else EXIT_ASSUMPTION
 
 
@@ -251,7 +249,7 @@ def cmd_verify(args) -> int:
         raise FixtureError("report carries no gauge block or entry list")
     try:
         fx = parse_fixture(desc["fixture"], name=desc["fixture"].get("name", "saved"))
-        point = PointC2.from_real4(desc["point"])
+        point = point_from_real4(desc["point"])
         degree = int(desc["degree"])
         saved = dict(desc.get("config", {}))
     except (KeyError, TypeError, ValueError) as exc:

@@ -22,6 +22,7 @@ takes precedence on the gauge-building path).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +39,7 @@ __all__ = [
     "field_to_dict",
     "field_from_dict",
     "resolve_config",
+    "point_from_real4",
 ]
 
 _CONFIG_KEYS = {
@@ -73,6 +75,18 @@ def field_from_dict(data: dict) -> VectorFieldC2:
                          poly_from_records(data["w"]), int(data["m"]))
 
 
+def point_from_real4(values) -> PointC2:
+    """A base point from four real coordinates.  Raises FixtureError unless
+    they are finite and not all zero: the construction lives on C^2 minus
+    the origin."""
+    coords = [float(v) for v in values]
+    if len(coords) != 4:
+        raise FixtureError("point must have 4 real components")
+    if not all(map(math.isfinite, coords)) or not any(coords):
+        raise FixtureError(f"point {coords} must be finite and not the origin")
+    return PointC2.from_real4(coords)
+
+
 def parse_fixture(data: dict, name: str = "") -> Fixture:
     if not isinstance(data, dict):
         raise FixtureError("fixture root must be a JSON object")
@@ -83,12 +97,7 @@ def parse_fixture(data: dict, name: str = "") -> Fixture:
         fld = None
         if "field" in data:
             fld = field_from_dict(data["field"])
-        point = None
-        if "point" in data:
-            coords = [float(v) for v in data["point"]]
-            if len(coords) != 4:
-                raise FixtureError("point must have 4 real components")
-            point = PointC2.from_real4(coords)
+        point = point_from_real4(data["point"]) if "point" in data else None
         degree = int(data["n"]) if "n" in data else None
         config = dict(data.get("config", {}))
         unknown = set(config) - set(_CONFIG_KEYS)

@@ -6,8 +6,14 @@ coefficients kept as pairs of exact rationals (re, im).  Every ring
 operation (sum, product, formal derivative, conjugate) is exact, so
 identity tests such as "this determinant is the zero polynomial" are
 decided by an empty term map, never by a floating-point tolerance.
-Rounding happens only when a polynomial is evaluated at a numeric point,
-and then only in the final fold from rationals to a complex float.
+
+The coefficients are stored as Fractions, but the hot loops (sum,
+product, derivative, line restriction, evaluation) run on Gaussian-integer
+numerators over one common denominator per operand; each output
+coefficient becomes a Fraction only at the end.  A float point is dyadic,
+so it lifts to integers exactly.  Rounding happens only when a polynomial
+is evaluated at a numeric point, and then once, in a correctly rounded
+integer division.
 
 Canonical form: no zero coefficients, at most one entry per quadruple,
 terms ordered lexicographically on (a, b, c, d) wherever order matters
@@ -18,9 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
+
+from .errors import NumericError
 
 __all__ = [
     "WirtingerPoly",
@@ -52,32 +61,12 @@ def _coeff(re: Rational, im: Rational = 0) -> Coeff:
     return (Fraction(re), Fraction(im))
 
 
-def _cadd(x: Coeff, y: Coeff) -> Coeff:
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _cmul(x: Coeff, y: Coeff) -> Coeff:
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _cscale(x: Coeff, s: Fraction) -> Coeff:
-    return (x[0] * s, x[1] * s)
-
-
-def _cconj(x: Coeff) -> Coeff:
-    return (x[0], -x[1])
-
-
-def _is_zero(x: Coeff) -> bool:
-    return x[0] == 0 and x[1] == 0
-
-
 class WirtingerPoly:
     """Sparse polynomial in (z, zbar, w, wbar) with exact complex-rational
     coefficients.  Instances are immutable; all arithmetic returns new
     polynomials in canonical form."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hessian")
 
     def __init__(self, terms: Union[Mapping[Exponent, Coeff], Iterable] = ()):
         canon: dict[Exponent, Coeff] = {}
@@ -88,8 +77,8 @@ class WirtingerPoly:
                 raise ValueError(f"bad exponent quadruple {exp!r}")
             cf = _coeff(coeff[0], coeff[1])
             if exp in canon:
-                cf = _cadd(canon[exp], cf)
-            if _is_zero(cf):
+                cf = (canon[exp][0] + cf[0], canon[exp][1] + cf[1])
+            if cf == (0, 0):
                 canon.pop(exp, None)
             else:
                 canon[exp] = cf
@@ -140,49 +129,48 @@ class WirtingerPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "WirtingerPoly") -> "WirtingerPoly":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "WirtingerPoly") -> "WirtingerPoly":
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int):
+        # self + sign * other, over the lcm of the two denominators
         if not isinstance(other, WirtingerPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for exp, cf in other._terms.items():
-            acc = _cadd(out.get(exp, (Fraction(0), Fraction(0))), cf)
-            if _is_zero(acc):
-                out.pop(exp, None)
-            else:
-                out[exp] = acc
-        return _wrap(out)
+        (a, da), (b, db) = _to_ints(self), _to_ints(other)
+        d = lcm(da, db)
+        sa, sb = d // da, sign * (d // db)
+        out = {exp: (re * sa, im * sa) for exp, (re, im) in a.items()}
+        for exp, (re, im) in b.items():
+            r0, i0 = out.get(exp, (0, 0))
+            out[exp] = (r0 + re * sb, i0 + im * sb)
+        return _from_ints(out, d)
 
     def __neg__(self) -> "WirtingerPoly":
         return _wrap({exp: (-re, -im) for exp, (re, im) in self._terms.items()})
 
-    def __sub__(self, other: "WirtingerPoly") -> "WirtingerPoly":
-        return self + (-other)
-
     def __mul__(self, other: "WirtingerPoly") -> "WirtingerPoly":
         if not isinstance(other, WirtingerPoly):
             return NotImplemented
-        out: dict[Exponent, Coeff] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
+        (a, da), (b, db) = _to_ints(self), _to_ints(other)
+        out: dict = {}
+        for ea, (ar, ai) in a.items():
+            for eb, (br, bi) in b.items():
                 exp = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
-                acc = _cadd(out.get(exp, (Fraction(0), Fraction(0))), _cmul(ca, cb))
-                if _is_zero(acc):
-                    out.pop(exp, None)
-                else:
-                    out[exp] = acc
-        return _wrap(out)
+                r0, i0 = out.get(exp, (0, 0))
+                out[exp] = (r0 + ar * br - ai * bi, i0 + ar * bi + ai * br)
+        return _from_ints(out, da * db)
 
     def scale(self, re: Rational, im: Rational = 0) -> "WirtingerPoly":
         """Multiply by the exact complex scalar re + i*im."""
-        s = _coeff(re, im)
-        if _is_zero(s):
-            return WirtingerPoly.zero()
-        return _wrap({exp: _cmul(cf, s) for exp, cf in self._terms.items()})
+        return self * WirtingerPoly.constant(re, im)
 
     def conjugate(self) -> "WirtingerPoly":
         """The polynomial representing q -> conj(p(q)): exponents are swapped
         (a,b,c,d) -> (b,a,d,c) and coefficients conjugated."""
-        return _wrap({(b, a, d, c): _cconj(cf)
-                      for (a, b, c, d), cf in self._terms.items()})
+        return _wrap({(b, a, d, c): (re, -im)
+                      for (a, b, c, d), (re, im) in self._terms.items()})
 
     # -- printing ----------------------------------------------------------
 
@@ -202,6 +190,22 @@ def _wrap(canon: dict[Exponent, Coeff]) -> WirtingerPoly:
     p = WirtingerPoly.__new__(WirtingerPoly)
     p._terms = canon
     return p
+
+
+# Numerators (re, im) as ints over one positive common denominator: the
+# only conversions between the stored Fractions and the integer kernel.
+
+def _to_ints(p: WirtingerPoly) -> tuple[dict, int]:
+    d = 1
+    for re, im in p._terms.values():
+        d = lcm(d, re.denominator, im.denominator)
+    return {exp: (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
+            for exp, (re, im) in p._terms.items()}, d
+
+
+def _from_ints(nums: dict, d: int) -> WirtingerPoly:
+    return _wrap({exp: (Fraction(re, d), Fraction(im, d))
+                  for exp, (re, im) in nums.items() if re or im})
 
 
 def _rat_str(x: Fraction) -> str:
@@ -241,52 +245,70 @@ def _zw(q) -> tuple[complex, complex]:
     return complex(z), complex(w)
 
 
-def _cpow(base: Coeff, n: int) -> Coeff:
-    acc = (Fraction(1), Fraction(0))
+def _gpowers(re: int, im: int, n: int) -> list[tuple[int, int]]:
+    out = [(1, 0)]
     for _ in range(n):
-        acc = _cmul(acc, base)
-    return acc
+        a, b = out[-1]
+        out.append((a * re - b * im, a * im + b * re))
+    return out
+
+
+def _substitute(p: WirtingerPoly, q, key) -> tuple[dict, int]:
+    """Substitute the exact values of z, zbar, w, wbar at the float point q
+    into the terms of p and sum them by key(exponent).  Returns the sums as
+    Gaussian-integer numerators over one positive common denominator.
+
+    Each float is dyadic, so the point is lifted exactly to Gaussian
+    integers over 2**e, and a term of degree n gets the factor
+    2**(e*(top - n)) that brings it over the common 2**(e*top)."""
+    z, w = _zw(q)
+    ratios = [x.as_integer_ratio() for x in (z.real, z.imag, w.real, w.imag)]
+    e = max(den for _, den in ratios).bit_length() - 1
+    zr, zi, wr, wi = (num << (e - den.bit_length() + 1) for num, den in ratios)
+    nums, d = _to_ints(p)
+    top = max((sum(exp) for exp in nums), default=0)
+    pows = [_gpowers(zr, zi, top), _gpowers(zr, -zi, top),
+            _gpowers(wr, wi, top), _gpowers(wr, -wi, top)]
+    out: dict = {}
+    for exp, (re, im) in nums.items():
+        for table, n in zip(pows, exp):
+            if n:
+                a, b = table[n]
+                re, im = re * a - im * b, re * b + im * a
+        shift = e * (top - sum(exp))
+        k = key(exp)
+        r0, i0 = out.get(k, (0, 0))
+        out[k] = (r0 + (re << shift), i0 + (im << shift))
+    return out, d << (e * top)
 
 
 def poly_eval(p: WirtingerPoly, q) -> complex:
     """Evaluate p at the conjugate-consistent point q (zbar = conj z,
     wbar = conj w).
 
-    The float components of q are lifted to exact rationals, the whole sum
-    is accumulated exactly, and the result is folded to a complex float in
-    one final rounding step.
+    The float components of q are lifted to exact dyadic rationals, the
+    whole sum is accumulated on integers, and the result is rounded to a
+    complex float in one correctly rounded integer division.  Raises
+    NumericError when a part of the value overflows a float.
     """
-    z, w = _zw(q)
-    zv = (Fraction(z.real), Fraction(z.imag))
-    wv = (Fraction(w.real), Fraction(w.imag))
-    zc, wc = _cconj(zv), _cconj(wv)
-    acc = (Fraction(0), Fraction(0))
-    for (a, b, c, d), cf in p._terms.items():
-        term = cf
-        if a:
-            term = _cmul(term, _cpow(zv, a))
-        if b:
-            term = _cmul(term, _cpow(zc, b))
-        if c:
-            term = _cmul(term, _cpow(wv, c))
-        if d:
-            term = _cmul(term, _cpow(wc, d))
-        acc = _cadd(acc, term)
-    return complex(float(acc[0]), float(acc[1]))
+    sums, d = _substitute(p, q, lambda exp: 0)
+    re, im = sums.get(0, (0, 0))
+    try:
+        return complex(re / d, im / d)
+    except OverflowError as exc:
+        raise NumericError(f"polynomial value at {_zw(q)} overflows a float") from exc
 
 
 def poly_diff(p: WirtingerPoly, var: str) -> WirtingerPoly:
     """Formal partial derivative treating z, zbar, w, wbar as independent."""
     k = _VAR_INDEX[var]
-    out: dict[Exponent, Coeff] = {}
-    for exp, cf in p._terms.items():
+    nums, d = _to_ints(p)
+    out = {}
+    for exp, (re, im) in nums.items():
         e = exp[k]
-        if e == 0:
-            continue
-        new = list(exp)
-        new[k] = e - 1
-        out[tuple(new)] = _cscale(cf, Fraction(e))
-    return _wrap(out)
+        if e:
+            out[exp[:k] + (e - 1,) + exp[k + 1:]] = (re * e, im * e)
+    return _from_ints(out, d)
 
 
 def poly_is_real(p: WirtingerPoly) -> bool:
@@ -338,15 +360,21 @@ class PolyMatrix2:
 
 def complex_hessian(p: WirtingerPoly) -> PolyMatrix2:
     """Matrix of mixed second derivatives
-    [[p_z_zbar, p_w_zbar], [p_z_wbar, p_w_wbar]] for real-valued p."""
+    [[p_z_zbar, p_w_zbar], [p_z_wbar, p_w_wbar]] for real-valued p, derived
+    once per polynomial and kept on it."""
+    try:
+        return p._hessian
+    except AttributeError:
+        pass
     if not poly_is_real(p):
         raise ValueError("complex Hessian requires a real-valued polynomial")
     p_zbar = poly_diff(p, "zbar")
     p_wbar = poly_diff(p, "wbar")
-    return PolyMatrix2((
+    p._hessian = PolyMatrix2((
         (poly_diff(p_zbar, "z"), poly_diff(p_zbar, "w")),
         (poly_diff(p_wbar, "z"), poly_diff(p_wbar, "w")),
     ))
+    return p._hessian
 
 
 def hessian_eval(p: WirtingerPoly, q) -> np.ndarray:
@@ -360,30 +388,11 @@ def levi_determinant(p: WirtingerPoly) -> WirtingerPoly:
     return complex_hessian(p).det()
 
 
-def _restrict_to_line(p: WirtingerPoly, dz: Coeff, dzc: Coeff,
-                      dw: Coeff, dwc: Coeff) -> WirtingerPoly:
+def _restrict_to_line(p: WirtingerPoly, direction) -> WirtingerPoly:
     # Substitute z -> s*dz, w -> s*dw.  Output lives in the same 4-variable
     # representation with exponents (j, k, 0, 0) meaning s^j sbar^k.
-    out: dict[Exponent, Coeff] = {}
-    for (a, b, c, d), cf in p._terms.items():
-        factor = cf
-        if a:
-            factor = _cmul(factor, _cpow(dz, a))
-        if b:
-            factor = _cmul(factor, _cpow(dzc, b))
-        if c:
-            factor = _cmul(factor, _cpow(dw, c))
-        if d:
-            factor = _cmul(factor, _cpow(dwc, d))
-        if _is_zero(factor):
-            continue
-        exp = (a + c, b + d, 0, 0)
-        acc = _cadd(out.get(exp, (Fraction(0), Fraction(0))), factor)
-        if _is_zero(acc):
-            out.pop(exp, None)
-        else:
-            out[exp] = acc
-    return _wrap(out)
+    sums, d = _substitute(p, direction, lambda e: (e[0] + e[2], e[1] + e[3], 0, 0))
+    return _from_ints(sums, d)
 
 
 def line_hessian_restriction(p: WirtingerPoly, direction):
@@ -398,16 +407,13 @@ def line_hessian_restriction(p: WirtingerPoly, direction):
     z, w = _zw(direction)
     if z == 0 and w == 0:
         raise ValueError("direction must be nonzero")
-    dz = (Fraction(z.real), Fraction(z.imag))
-    dw = (Fraction(w.real), Fraction(w.imag))
-    dzc, dwc = _cconj(dz), _cconj(dw)
     H = complex_hessian(p)
     comps = []
     for row in (0, 1):
         acc = WirtingerPoly.zero()
-        for col, dcol in ((0, dz), (1, dw)):
-            restricted = _restrict_to_line(H.entries[row][col], dz, dzc, dw, dwc)
-            acc = acc + restricted.scale(dcol[0], dcol[1])
+        for col, d in ((0, z), (1, w)):
+            restricted = _restrict_to_line(H.entries[row][col], direction)
+            acc = acc + restricted.scale(Fraction(d.real), Fraction(d.imag))
         comps.append(acc)
     return comps[0], comps[1]
 

@@ -23,6 +23,7 @@ from leafgauge import (
     build_gauge,
     select_field,
 )
+from leafgauge import fields, wirtinger
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -110,6 +111,22 @@ def field_evals(monkeypatch):
 
     monkeypatch.setattr(VectorFieldC2, "eval_complex", counted)
     monkeypatch.setattr(VectorFieldC2, "_dp5", property(counted_dp5))
+    return calls
+
+
+@pytest.fixture
+def poly_diffs(monkeypatch):
+    """A one-element list counting exact formal derivatives (poly_diff
+    calls), the work of deriving complex Hessians and field Jacobians."""
+    calls = [0]
+    diff = wirtinger.poly_diff
+
+    def counted(p, var):
+        calls[0] += 1
+        return diff(p, var)
+
+    for module in (wirtinger, fields):
+        monkeypatch.setattr(module, "poly_diff", counted)
     return calls
 
 

@@ -312,6 +312,32 @@ def test_bad_point_is_exit_4():
     assert main(["build-gauge", fx("field_v3.json"), "--point", "1,0,1"]) == 4
 
 
+@pytest.mark.parametrize("command", ["check-poly", "build-gauge"])
+@pytest.mark.parametrize("point", ["0,0,0,0", "-0.0,0,0,0", "nan,0,1,0", "inf,0,1,0"])
+def test_origin_or_non_finite_point_is_exit_4(command, point, capsys):
+    # the origin used to raise "direction must be nonzero", nan a ValueError
+    # and inf an OverflowError, each exiting 1 with a traceback
+    assert main([command, fx("pzw.json"), f"--point={point}"]) == 4
+    assert "finite and not the origin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", [[0, 0, 0, 0], ["NaN", 0, 1, 0], [1, "-Infinity", 0, 0]])
+def test_fixture_origin_or_non_finite_point_is_exit_4(point, tmp_path, capsys):
+    data = json.loads(Path(fx("pzw.json")).read_text())
+    data["point"] = [float(v) for v in point]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["check-poly", str(bad)]) == 4
+    assert "finite and not the origin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check-poly", "build-gauge"])
+def test_overflowing_point_is_exit_3(command, capsys):
+    # the exact value is fine; its rounding to a float overflows
+    assert main([command, fx("pzw.json"), "--point", "1e300,0,1e300,0"]) == 3
+    assert "overflows a float" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [
     ["--samples", "0"],
     ["--samples", "-3"],

@@ -1,5 +1,7 @@
 """End-to-end pipelines: hypothesis gate, leaf harmonicity, full runs."""
 
+from fractions import Fraction
+
 import pytest
 
 from leafgauge import (
@@ -8,11 +10,16 @@ from leafgauge import (
     PointC2,
     VectorFieldC2,
     WirtingerPoly,
+    annihilation_check,
     build_chart,
+    complex_hessian,
     gauge_eval,
+    involutivity_check,
     leaf_harmonicity_check,
     run_field_pipeline,
     run_pipeline,
+    select_field,
+    transversality_check,
     validate_hypotheses,
 )
 from conftest import (
@@ -183,3 +190,46 @@ def test_build_work_count_ceiling(field_evals):
     _, report = run_field_pipeline(fx.field, fx.point, fx.degree, resolve_config(fx.config))
     assert report.overall_pass
     assert field_evals[0] <= 150_000
+
+
+# -- exact work of one admissibility verdict -----------------------------------
+
+X_SQUARE = PointC2(0.9 + 0.3j, 0.6 - 0.5j)
+
+
+def _square(k: int, m: int) -> WirtingerPoly:
+    """|f|^2 for f = sum over j < m of c_j z^j w^(k-j), with non-dyadic c_j."""
+    f = WirtingerPoly.zero()
+    for j in range(m):
+        f = f + WirtingerPoly.monomial(j, 0, k - j, 0, Fraction(j + 1, 3), Fraction(1, j + 2))
+    return f * f.conjugate()
+
+
+def _admit(P, x):
+    """Hypotheses, then the selected field's annihilation, involutivity and
+    transversality: the verdict of one admissibility check."""
+    checklist = validate_hypotheses(P, x)
+    if not checklist.all_passed:
+        return tuple(checklist.failures)
+    V = select_field(P, x)
+    samples = [PointC2(x.z + 0.01 * 1j ** n, x.w - 0.01 * 1j ** n) for n in range(4)]
+    return (annihilation_check(P, V), involutivity_check(V, samples).passed,
+            transversality_check(V, x).passed)
+
+
+@pytest.mark.parametrize("k, m", [(k, m) for k in (2, 3, 4) for m in range(2, k + 2)])
+def test_admit_derives_one_hessian(k, m, poly_diffs):
+    P = _square(k, m)
+    poly_diffs[0] = 0
+    assert _admit(P, X_SQUARE) == (True, True, True)
+    # the complex Hessian once (6 derivatives) and the selected field's
+    # real Jacobian (8); 38 when each of its five users derived the Hessian
+    assert poly_diffs[0] == 14
+    assert complex_hessian(P) is complex_hessian(P)
+    assert poly_diffs[0] == 14
+
+
+def test_admit_ball_control_derives_one_hessian(poly_diffs):
+    verdict = _admit(make_ball(), PointC2(1, 1))
+    assert verdict == ("homogeneous_even_degree", "levi_determinant_zero")
+    assert poly_diffs[0] == 6           # 18 with one Hessian per user

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leafgauge import (
+    NumericError,
     PointC2,
     WirtingerPoly,
     complex_hessian,
+    hessian_eval,
     homogeneity_degree,
     is_on_harmonic_line,
     levi_determinant,
@@ -285,3 +287,130 @@ def test_hessian_hermitian_symmetry_exact(p):
     H = complex_hessian(real_poly)
     assert H.entries[0][1] == H.entries[1][0].conjugate()
     assert H.entries[0][0] == H.entries[0][0].conjugate()
+
+
+# -- the integer kernel against a Fraction reference ---------------------------
+#
+# A direct transcription of the ring on Fraction pairs, one coefficient
+# operation at a time: the oracle for the integer kernel, which must give
+# the same exact polynomials and the same correctly rounded floats.
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_collect(pairs):
+    out = {}
+    for key, (re, im) in pairs:
+        r0, i0 = out.get(key, (Fraction(0), Fraction(0)))
+        out[key] = (r0 + re, i0 + im)
+    return {key: cf for key, cf in out.items() if cf != (0, 0)}
+
+
+def ref_product(p, q):
+    return _ref_collect((tuple(a + b for a, b in zip(ea, eb)), _ref_mul(ca, cb))
+                        for ea, ca in p.terms.items() for eb, cb in q.terms.items())
+
+
+def ref_combination(p, q, sign):
+    return _ref_collect([*p.terms.items(),
+                         *((exp, (sign * re, sign * im)) for exp, (re, im) in q.terms.items())])
+
+
+def ref_diff(terms, k):
+    return {exp[:k] + (exp[k] - 1,) + exp[k + 1:]: (re * exp[k], im * exp[k])
+            for exp, (re, im) in terms.items() if exp[k]}
+
+
+def ref_hessian(p):
+    # rows: d/dzbar, d/dwbar; columns: d/dz, d/dw
+    return [[ref_diff(ref_diff(p.terms, bar), col) for col in (0, 2)] for bar in (1, 3)]
+
+
+def ref_substitute(terms, q, key):
+    z, w = complex(q.z), complex(q.w)
+    values = [(Fraction(v.real), Fraction(v.imag)) for v in (z, z.conjugate(), w, w.conjugate())]
+
+    def term(exp, cf):
+        for value, n in zip(values, exp):
+            for _ in range(n):
+                cf = _ref_mul(cf, value)
+        return cf
+
+    return _ref_collect((key(exp), term(exp, cf)) for exp, cf in terms.items())
+
+
+def ref_eval(terms, q):
+    re, im = ref_substitute(terms, q, lambda exp: 0).get(0, (Fraction(0), Fraction(0)))
+    return complex(float(re), float(im))
+
+
+def ref_line_restriction(p, direction):
+    d = [(Fraction(v.real), Fraction(v.imag)) for v in (direction.z, direction.w)]
+    return [_ref_collect((exp, _ref_mul(cf, d[col]))
+                         for col in (0, 1)
+                         for exp, cf in ref_substitute(
+                             row[col], direction,
+                             lambda e: (e[0] + e[2], e[1] + e[3], 0, 0)).items())
+            for row in ref_hessian(p)]
+
+
+def _hex(c: complex):
+    return (c.real.hex(), c.imag.hex())
+
+
+@given(polys, polys)
+@settings(max_examples=80, deadline=None)
+def test_ring_matches_fraction_reference(p, q):
+    assert (p * q).terms == ref_product(p, q)
+    assert (p + q).terms == ref_combination(p, q, 1)
+    assert (p - q).terms == ref_combination(p, q, -1)
+    # exact cancellation leaves the zero polynomial, with no zero terms
+    assert (p - p).is_zero and (p * q - q * p).is_zero
+    assert ((p + q) - q) == p
+
+
+def test_non_dyadic_coefficients_match_reference():
+    p = mono(1, 0, 0, 1, Fraction(1, 3), Fraction(-2, 7)) + mono(0, 1, 1, 0, Fraction(5, 6))
+    q = mono(2, 0, 0, 0, Fraction(-1, 9), Fraction(1, 3)) + mono(0, 1, 1, 0, Fraction(-5, 6))
+    assert (p * q).terms == ref_product(p, q)
+    assert (p + q).terms == ref_combination(p, q, 1)
+    assert (0, 1, 1, 0) not in (p + q).terms
+    real = p * p.conjugate()
+    x = PointC2(0.1 + 0.3j, -0.7 + 1 / 3)
+    assert _hex(poly_eval(real, x)) == _hex(ref_eval(real.terms, x))
+    assert [c.terms for c in line_hessian_restriction(real, x)] == ref_line_restriction(real, x)
+
+
+@given(polys, points)
+@settings(max_examples=80, deadline=None)
+def test_eval_matches_fraction_reference_bit_for_bit(p, pt):
+    assert _hex(poly_eval(p, pt)) == _hex(ref_eval(p.terms, pt))
+
+
+@given(polys, points)
+@settings(max_examples=60, deadline=None)
+def test_hessian_and_line_restriction_match_fraction_reference(p, pt):
+    real = p + p.conjugate()
+    H = complex_hessian(real)
+    ref = ref_hessian(real)
+    assert [[e.terms for e in row] for row in H.entries] == ref
+    assert [_hex(v) for v in hessian_eval(real, pt).ravel()] == \
+        [_hex(ref_eval(e, pt)) for row in ref for e in row]
+    if pt.z != 0 or pt.w != 0:
+        assert [c.terms for c in line_hessian_restriction(real, pt)] == \
+            ref_line_restriction(real, pt)
+
+
+def test_eval_overflow_is_numeric_error():
+    with pytest.raises(NumericError, match="overflows"):
+        poly_eval(make_pzw(), PointC2(1e300, 1e300))
+
+
+def test_hessian_is_derived_once():
+    p = make_pzw()
+    assert complex_hessian(p) is complex_hessian(p)
+    with pytest.raises(ValueError):      # a non-real polynomial raises every time
+        complex_hessian(mono(1, 0, 0, 0))
+    with pytest.raises(ValueError):
+        complex_hessian(mono(1, 0, 0, 0))
