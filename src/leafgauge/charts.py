@@ -28,10 +28,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-import numpy as np
-
 from .errors import AssumptionError, DegenerateRootError, NumericError, ProjectionError
-from .fields import PointC2, VectorFieldC2, real_views, transversality_check, vanish_scale
+from .fields import PointC2, VectorFieldC2, _dot, real_views, transversality_check, vanish_scale
 from .flows import FlowConfig, integrate_flow
 
 __all__ = ["ChartConfig", "LeafChart", "build_chart", "leaf_coords", "in_chart_ball"]
@@ -61,15 +59,15 @@ class ChartConfig:
 class LeafChart:
     field: VectorFieldC2
     base: PointC2
-    frame: np.ndarray                   # rows e1, e2, n1, n2; orthonormal
+    frame: tuple[tuple[float, ...], ...]  # rows e1, e2, n1, n2; orthonormal
     radius_scale: float
     newton_tol: float
     newton_max_iter: int
     flow_cfg: FlowConfig
 
     @cached_property
-    def base4(self) -> np.ndarray:
-        return np.array(self.base.to_real4())
+    def base4(self) -> tuple[float, float, float, float]:
+        return self.base.to_real4()
 
     @cached_property
     def base_norm(self) -> float:
@@ -79,42 +77,37 @@ class LeafChart:
     def ball_radius(self) -> float:
         return self.radius_scale * self.base_norm
 
-    # tuple views of the base point and frame rows for the projection loop
-    @cached_property
-    def _base_t(self) -> tuple[float, ...]:
-        return self.base.to_real4()
-
-    @cached_property
-    def _frame_t(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(float(v) for v in row) for row in self.frame)
-
 
 def in_chart_ball(chart: LeafChart, q: PointC2) -> bool:
-    d = np.array(q.to_real4()) - chart.base4
-    return float(np.linalg.norm(d)) <= chart.ball_radius * (1 + 1e-12)
+    d = [a - b for a, b in zip(q.to_real4(), chart.base4)]
+    return math.hypot(*d) <= chart.ball_radius * (1 + 1e-12)
 
 
-def _orthonormal_frame(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    e1 = X1 / np.linalg.norm(X1)
-    v = X2 - (X2 @ e1) * e1
-    nv = np.linalg.norm(v)
-    if nv < 1e-12 * np.linalg.norm(X2):
+def _unit(v) -> tuple[float, ...]:
+    n = math.hypot(*v)
+    return tuple(c / n for c in v)
+
+
+def _orthonormal_frame(X1, X2) -> tuple[tuple[float, ...], ...]:
+    e1 = _unit(X1)
+    d = _dot(X2, e1)
+    v = tuple(c - d * u for c, u in zip(X2, e1))
+    if math.hypot(*v) < 1e-12 * math.hypot(*X2):
         raise AssumptionError("degenerate leaf tangent frame at base point")
-    e2 = v / nv
+    e2 = _unit(v)
     normals = []
     for k in range(4):
-        cand = np.zeros(4)
-        cand[k] = 1.0
-        for u in [e1, e2, *normals]:
-            cand = cand - (cand @ u) * u
-        nc = np.linalg.norm(cand)
-        if nc > _FRAME_SKIP_THRESHOLD:
-            normals.append(cand / nc)
+        cand = tuple(float(j == k) for j in range(4))
+        for u in (e1, e2, *normals):
+            d = _dot(cand, u)
+            cand = tuple(c - d * x for c, x in zip(cand, u))
+        if math.hypot(*cand) > _FRAME_SKIP_THRESHOLD:
+            normals.append(_unit(cand))
         if len(normals) == 2:
             break
     if len(normals) != 2:
         raise AssumptionError("could not complete transversal frame")
-    return np.vstack([e1, e2, normals[0], normals[1]])
+    return (e1, e2, normals[0], normals[1])
 
 
 def build_chart(V: VectorFieldC2, x: PointC2,
@@ -123,7 +116,7 @@ def build_chart(V: VectorFieldC2, x: PointC2,
     failures (halved down to 1e-4, then construction fails)."""
     cfg = cfg or ChartConfig()
     X1, X2 = real_views(V, x)
-    if float(np.linalg.norm(X1)) <= 1e-8 * vanish_scale(V, x):
+    if math.hypot(*X1) <= 1e-8 * vanish_scale(V, x):
         raise AssumptionError("field vanishes at the chart base point")
     tr = transversality_check(V, x)
     if not tr.passed:
@@ -150,7 +143,8 @@ def _probe(chart: LeafChart) -> None:
     r = 0.9 * chart.ball_radius
     for row in range(4):
         for sign in (1.0, -1.0):
-            probe = PointC2.from_real4(chart.base4 + sign * r * chart.frame[row])
+            probe = PointC2.from_real4([b + sign * r * f
+                                        for b, f in zip(chart.base4, chart.frame[row])])
             _project(chart, probe)
 
 
@@ -184,8 +178,8 @@ def _project(chart: LeafChart, q: PointC2, m=None, t: float = 1.0):
     displacement rather than by max_step.  The whole step is halved, at
     most 8 tries, until the residual drops.
     """
-    x0, x1, x2, x3 = chart._base_t
-    (a0, a1, a2, a3), (b0, b1, b2, b3) = chart._frame_t[0], chart._frame_t[1]
+    x0, x1, x2, x3 = chart.base4
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = chart.frame[0], chart.frame[1]
     free = m is not None
     c0, c1, c2, c3 = m if free else (0.0, 0.0, 0.0, 0.0)
     V, cfg = chart.field, chart.flow_cfg
@@ -241,7 +235,7 @@ def leaf_coords(chart: LeafChart, q: PointC2) -> tuple[float, float]:
     the base point.  Raises ProjectionError when the projection does not
     converge."""
     _, p = _project(chart, q)
-    (x0, x1, x2, x3), (_, _, n1, n2) = chart._base_t, chart._frame_t
+    (x0, x1, x2, x3), (_, _, n1, n2) = chart.base4, chart.frame
     d0, d1, d2, d3 = p[0] - x0, p[1] - x1, p[2] - x2, p[3] - x3
     return (d0 * n1[0] + d1 * n1[1] + d2 * n1[2] + d3 * n1[3],
             d0 * n2[0] + d1 * n2[1] + d2 * n2[2] + d3 * n2[3])

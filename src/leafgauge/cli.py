@@ -18,10 +18,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .errors import AssumptionError, FixtureError, LeafgaugeError, NumericError
 from .fields import PointC2, derive_candidate_fields, select_field
@@ -30,7 +29,7 @@ from .fixtures import (Fixture, fixture_to_dict, load_fixture, parse_fixture,
 from .flows import trace_leaf
 from .gauge import gauge_grid_rows
 from .pipeline import PipelineConfig, run_field_pipeline, run_pipeline, validate_hypotheses
-from .verify import report_to_dict, report_to_text, sample_chart_ball
+from .verify import check_rng, report_to_dict, report_to_text, sample_chart_ball
 
 __all__ = ["main"]
 
@@ -133,9 +132,15 @@ def _grid_times(text: str, span: float):
             raise ValueError
     except ValueError as exc:
         raise FixtureError(f"bad --grid {text!r}, expected like 5x5") from exc
-    s1 = np.linspace(-span, span, rows) if rows > 1 else np.array([0.0])
-    s2 = np.linspace(-span, span, cols) if cols > 1 else np.array([0.0])
-    return [(float(a), float(b)) for a in s1 for b in s2]
+    return [(a, b) for a in _linspace(span, rows) for b in _linspace(span, cols)]
+
+
+def _linspace(span: float, n: int) -> list[float]:
+    # numpy.linspace(-span, span, n) for n > 1, [0.0] for n = 1
+    if n == 1:
+        return [0.0]
+    step = 2 * span / (n - 1)
+    return [-span + i * step for i in range(n - 1)] + [span]
 
 
 def cmd_trace_leaf(args) -> int:
@@ -188,7 +193,7 @@ def _report_payload(fx: Fixture, point: PointC2, degree: int,
         },
         "gauge": {
             "base": list(gauge.chart.base.to_real4()),
-            "frame": [[float(v) for v in row] for row in gauge.chart.frame],
+            "frame": [list(row) for row in gauge.chart.frame],
             "radius_scale": gauge.chart.radius_scale,
             "ray_velocity": list(gauge.ray_velocity),
             "degree": gauge.degree,
@@ -219,8 +224,8 @@ def cmd_build_gauge(args) -> int:
     if args.out:
         sys.stdout.write(report_to_text(report))
     if args.grid_out:
-        rng = np.random.default_rng([cfg.seed, 99])
-        pts = sample_chart_ball(gauge.chart, args.grid_n, rng, shrink=0.7)
+        pts = sample_chart_ball(gauge.chart, args.grid_n, check_rng(cfg.seed, "grid"),
+                                shrink=0.7)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["re_z", "im_z", "re_w", "im_w", "scale", "gauge"])
@@ -283,16 +288,23 @@ _DRIFT_REL_TOL = 1e-9
 
 
 def _close(saved, rebuilt) -> bool:
-    try:
-        a = np.array(saved, dtype=float)
-    except (TypeError, ValueError):
+    """saved has the shape of rebuilt (a vector, or a list of row vectors)
+    and each row is within _DRIFT_REL_TOL of it, relative to the larger of
+    the two row norms."""
+    if not (isinstance(saved, list) and len(saved) == len(rebuilt)):
         return False
-    b = np.array(rebuilt, dtype=float)
-    if a.shape != b.shape:
-        return False
-    scale = np.maximum(np.linalg.norm(a, axis=-1, keepdims=True),
-                       np.linalg.norm(b, axis=-1, keepdims=True))
-    return bool(np.all(np.abs(a - b) <= _DRIFT_REL_TOL * scale))
+    rows = zip(saved, rebuilt) if isinstance(rebuilt[0], list) else [(saved, rebuilt)]
+    for a, b in rows:
+        if not (isinstance(a, list) and len(a) == len(b)):
+            return False
+        try:
+            a = [float(v) for v in a]
+        except (TypeError, ValueError):
+            return False
+        tol = _DRIFT_REL_TOL * max(math.hypot(*a), math.hypot(*b))
+        if not all(abs(x - y) <= tol for x, y in zip(a, b)):
+            return False
+    return True
 
 
 def _artifact_drift(saved_gauge: dict, saved_entries: list | None,

@@ -21,14 +21,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import AssumptionError, NumericError, RankDropError
 from .wirtinger import (
     WirtingerPoly,
     complex_hessian,
     homogeneity_degree,
     poly_diff,
+    poly_eval,
     poly_is_real,
 )
 
@@ -66,7 +65,7 @@ class PointC2:
         return cls(complex(float(v[0]), float(v[1])), complex(float(v[2]), float(v[3])))
 
     def norm(self) -> float:
-        return math.sqrt(abs(self.z) ** 2 + abs(self.w) ** 2)
+        return math.hypot(self.z.real, self.z.imag, self.w.real, self.w.imag)
 
     def scale(self, t: float) -> "PointC2":
         return PointC2(t * self.z, t * self.w)
@@ -239,18 +238,24 @@ def field_eval(V: VectorFieldC2, q: PointC2) -> PointC2:
     return PointC2(*V.eval_complex(q.z, q.w))
 
 
-def real_views(V: VectorFieldC2, q: PointC2) -> tuple[np.ndarray, np.ndarray]:
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def real_views(V: VectorFieldC2, q: PointC2) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The real 4-vectors X1 = view(V(q)) and X2 = view(i*V(q))."""
     vz, vw = V.eval_complex(q.z, q.w)
-    X1 = np.array([vz.real, vz.imag, vw.real, vw.imag])
-    X2 = np.array([-vz.imag, vz.real, -vw.imag, vw.real])
-    return X1, X2
+    return (vz.real, vz.imag, vw.real, vw.imag), (-vz.imag, vz.real, -vw.imag, vw.real)
 
 
 def vanish_scale(V: VectorFieldC2, q: PointC2) -> float:
     """Natural magnitude scale of a degree-m field near q, used to make the
-    nonvanishing threshold relative."""
-    return max(1.0, q.norm()) ** V.degree
+    nonvanishing threshold relative.  Raises NumericError when it overflows
+    a float."""
+    try:
+        return max(1.0, q.norm()) ** V.degree
+    except OverflowError:
+        raise NumericError(f"field scale at {q} overflows a float") from None
 
 
 def derive_candidate_fields(P: WirtingerPoly):
@@ -273,15 +278,12 @@ def select_field(P: WirtingerPoly, x: PointC2,
                  threshold: float = NONVANISH_THRESHOLD) -> VectorFieldC2:
     """Pick the candidate field that does not vanish at x, preferring the
     first on ties.  Raises AssumptionError when both vanish (the Hessian of
-    P is zero at x)."""
-    V1, V2 = derive_candidate_fields(P)
-    scale = vanish_scale(V1, x)
-    n1 = field_eval(V1, x).norm()
-    n2 = field_eval(V2, x).norm()
-    if n1 > threshold * scale:
-        return V1
-    if n2 > threshold * scale:
-        return V2
+    P is zero at x).  The candidates are evaluated exactly, once each, so
+    neither is compiled here."""
+    for V in derive_candidate_fields(P):
+        if PointC2(poly_eval(V.comp_z, x), poly_eval(V.comp_w, x)).norm() > \
+                threshold * vanish_scale(V, x):
+            return V
     raise AssumptionError("Hessian vanishes at base point")
 
 
@@ -294,7 +296,7 @@ def annihilation_check(P: WirtingerPoly, V: VectorFieldC2) -> bool:
     return r0.is_zero and r1.is_zero
 
 
-def lie_bracket_real(V: VectorFieldC2, p: PointC2) -> np.ndarray:
+def lie_bracket_real(V: VectorFieldC2, p: PointC2) -> tuple[float, ...]:
     """[X1, X2](p) = DX2(p) X1(p) - DX1(p) X2(p), with the real Jacobians
     taken from the compiled first derivatives of the field.
 
@@ -309,42 +311,60 @@ def lie_bracket_real(V: VectorFieldC2, p: PointC2) -> np.ndarray:
     for d in (jac[:4], jac[4:]):
         b = 1j * sum(dj * u for dj, u in zip(d, X1)) - sum(dj * u for dj, u in zip(d, X2))
         out += (b.real, b.imag)
-    return np.array(out)
+    return tuple(out)
+
+
+def _split_bracket(X1, X2, br):
+    """X1.br, X2.br and the component of br orthogonal to span{X1, X2},
+    for X2 orthogonal to X1 with the same norm (all of br where X1 = 0)."""
+    s2, a, b = _dot(X1, X1) or 1.0, _dot(X1, br), _dot(X2, br)
+    return a, b, tuple(c - (a * u + b * v) / s2 for c, u, v in zip(br, X1, X2))
 
 
 def bracket_span_residual(V: VectorFieldC2, p: PointC2) -> float:
     """Norm of the component of [X1, X2](p) orthogonal to span{X1, X2}."""
     X1, X2 = real_views(V, p)
-    br = lie_bracket_real(V, p)
-    Q, _ = np.linalg.qr(np.column_stack([X1, X2]))
-    return float(np.linalg.norm(br - Q @ (Q.T @ br)))
+    return math.hypot(*_split_bracket(X1, X2, lie_bracket_real(V, p))[2])
 
 
 def involutivity_check(V: VectorFieldC2, samples: Sequence[PointC2],
                        tol: float = 1e-8) -> CheckResult:
-    """Rank test of [X1 | X2 | [X1,X2]] at each sample: the smallest
+    """Rank test of M = [X1 | X2 | [X1,X2]] at each sample: the smallest
     singular value must stay below tol times the largest, i.e. the bracket
-    must remain in the span of the field."""
+    must remain in the span of the field.
+
+    With s = |X1| = |X2|, a = X1.br, b = X2.br and br_perp the part of br
+    off span{X1, X2}, M^T M has the eigenvalue s^2 and the roots of
+    l^2 - (s^2 + |br|^2) l + s^2 |br_perp|^2, which bracket it.  So the
+    ratio is sqrt(l_min / l_max) = s |br_perp| / l_max.  Raises
+    NumericError when l_max overflows."""
     worst = 0.0
     for p in samples:
         X1, X2 = real_views(V, p)
-        if float(np.linalg.norm(X1)) <= NONVANISH_THRESHOLD * vanish_scale(V, p):
+        s = math.hypot(*X1)
+        if s <= NONVANISH_THRESHOLD * vanish_scale(V, p):
             raise RankDropError(f"distribution rank drop at {p}")
         br = lie_bracket_real(V, p)
-        M = np.column_stack([X1, X2, br])
-        sv = np.linalg.svd(M, compute_uv=False)
-        worst = max(worst, float(sv[-1] / sv[0]))
+        a, b, perp = _split_bracket(X1, X2, br)
+        s2, b2 = s * s, _dot(br, br)
+        lam = (s2 + b2) / 2 + math.hypot((s2 - b2) / 2, a, b)
+        if not math.isfinite(lam):
+            raise NumericError(f"involutivity: the Gram matrix at {p} overflows a float")
+        worst = max(worst, s * math.hypot(*perp) / lam)
     return CheckResult(worst <= tol, worst)
 
 
 def transversality_check(V: VectorFieldC2, p: PointC2,
                          threshold: float = NONVANISH_THRESHOLD) -> CheckResult:
     """|det[p | V(p)]| against a relative threshold; failure means p and
-    V(p) are (numerically) complex-linearly dependent."""
+    V(p) are (numerically) complex-linearly dependent.  Raises NumericError
+    when the determinant or its bound is not finite."""
     v = field_eval(V, p)
-    det = p.z * v.w - p.w * v.z
+    det = abs(p.z * v.w - p.w * v.z)
     bound = threshold * p.norm() * v.norm()
-    return CheckResult(abs(det) > bound, abs(det))
+    if not (math.isfinite(det) and math.isfinite(bound)):
+        raise NumericError(f"transversality: determinant at {p} overflows a float")
+    return CheckResult(det > bound, det)
 
 
 def homogeneity_check_field(V: VectorFieldC2) -> bool:

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .charts import LeafChart, _project, leaf_coords
 from .errors import AssumptionError, ProjectionError, RootSearchError
 from .fields import PointC2, homogeneity_check_field
@@ -48,17 +46,16 @@ def scaling_velocity(chart: LeafChart, step: float = 1e-4) -> tuple[float, float
     the leaf, which contradicts transversality of the base point."""
     x = chart.base
 
-    def u_at(t: float) -> np.ndarray:
-        return np.array(leaf_coords(chart, x.scale(t)))
+    def central(h: float) -> tuple[float, float]:
+        up, dn = leaf_coords(chart, x.scale(1.0 + h)), leaf_coords(chart, x.scale(1.0 - h))
+        return ((up[0] - dn[0]) / (2.0 * h), (up[1] - dn[1]) / (2.0 * h))
 
-    def central(h: float) -> np.ndarray:
-        return (u_at(1.0 + h) - u_at(1.0 - h)) / (2.0 * h)
-
-    d = (4.0 * central(step / 2) - central(step)) / 3.0
-    if float(np.linalg.norm(d)) <= 1e-4:
+    fine, coarse = central(step / 2), central(step)
+    d = ((4.0 * fine[0] - coarse[0]) / 3.0, (4.0 * fine[1] - coarse[1]) / 3.0)
+    if math.hypot(*d) <= 1e-4:
         raise AssumptionError(
             "radial direction tangent to leaf: base point fails transversality numerically")
-    return (float(d[0]), float(d[1]))
+    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +71,7 @@ class GaugeFunction:
         # unit vector along d1*n1 + d2*n2; zero when d = 0, which makes the
         # Newton system singular
         d1, d2 = self.ray_velocity
-        _, _, n1, n2 = self.chart._frame_t
+        _, _, n1, n2 = self.chart.frame
         scale = math.hypot(d1, d2) or 1.0
         return tuple((d1 * a + d2 * b) / scale for a, b in zip(n1, n2))
 

@@ -13,9 +13,8 @@ degree, nonvanishing, involutivity, transversality).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .charts import ChartConfig, LeafChart, build_chart
 from .errors import AssumptionError
@@ -41,6 +40,7 @@ from .verify import (
     check_entry,
     check_rng,
     run_standard_suite,
+    sample_ball,
     sample_chart_ball,
 )
 from .wirtinger import (
@@ -150,8 +150,9 @@ def validate_hypotheses(P: WirtingerPoly, x: PointC2) -> HypothesisChecklist:
                                       f"degree {deg}, k={deg // 2}"))
 
     if real:
-        H = hessian_eval(P, x)
-        norm = float(np.linalg.norm(H))
+        (h00, h01), (h10, h11) = hessian_eval(P, x)
+        norm = math.hypot(h00.real, h00.imag, h01.real, h01.imag,
+                          h10.real, h10.imag, h11.real, h11.imag)
         scale = max(1.0, x.norm()) ** max((deg or 2) - 2, 0)
         ok = norm > 1e-8 * scale
         checks.append(HypothesisCheck("hessian_nonzero_at_base", ok, f"norm {norm:.3e}"))
@@ -179,14 +180,15 @@ def leaf_harmonicity_check(P: WirtingerPoly, V: VectorFieldC2, chart: LeafChart,
     worst_levi = 0.0
     worst_second = 0.0
     for q in samples:
-        H = hessian_eval(P, q)
+        (h00, h01), (h10, h11) = hessian_eval(P, q)
         v = field_eval(V, q)
-        vec = np.array([v.z, v.w], dtype=complex)
-        vec /= np.linalg.norm(vec)
-        worst_levi = max(worst_levi, abs(complex(np.conj(vec) @ (H @ vec))))
+        n = v.norm()
+        a, b = v.z / n, v.w / n
+        levi = a.conjugate() * (h00 * a + h01 * b) + b.conjugate() * (h10 * a + h11 * b)
+        worst_levi = max(worst_levi, abs(levi))
 
-        X1, X2 = real_views(chart.field, q)
-        speed = max(float(np.linalg.norm(X1)), 1e-12)
+        X1, _ = real_views(chart.field, q)
+        speed = max(math.hypot(*X1), 1e-12)
         h = min(0.05, 0.05 * chart.base_norm / speed)
         p0 = poly_eval(P, q).real
         scale = max(1.0, abs(p0))
@@ -204,14 +206,8 @@ def leaf_harmonicity_check(P: WirtingerPoly, V: VectorFieldC2, chart: LeafChart,
 
 def _assumption_entries(V: VectorFieldC2, x: PointC2,
                         cfg: PipelineConfig) -> list[CheckEntry]:
-    rng = check_rng(cfg.seed, "involutivity")
-    radius = cfg.chart_radius * x.norm()
-    samples = []
-    for _ in range(cfg.n_involutivity):
-        v = rng.standard_normal(4)
-        v /= np.linalg.norm(v)
-        r = radius * rng.random() ** 0.25
-        samples.append(PointC2.from_real4(np.array(x.to_real4()) + r * v))
+    samples = sample_ball(x.to_real4(), cfg.chart_radius * x.norm(), cfg.n_involutivity,
+                          check_rng(cfg.seed, "involutivity"))
     inv = involutivity_check(V, samples, cfg.involutivity_tol)
     if not inv.passed:
         raise AssumptionError(

@@ -1,7 +1,8 @@
 """Quantitative residual checks for charts and gauge functions.
 
-Each check draws deterministic samples (seeded numpy generator, uniform in
-the chart ball), measures a residual per sample, and reports the worst
+Each check draws deterministic samples, uniform in the chart ball, from a
+seeded PCG64 stream whose draws are those of numpy's default_rng
+(leafgauge.rng), measures a residual per sample, and reports the worst
 case against a fixed tolerance.  Samples whose derived points leave the
 chart ball are skipped and counted; a check errors out when it used no
 sample or when more than half of its samples are skipped.
@@ -14,15 +15,15 @@ bounds such as the submersion singular value and gauge positivity).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .charts import LeafChart, in_chart_ball, leaf_coords
+from .charts import LeafChart, _unit, in_chart_ball, leaf_coords
 from .errors import NumericError, RootSearchError
-from .fields import PointC2, real_views
+from .fields import PointC2, _dot, real_views
 from .flows import leaf_flow_map
 from .gauge import GaugeFunction, gauge_eval, radial_mismatch, solve_scale
+from .rng import Stream
 
 __all__ = [
     "DEFAULT_SEED",
@@ -34,6 +35,7 @@ __all__ = [
     "report_to_dict",
     "report_to_json",
     "report_to_text",
+    "sample_ball",
     "sample_chart_ball",
     "check_chart",
     "check_leaf_constancy",
@@ -54,6 +56,7 @@ _STREAMS = {
     "scaling_laws": 5,
     "leaf_harmonicity": 6,
     "involutivity": 7,
+    "grid": 99,              # build-gauge --grid-out sample points
 }
 
 
@@ -133,32 +136,37 @@ def report_to_text(report: VerificationReport) -> str:
 # samplers
 # ---------------------------------------------------------------------------
 
-def check_rng(seed: int, check: str) -> np.random.Generator:
-    """The sample stream of one named check under a run seed."""
-    return np.random.default_rng([seed, _STREAMS[check]])
+def check_rng(seed: int, check: str) -> Stream:
+    """The sample stream of one named check under a run seed: the draws of
+    numpy's default_rng([seed, stream id])."""
+    return Stream([seed, _STREAMS[check]])
 
 
-def sample_chart_ball(chart: LeafChart, n: int, rng: np.random.Generator,
-                      shrink: float = 1.0) -> list[PointC2]:
-    """n points uniform in the (optionally shrunk) chart ball."""
-    radius = shrink * chart.ball_radius
+def sample_ball(center, radius: float, n: int, rng) -> list[PointC2]:
+    """n points uniform in the ball around the real 4-vector center: a
+    direction from four normal draws, then a radius from one uniform."""
     points = []
     for _ in range(n):
-        v = rng.standard_normal(4)
-        v /= np.linalg.norm(v)
+        v = [rng.standard_normal() for _ in range(4)]
+        norm = math.hypot(*v)
         r = radius * rng.random() ** 0.25
-        points.append(PointC2.from_real4(chart.base4 + r * v))
+        points.append(PointC2.from_real4([c + r * (x / norm) for c, x in zip(center, v)]))
     return points
+
+
+def sample_chart_ball(chart: LeafChart, n: int, rng, shrink: float = 1.0) -> list[PointC2]:
+    """n points uniform in the (optionally shrunk) chart ball."""
+    return sample_ball(chart.base4, shrink * chart.ball_radius, n, rng)
 
 
 def _leaf_move_scale(chart: LeafChart, q: PointC2) -> float:
     X1, X2 = real_views(chart.field, q)
-    speed = max(float(np.linalg.norm(X1)), float(np.linalg.norm(X2)), 1e-12)
+    speed = max(math.hypot(*X1), math.hypot(*X2), 1e-12)
     cap = 0.2 * chart.radius_scale
     return min(cap, cap * chart.base_norm / speed)
 
 
-def _leaf_mate(chart: LeafChart, q: PointC2, rng: np.random.Generator) -> PointC2:
+def _leaf_mate(chart: LeafChart, q: PointC2, rng) -> PointC2:
     s = _leaf_move_scale(chart, q)
     s1 = float(rng.uniform(-s, s))
     s2 = float(rng.uniform(-s, s))
@@ -176,18 +184,33 @@ def _check_skips(name: str, used: int, skipped: int) -> None:
 # chart checks
 # ---------------------------------------------------------------------------
 
-def leaf_coords_jacobian(chart: LeafChart, q: PointC2, step: float) -> np.ndarray:
-    """2x4 central-difference Jacobian of the transversal coordinates."""
-    q4 = np.array(q.to_real4())
-    J = np.zeros((2, 4))
+def _shifted(q4, j: int, h: float) -> PointC2:
+    # q4 + h e_j as a point
+    return PointC2.from_real4([c + (h if k == j else 0.0) for k, c in enumerate(q4)])
+
+
+def leaf_coords_jacobian(chart: LeafChart, q: PointC2,
+                         step: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """2x4 central-difference Jacobian of the transversal coordinates, as
+    its two rows."""
+    q4 = q.to_real4()
+    cols = []
     for j in range(4):
-        e = np.zeros(4)
-        e[j] = step
-        up = leaf_coords(chart, PointC2.from_real4(q4 + e))
-        dn = leaf_coords(chart, PointC2.from_real4(q4 - e))
-        J[0, j] = (up[0] - dn[0]) / (2 * step)
-        J[1, j] = (up[1] - dn[1]) / (2 * step)
-    return J
+        up = leaf_coords(chart, _shifted(q4, j, step))
+        dn = leaf_coords(chart, _shifted(q4, j, -step))
+        cols.append(((up[0] - dn[0]) / (2 * step), (up[1] - dn[1]) / (2 * step)))
+    return tuple(zip(*cols))
+
+
+def _min_singular_value(J) -> float:
+    """Smaller singular value of a 2xn matrix: det(J J^T) / l_max, with the
+    determinant as the Lagrange sum of squared 2x2 minors (no cancellation)
+    and l_max the larger eigenvalue of J J^T."""
+    r0, r1 = J
+    det = sum((r0[i] * r1[j] - r0[j] * r1[i]) ** 2
+              for i in range(len(r0)) for j in range(i + 1, len(r0)))
+    p, q, r = _dot(r0, r0), _dot(r0, r1), _dot(r1, r1)
+    return math.sqrt(det / ((p + r) / 2 + math.hypot((p - r) / 2, q)))
 
 
 def check_chart(chart: LeafChart, n_samples: int = 50,
@@ -206,23 +229,24 @@ def check_chart(chart: LeafChart, n_samples: int = 50,
         if not in_chart_ball(chart, mate):
             skipped += 1
             continue
-        u_q = np.array(leaf_coords(chart, q))
-        u_m = np.array(leaf_coords(chart, mate))
-        worst_const = max(worst_const, float(np.linalg.norm(u_m - u_q)))
+        u_q, u_m = leaf_coords(chart, q), leaf_coords(chart, mate)
+        drift = math.hypot(u_m[0] - u_q[0], u_m[1] - u_q[1])
+        worst_const = max(worst_const, drift)
         used += 1
-        pairs.append((q, mate, float(np.linalg.norm(u_m - u_q))))
+        pairs.append((q, mate, drift))
     _check_skips("chart leaf constancy", used, skipped)
     e_const = check_entry("chart_u_leaf_constancy", worst_const, 1e-7,
                           samples=used, skipped=skipped)
 
     step = 1e-4 * chart.base_norm
     J = leaf_coords_jacobian(chart, chart.base, step)
-    sv = np.linalg.svd(J, compute_uv=False)
-    e_subm = check_entry("chart_submersion_sv", float(sv[-1]), 1e-3, mode="min", samples=1)
+    e_subm = check_entry("chart_submersion_sv", _min_singular_value(J), 1e-3,
+                         mode="min", samples=1)
 
-    X1, X2 = real_views(chart.field, chart.base)
-    worst_orth = max(float(np.linalg.norm(J @ (X1 / np.linalg.norm(X1)))),
-                     float(np.linalg.norm(J @ (X2 / np.linalg.norm(X2)))))
+    worst_orth = 0.0
+    for X in real_views(chart.field, chart.base):
+        u = _unit(X)
+        worst_orth = max(worst_orth, math.hypot(_dot(J[0], u), _dot(J[1], u)))
     e_orth = check_entry("chart_leaf_orthogonality", worst_orth, 1e-6, samples=2)
 
     # Coordinate agreement must survive radial scaling: pairs on one leaf
@@ -234,9 +258,8 @@ def check_chart(chart: LeafChart, n_samples: int = 50,
             skipped_s += 1
             continue
         for t in (0.95, 1.05):
-            ua = np.array(leaf_coords(chart, q.scale(t)))
-            ub = np.array(leaf_coords(chart, mate.scale(t)))
-            worst_scale = max(worst_scale, float(np.linalg.norm(ua - ub)))
+            ua, ub = leaf_coords(chart, q.scale(t)), leaf_coords(chart, mate.scale(t))
+            worst_scale = max(worst_scale, math.hypot(ua[0] - ub[0], ua[1] - ub[1]))
         used_s += 1
     _check_skips("chart leaf scaling", used_s, skipped_s)
     e_scale = check_entry("chart_leaf_scaling", worst_scale, 1e-6,
@@ -271,11 +294,13 @@ def check_leaf_constancy(G: GaugeFunction, n_samples: int = 50,
         # the mate is solved cold so the drift is an independent measurement
         g_m = gauge_eval(G, mate)
         worst_drift = max(worst_drift, abs(g_m - g_q) / g_q)
-        q4 = np.array(q.to_real4())
+        q4 = q.to_real4()
         for X in real_views(chart.field, q):
-            u = X / np.linalg.norm(X)
-            up = gauge_eval(G, PointC2.from_real4(q4 + h * u), t_guess=t_q)
-            dn = gauge_eval(G, PointC2.from_real4(q4 - h * u), t_guess=t_q)
+            u = _unit(X)
+            up = gauge_eval(G, PointC2.from_real4([c + h * x for c, x in zip(q4, u)]),
+                            t_guess=t_q)
+            dn = gauge_eval(G, PointC2.from_real4([c - h * x for c, x in zip(q4, u)]),
+                            t_guess=t_q)
             worst_deriv = max(worst_deriv, abs(up - dn) / (2 * h * g_q))
         used += 1
     _check_skips("gauge leaf constancy", used, skipped)
@@ -334,17 +359,17 @@ def check_ray_consistency(chart: LeafChart, n_samples: int = 50,
             skipped += 1
             continue
         tm = 0.5 * (t1 + t2)
-        sigma = (np.array(leaf_coords(chart, p.scale(tm + h)))
-                 - np.array(leaf_coords(chart, p.scale(tm - h)))) / (2 * h)
-        ns = float(np.linalg.norm(sigma))
+        up, dn = leaf_coords(chart, p.scale(tm + h)), leaf_coords(chart, p.scale(tm - h))
+        sigma = ((up[0] - dn[0]) / (2 * h), (up[1] - dn[1]) / (2 * h))
+        ns = math.hypot(*sigma)
         if ns < 1e-8:
             skipped += 1
             continue
-        sigma /= ns
-        delta = (np.array(leaf_coords(chart, p.scale(t1)))
-                 - np.array(leaf_coords(chart, p.scale(t2))))
-        ortho = delta - (delta @ sigma) * sigma
-        worst = max(worst, float(np.linalg.norm(ortho)))
+        s0, s1 = sigma[0] / ns, sigma[1] / ns
+        u1, u2 = leaf_coords(chart, p.scale(t1)), leaf_coords(chart, p.scale(t2))
+        d0, d1 = u1[0] - u2[0], u1[1] - u2[1]
+        along = d0 * s0 + d1 * s1
+        worst = max(worst, math.hypot(d0 - along * s0, d1 - along * s1))
         used += 1
     _check_skips("ray consistency", used, skipped)
     return [check_entry("ray_consistency", worst, 1e-5, samples=used, skipped=skipped)]
@@ -359,7 +384,7 @@ def check_scaling_laws(G: GaugeFunction, n_samples: int = 50,
     samples = sample_chart_ball(chart, n_samples, rng, shrink=0.6)
     h = 1e-5 * chart.base_norm
 
-    min_g = np.inf
+    min_g = math.inf
     worst_root = 0.0
     worst_recip = 0.0
     worst_euler = 0.0
@@ -381,16 +406,12 @@ def check_scaling_laws(G: GaugeFunction, n_samples: int = 50,
         else:
             skipped_recip += 1
 
-        q4 = np.array(q.to_real4())
-        grad = np.zeros(4)
-        for j in range(4):
-            e = np.zeros(4)
-            e[j] = h
-            up = gauge_eval(G, PointC2.from_real4(q4 + e), t_guess=t_star)
-            dn = gauge_eval(G, PointC2.from_real4(q4 - e), t_guess=t_star)
-            grad[j] = (up - dn) / (2 * h)
+        q4 = q.to_real4()
+        grad = [(gauge_eval(G, _shifted(q4, j, h), t_guess=t_star)
+                 - gauge_eval(G, _shifted(q4, j, -h), t_guess=t_star)) / (2 * h)
+                for j in range(4)]
         worst_euler = max(worst_euler,
-                          abs(float(grad @ q4) - G.degree * g_q) / (G.degree * g_q))
+                          abs(_dot(grad, q4) - G.degree * g_q) / (G.degree * g_q))
         used += 1
     _check_skips("gauge scale reciprocity", used - skipped_recip, skipped_recip)
 

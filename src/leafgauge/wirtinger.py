@@ -24,10 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import hypot, inf, lcm
 from typing import Iterable, Mapping, Sequence, Union
-
-import numpy as np
 
 from .errors import NumericError
 
@@ -344,13 +342,10 @@ class PolyMatrix2:
         e = self.entries
         return e[0][0] * e[1][1] - e[0][1] * e[1][0]
 
-    def eval_at(self, q) -> np.ndarray:
+    def eval_at(self, q) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
         e = self.entries
-        return np.array(
-            [[poly_eval(e[0][0], q), poly_eval(e[0][1], q)],
-             [poly_eval(e[1][0], q), poly_eval(e[1][1], q)]],
-            dtype=complex,
-        )
+        return ((poly_eval(e[0][0], q), poly_eval(e[0][1], q)),
+                (poly_eval(e[1][0], q), poly_eval(e[1][1], q)))
 
     def matvec(self, vz: WirtingerPoly, vw: WirtingerPoly):
         e = self.entries
@@ -377,8 +372,9 @@ def complex_hessian(p: WirtingerPoly) -> PolyMatrix2:
     return p._hessian
 
 
-def hessian_eval(p: WirtingerPoly, q) -> np.ndarray:
-    """Numeric 2x2 complex Hessian of p at q."""
+def hessian_eval(p: WirtingerPoly, q) -> tuple[tuple[complex, complex],
+                                                tuple[complex, complex]]:
+    """Numeric 2x2 complex Hessian of p at q, as its rows."""
     return complex_hessian(p).eval_at(q)
 
 
@@ -429,16 +425,16 @@ def psh_sample_check(p: WirtingerPoly, samples: Sequence, tol: float = 1e-9):
     """Sampling-based plurisubharmonicity sanity check.
 
     Evaluates the numeric Hessian at each sample and passes iff the
-    smallest eigenvalue is >= -tol everywhere.  Returns (passed, worst)
-    where worst is the most negative eigenvalue seen.
+    smallest eigenvalue of its Hermitian part [[a, c], [conj c, d]],
+    (a + d)/2 - hypot((a - d)/2, |c|), is >= -tol everywhere.  Returns
+    (passed, worst) where worst is the most negative eigenvalue seen.
     """
     H = complex_hessian(p)
-    worst = np.inf
+    worst = inf
     for q in samples:
-        M = H.eval_at(q)
-        M = 0.5 * (M + M.conj().T)
-        eig = np.linalg.eigvalsh(M)
-        worst = min(worst, float(eig[0]))
+        (h00, h01), (h10, h11) = H.eval_at(q)
+        a, d, c = h00.real, h11.real, 0.5 * (h01 + h10.conjugate())
+        worst = min(worst, (a + d) / 2 - hypot((a - d) / 2, abs(c)))
     return (worst >= -tol), worst
 
 

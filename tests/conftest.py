@@ -130,6 +130,21 @@ def poly_diffs(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def code_generations(monkeypatch):
+    """A one-element list counting straight-line code generations
+    (fields._exec calls: a field, its Jacobian or its DP5(4) step)."""
+    calls = [0]
+    run = fields._exec
+
+    def counted(defs, name, ns):
+        calls[0] += 1
+        return run(defs, name, ns)
+
+    monkeypatch.setattr(fields, "_exec", counted)
+    return calls
+
+
 # -- session charts and gauges ----------------------------------------------
 
 @pytest.fixture(scope="session")

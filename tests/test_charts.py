@@ -46,7 +46,8 @@ def test_frame_pzw(chart_pzw):
 
 def test_frames_orthonormal(chart_pz4, chart_pzw, chart_v3, chart_nonholo):
     for chart in (chart_pz4, chart_pzw, chart_v3, chart_nonholo):
-        gram = chart.frame @ chart.frame.T
+        frame = np.asarray(chart.frame)
+        gram = frame @ frame.T
         assert np.allclose(gram, np.eye(4), atol=1e-12)
 
 

@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from leafgauge.cli import main
+from leafgauge.cli import _grid_times, main
 from leafgauge.fixtures import fixture_to_dict, load_fixture, parse_fixture
 from conftest import FIXTURE_DIR
 
@@ -336,6 +340,43 @@ def test_overflowing_point_is_exit_3(command, capsys):
     # the exact value is fine; its rounding to a float overflows
     assert main([command, fx("pzw.json"), "--point", "1e300,0,1e300,0"]) == 3
     assert "overflows a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["build-gauge", fx("field_v3.json")],
+    ["build-gauge", fx("field_nonholo.json")],
+    ["trace-leaf", fx("pzw.json")],
+])
+def test_huge_point_is_exit_3(args, capsys):
+    # finite coordinates whose field values, scales or determinants
+    # overflow a float: a numeric failure, not a traceback or a false
+    # assumption verdict
+    assert main([*args, "--point", "1e300,0,1e300,0"]) == 3
+    assert "overflows a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, span", [("5x5", 0.1), ("7x3", 0.3), ("1x4", 0.2),
+                                        ("2x2", 1e-3), ("11x1", 2.5), ("64x9", 0.07)])
+def test_grid_times_are_numpy_linspace(grid, span):
+    rows, cols = (int(v) for v in grid.split("x"))
+    axis = [np.linspace(-span, span, n) if n > 1 else np.array([0.0]) for n in (rows, cols)]
+    ref = [(float(a), float(b)) for a in axis[0] for b in axis[1]]
+    assert [(a.hex(), b.hex()) for a, b in _grid_times(grid, span)] == \
+        [(a.hex(), b.hex()) for a, b in ref]
+
+
+def test_build_runs_without_numpy(tmp_path):
+    # numpy is a test oracle only: a build imports none of it
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "import leafgauge.cli\n"
+            f"sys.exit(leafgauge.cli.main(['build-gauge', {fx('pz4.json')!r}, "
+            f"'--out', {str(tmp_path / 'rep.json')!r}]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads((tmp_path / "rep.json").read_text())["report"]["overall_pass"]
 
 
 @pytest.mark.parametrize("flags", [

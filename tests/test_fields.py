@@ -8,6 +8,7 @@ import pytest
 
 from leafgauge import (
     AssumptionError,
+    NumericError,
     PointC2,
     VectorFieldC2,
     WirtingerPoly,
@@ -135,8 +136,8 @@ def _fd_jacobians(V, p, h=1e-6):
     for j in range(4):
         e = np.zeros(4)
         e[j] = h
-        up1, up2 = real_views(V, PointC2.from_real4(p4 + e))
-        dn1, dn2 = real_views(V, PointC2.from_real4(p4 - e))
+        up1, up2 = np.asarray(real_views(V, PointC2.from_real4(p4 + e)))
+        dn1, dn2 = np.asarray(real_views(V, PointC2.from_real4(p4 - e)))
         DX1[:, j] = (up1 - dn1) / (2 * h)
         DX2[:, j] = (up2 - dn2) / (2 * h)
     return DX1, DX2
@@ -195,7 +196,73 @@ def test_involutivity_bad_field_fails():
     assert bracket_span_residual(make_field_bad(), PointC2(0, 1)) == pytest.approx(2, abs=1e-9)
 
 
+def _svd_ratio_and_residual(V, p):
+    """numpy's reference for one sample: the singular value ratio of
+    [X1 | X2 | br] and the norm of br off the QR span of X1, X2."""
+    X1, X2 = np.asarray(real_views(V, p))
+    br = np.asarray(lie_bracket_real(V, p))
+    sv = np.linalg.svd(np.column_stack([X1, X2, br]), compute_uv=False)
+    Q, _ = np.linalg.qr(np.column_stack([X1, X2]))
+    return sv[-1] / sv[0], np.linalg.norm(br - Q @ (Q.T @ br))
+
+
+def _random_field(rng, degree=2):
+    """A random non-holomorphic polynomial field with small rational
+    coefficients, generically not involutive."""
+    def comp():
+        terms = {}
+        for _ in range(3):
+            a, b, c = (int(v) for v in rng.integers(0, degree + 1, 3))
+            if a + b + c <= degree:
+                terms[(a, b, c, degree - a - b - c)] = (Fraction(int(rng.integers(-3, 4)), 2),
+                                                        Fraction(int(rng.integers(-3, 4)), 3))
+        return WirtingerPoly(terms)
+    return VectorFieldC2(comp(), comp(), degree)
+
+
+def test_closed_form_singular_values_match_numpy():
+    # non-involutive 4x3 cases: the closed-form ratio and bracket residual
+    # agree with numpy's SVD and QR to 1e-12 relative
+    rng = np.random.default_rng(8)
+    checked = 0
+    for _ in range(40):
+        V = _random_field(rng)
+        for p in _near(PointC2(0.8 + 0.3j, -0.6 + 0.7j), n=5, seed=int(rng.integers(99))):
+            if np.linalg.norm(real_views(V, p)[0]) < 1e-3:
+                continue
+            ratio, resid = _svd_ratio_and_residual(V, p)
+            if ratio < 1e-6:
+                continue
+            assert involutivity_check(V, [p]).residual == pytest.approx(ratio, rel=1e-12)
+            assert bracket_span_residual(V, p) == pytest.approx(resid, rel=1e-12)
+            checked += 1
+    assert checked >= 100
+
+
+def test_bracket_span_residual_at_a_zero_of_the_field():
+    # X1 = X2 = 0 there, so the bracket vanishes too: a residual of 0, not
+    # a division by |X1|^2 = 0
+    V = VectorFieldC2(mono(1, 0, 0, 0), mono(0, 0, 2, 0), 2)
+    assert bracket_span_residual(V, PointC2(0, 0)) == 0.0
+
+
+def test_closed_form_singular_values_stay_at_noise_on_involutive_fields():
+    V1, _ = derive_candidate_fields(make_pzw())
+    for V, base in ((V1, PointC2(1, 1)), (make_field_v3(), PointC2(1, 1)),
+                    (make_field_nonholo(), PointC2(1, 1)), (make_field_v3(), PointC2(1e3, 2e3))):
+        for p in _near(base, spread=0.1 * base.norm()):
+            ratio, _ = _svd_ratio_and_residual(V, p)
+            assert involutivity_check(V, [p]).residual <= 1e-14
+            assert ratio <= 1e-14
+
+
 # -- transversality ---------------------------------------------------------------
+
+def test_transversality_overflow_is_numeric_error():
+    # det[p | V(p)] = 2zw overflows; inf > inf would read as a false failure
+    with pytest.raises(NumericError, match="overflows a float"):
+        transversality_check(make_field_v3(), PointC2(1e300, 1e300))
+
 
 def test_transversality_pz4():
     V = VectorFieldC2(WirtingerPoly.zero(), mono(1, 1, 0, 0, 4), 2)

@@ -229,6 +229,15 @@ def test_admit_derives_one_hessian(k, m, poly_diffs):
     assert poly_diffs[0] == 14
 
 
+@pytest.mark.parametrize("k, m", [(2, 2), (3, 4), (4, 5)])
+def test_admit_generates_code_for_the_selected_field_only(k, m, code_generations):
+    # the candidates are told apart by exact values; only the selected
+    # field compiles (its values and its Jacobian), where both candidates
+    # compiled before (3 per op)
+    assert _admit(_square(k, m), X_SQUARE) == (True, True, True)
+    assert code_generations[0] == 2
+
+
 def test_admit_ball_control_derives_one_hessian(poly_diffs):
     verdict = _admit(make_ball(), PointC2(1, 1))
     assert verdict == ("homogeneous_even_degree", "levi_determinant_zero")

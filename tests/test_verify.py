@@ -1,5 +1,6 @@
 """Report assembly, determinism, and the sampling-based checks."""
 
+import numpy as np
 import pytest
 
 from leafgauge import (
@@ -15,7 +16,7 @@ from leafgauge import (
     report_to_text,
     run_standard_suite,
 )
-from leafgauge.verify import CheckEntry, check_entry
+from leafgauge.verify import CheckEntry, _min_singular_value, check_entry, leaf_coords_jacobian
 
 
 def test_empty_report_passes_vacuously():
@@ -141,3 +142,15 @@ def test_homogeneity_worked_values(gauge_pz4_n2, gauge_pzw_n4):
     # degree 4 at the scaled base point of the saddle foliation
     got = gauge_eval(gauge_pzw_n4, PointC2(0.95, 0.95))
     assert got == pytest.approx(0.95 ** 4, rel=1e-8)
+
+
+def test_submersion_singular_value_matches_numpy(chart_pz4, chart_pzw, chart_v3, chart_nonholo):
+    # closed form det(J J^T) / l_max against numpy's SVD, on random 2x4
+    # matrices and on the chart Jacobians the check measures
+    rng = np.random.default_rng(4)
+    cases = [tuple(map(tuple, rng.standard_normal((2, 4)))) for _ in range(500)]
+    cases += [leaf_coords_jacobian(c, c.base, 1e-4 * c.base_norm)
+              for c in (chart_pz4, chart_pzw, chart_v3, chart_nonholo)]
+    for J in cases:
+        ref = np.linalg.svd(np.asarray(J), compute_uv=False)[-1]
+        assert _min_singular_value(J) == pytest.approx(ref, rel=1e-12)

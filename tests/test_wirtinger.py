@@ -194,6 +194,15 @@ def test_psh_pzw_passes():
     assert ok and worst >= -1e-9
 
 
+def test_psh_closed_form_eigenvalue_matches_numpy():
+    # the smaller eigenvalue of the 2x2 Hermitian part, against eigvalsh
+    for P in (make_ball(), make_pzw(), make_pz4(), mono(2, 1, 0, 1, 1, 2) + mono(1, 2, 1, 0, 1, -2)):
+        for q in _sphere_samples(20, seed=3):
+            M = np.asarray(hessian_eval(P, q))
+            ref = np.linalg.eigvalsh(0.5 * (M + M.conj().T))[0]
+            assert psh_sample_check(P, [q])[1] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
 def test_psh_negative_example_fails():
     ok, worst = psh_sample_check(mono(1, 1, 0, 0, -1), [PointC2(1, 0)], 1e-9)
     assert not ok
@@ -395,7 +404,7 @@ def test_hessian_and_line_restriction_match_fraction_reference(p, pt):
     H = complex_hessian(real)
     ref = ref_hessian(real)
     assert [[e.terms for e in row] for row in H.entries] == ref
-    assert [_hex(v) for v in hessian_eval(real, pt).ravel()] == \
+    assert [_hex(v) for v in np.asarray(hessian_eval(real, pt)).ravel()] == \
         [_hex(ref_eval(e, pt)) for row in ref for e in row]
     if pt.z != 0 or pt.w != 0:
         assert [c.terms for c in line_hessian_restriction(real, pt)] == \
