@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .charts import ChartConfig, LeafChart, build_chart
-from .errors import AssumptionError
+from .errors import AssumptionError, NumericError
 from .fields import (
     PointC2,
     VectorFieldC2,
@@ -91,6 +91,8 @@ class PipelineConfig:
     def __post_init__(self):
         if min(self.n_samples, self.n_involutivity, self.max_steps) < 1:
             raise ValueError("sample counts and max_steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not all(v > 0 for v in (self.newton_tol, self.root_tol, self.ode_abs_tol,
                                    self.ode_rel_tol, self.max_step,
                                    self.involutivity_tol, self.velocity_step)):
@@ -153,7 +155,10 @@ def validate_hypotheses(P: WirtingerPoly, x: PointC2) -> HypothesisChecklist:
         (h00, h01), (h10, h11) = hessian_eval(P, x)
         norm = math.hypot(h00.real, h00.imag, h01.real, h01.imag,
                           h10.real, h10.imag, h11.real, h11.imag)
-        scale = max(1.0, x.norm()) ** max((deg or 2) - 2, 0)
+        try:
+            scale = max(1.0, x.norm()) ** max((deg or 2) - 2, 0)
+        except OverflowError:
+            raise NumericError(f"Hessian scale at {x} overflows a float") from None
         ok = norm > 1e-8 * scale
         checks.append(HypothesisCheck("hessian_nonzero_at_base", ok, f"norm {norm:.3e}"))
         on_line = is_on_harmonic_line(P, x)
@@ -229,8 +234,8 @@ def _build_and_verify(V: VectorFieldC2, x: PointC2, degree: int,
     chart = build_chart(V, x, cfg.chart_cfg())
     G = build_gauge(chart, degree, bracket_halfwidth=cfg.bracket_halfwidth,
                     root_tol=cfg.root_tol, velocity_step=cfg.velocity_step)
-    entries += run_standard_suite(G, cfg.n_samples, cfg.seed, cfg.t_grid)
-    entries += extra_entries(chart)
+    entries += run_standard_suite(G, cfg.n_samples, cfg.seed, cfg.t_grid,
+                                  extra=[lambda: extra_entries(chart)])
     return G, assemble_report(entries)
 
 
@@ -248,11 +253,8 @@ def run_pipeline(P: WirtingerPoly, x: PointC2, degree: int | None = None,
         raise AssumptionError("selected field does not annihilate the Hessian")
     if degree is None:
         degree = homogeneity_degree(P)
-
-    def extra(chart: LeafChart):
-        return leaf_harmonicity_check(P, V, chart, cfg.n_samples, cfg.seed)
-
-    return _build_and_verify(V, x, degree, cfg, extra)
+    return _build_and_verify(V, x, degree, cfg, lambda chart: leaf_harmonicity_check(
+        P, V, chart, cfg.n_samples, cfg.seed))
 
 
 def run_field_pipeline(V: VectorFieldC2, x: PointC2, degree: int,

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 from .charts import LeafChart, _unit, in_chart_ball, leaf_coords
@@ -42,6 +44,7 @@ __all__ = [
     "check_homogeneity",
     "check_ray_consistency",
     "check_scaling_laws",
+    "run_checks",
     "run_standard_suite",
 ]
 
@@ -424,14 +427,69 @@ def check_scaling_laws(G: GaugeFunction, n_samples: int = 50,
     ]
 
 
+def _run_each(thunks) -> list:
+    """Each thunk's entries, up to and including the first exception."""
+    results = []
+    for thunk in thunks:
+        try:
+            results.append(thunk())
+        except Exception as exc:
+            return results + [exc]
+    return results
+
+
+def run_checks(tasks) -> list[CheckEntry]:
+    """Entries of the (thunk, forked) pairs in `tasks` as running them in
+    order would give, first exception included.  With fork, two usable
+    cores and no other live thread (forking one can deadlock), a worker
+    pinned to the last core runs the `forked` thunks and pipes back their
+    pickled results while this process runs the rest; else all run here."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(cpus) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        results = [iter(_run_each(thunk for thunk, _ in tasks))] * 2
+    else:
+        import pickle
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:                # the worker never returns into the caller
+                os.sched_setaffinity(0, cpus[-1:])
+                with os.fdopen(w, "wb") as out:
+                    out.write(pickle.dumps(_run_each(t for t, forked in tasks if forked)))
+            finally:
+                os._exit(0)
+        os.close(w)
+        try:
+            os.sched_setaffinity(0, cpus[:-1])  # or a fresh fork may share our core
+            mine = _run_each(t for t, forked in tasks if not forked)
+        finally:
+            os.sched_setaffinity(0, cpus)
+            with os.fdopen(r, "rb") as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+        if status != 0 or not data:
+            raise RuntimeError(f"verification worker failed with wait status {status}")
+        results = [iter(mine), iter(pickle.loads(data))]
+    entries = []
+    for _, forked in tasks:
+        result = next(results[forked])
+        if isinstance(result, Exception):
+            raise result
+        entries += result
+    return entries
+
+
 def run_standard_suite(G: GaugeFunction, n_samples: int = 50,
                        seed: int = DEFAULT_SEED,
-                       t_grid=(0.92, 0.96, 1.04, 1.08)) -> list[CheckEntry]:
-    """All chart and gauge checks with shared sampling parameters."""
-    entries = []
-    entries += check_chart(G.chart, n_samples, seed)
-    entries += check_leaf_constancy(G, n_samples, seed)
-    entries += check_homogeneity(G, t_grid, n_samples, seed)
-    entries += check_ray_consistency(G.chart, n_samples, seed)
-    entries += check_scaling_laws(G, n_samples, seed)
-    return entries
+                       t_grid=(0.92, 0.96, 1.04, 1.08), extra=()) -> list[CheckEntry]:
+    """All chart and gauge checks with shared sampling parameters, then the
+    `extra` thunks; leaf constancy and the scaling laws, about half of the
+    work, are the ones a forked worker runs (see run_checks)."""
+    return run_checks([
+        (lambda: check_chart(G.chart, n_samples, seed), False),
+        (lambda: check_leaf_constancy(G, n_samples, seed), True),
+        (lambda: check_homogeneity(G, t_grid, n_samples, seed), False),
+        (lambda: check_ray_consistency(G.chart, n_samples, seed), False),
+        (lambda: check_scaling_laws(G, n_samples, seed), True),
+        *((thunk, False) for thunk in extra),
+    ])

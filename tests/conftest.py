@@ -9,6 +9,7 @@ inside the evaluable domain.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -85,13 +86,39 @@ X_PZW = PointC2(1, 1)
 X_PZ4 = PointC2(1, 0)
 
 
+def serial(monkeypatch) -> None:
+    """Run the verification suite in one process, as on a host without
+    os.sched_getaffinity: work done in a forked worker is not counted here."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A one-element list counting os.fork calls, with the verification
+    suite split across two processes whatever the host's core count: the
+    process sees cores {0, 1}, and pinning a process to cores does nothing."""
+    calls = [0]
+    fork = os.fork
+
+    def counted():
+        calls[0] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
 @pytest.fixture
 def field_evals(monkeypatch):
     """A one-element list counting field evaluations, a deterministic
     measure of solver work: each call of VectorFieldC2.eval_complex, and
     six for each call of a field's generated DP5(4) step (its stages 2-7).
     The class-level property over the cached (first, step) pair takes
-    precedence over the instance cache, so fields built earlier count too."""
+    precedence over the instance cache, so fields built earlier count too.
+    The verification suite runs in this process, so its work counts too."""
+    serial(monkeypatch)
     calls = [0]
     evaluate = VectorFieldC2.eval_complex
     dp5 = VectorFieldC2._dp5
@@ -117,7 +144,9 @@ def field_evals(monkeypatch):
 @pytest.fixture
 def poly_diffs(monkeypatch):
     """A one-element list counting exact formal derivatives (poly_diff
-    calls), the work of deriving complex Hessians and field Jacobians."""
+    calls), the work of deriving complex Hessians and field Jacobians, with
+    the verification suite in this process."""
+    serial(monkeypatch)
     calls = [0]
     diff = wirtinger.poly_diff
 
@@ -133,7 +162,9 @@ def poly_diffs(monkeypatch):
 @pytest.fixture
 def code_generations(monkeypatch):
     """A one-element list counting straight-line code generations
-    (fields._exec calls: a field, its Jacobian or its DP5(4) step)."""
+    (fields._exec calls: a field, its Jacobian or its DP5(4) step), with
+    the verification suite in this process."""
+    serial(monkeypatch)
     calls = [0]
     run = fields._exec
 

@@ -385,6 +385,7 @@ def test_build_runs_without_numpy(tmp_path):
     ["--tol-root", "-1"],
     ["--tol-ode", "-1"],
     ["--chart-radius", "2"],
+    ["--seed", "-1"],
 ])
 def test_bad_config_is_exit_4(flags, tmp_path, capsys):
     # rejected before any work: no vacuous pass, no traceback, no report
@@ -392,3 +393,55 @@ def test_bad_config_is_exit_4(flags, tmp_path, capsys):
     assert main(["build-gauge", fx("pz4.json"), *flags, "--out", str(out)]) == 4
     assert "bad configuration" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_negative_fixture_seed_is_exit_4(tmp_path, capsys):
+    # a seed the sample streams cannot take is bad input, found before any work
+    data = json.loads(Path(fx("pz4.json")).read_text())
+    data["config"]["seed"] = -1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["build-gauge", str(bad), "--out", str(tmp_path / "rep.json")]) == 4
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check-poly", "build-gauge"])
+def test_overflowing_hessian_scale_is_exit_3(command, tmp_path, capsys):
+    # the Hessian of 10^-300 |zw|^2 at this point is finite, its scale
+    # |x|^(deg - 2) is not
+    data = json.loads(Path(fx("pzw.json")).read_text())
+    data["polynomial"][0]["re"] = f"1/{10 ** 300}"
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps(data))
+    assert main([command, str(tiny), "--point", "1e200,0,1e200,0"]) == 3
+    assert "overflows a float" in capsys.readouterr().err
+
+
+def test_build_writes_once(tmp_path):
+    # the forked verification worker never returns into the caller: the
+    # caller's finally block runs once, the report table prints once, and
+    # the build process gets back every core it had
+    log = tmp_path / "finally.log"
+    code = ("import os, sys\n"
+            "if len(os.sched_getaffinity(0)) < 2:\n"
+            "    os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "    os.sched_setaffinity = lambda pid, cpus: None\n"
+            "cores = os.sched_getaffinity(0)\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "import leafgauge.cli\n"
+            "try:\n"
+            f"    code = leafgauge.cli.main(['build-gauge', {fx('pz4.json')!r}, "
+            f"'--out', {str(tmp_path / 'rep.json')!r}])\n"
+            "finally:\n"
+            f"    with open({str(log)!r}, 'a') as f:\n"
+            "        f.write(f'{len(forks)} fork, cores kept: {os.sched_getaffinity(0) == cores}\\n')\n"
+            "sys.exit(code)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert log.read_text().splitlines() == ["1 fork, cores kept: True"]
+    assert proc.stdout.count("overall: pass") == 1
+    assert proc.stdout.startswith("check ")

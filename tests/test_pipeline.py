@@ -1,5 +1,6 @@
 """End-to-end pipelines: hypothesis gate, leaf harmonicity, full runs."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,49 @@ def test_build_work_count_ceiling(field_evals):
     _, report = run_field_pipeline(fx.field, fx.point, fx.degree, resolve_config(fx.config))
     assert report.overall_pass
     assert field_evals[0] <= 150_000
+    # and exactly, so that work done out of sight (a forked worker) fails it
+    assert field_evals[0] == 100_082
+
+
+def _fixture_build(name: str, seed: int):
+    from leafgauge.fixtures import load_fixture, resolve_config
+    from conftest import FIXTURE_DIR
+
+    fx = load_fixture(FIXTURE_DIR / f"{name}.json")
+    cfg = resolve_config(fx.config, seed=seed)
+    if fx.field is not None:
+        return run_field_pipeline(fx.field, fx.point, fx.degree, cfg)
+    return run_pipeline(fx.polynomial, fx.point, fx.degree, cfg)
+
+
+@pytest.mark.parametrize("name", ["pzw", "pz4", "field_v3", "field_nonholo"])
+def test_reports_identical_with_and_without_worker(name, forks, monkeypatch):
+    # the shipped configs at three seeds: the worker moves no sample and no byte
+    from leafgauge import report_to_json
+    from conftest import serial
+
+    split = [report_to_json(_fixture_build(name, seed)[1]) for seed in (1, 7, 0x5EED)]
+    assert forks[0] == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    serial(monkeypatch)
+    assert [report_to_json(_fixture_build(name, seed)[1]) for seed in (1, 7, 0x5EED)] == split
+    assert forks[0] == 3
+
+
+def test_failed_build_leaves_no_worker(forks, monkeypatch):
+    import leafgauge.verify as verify
+    from leafgauge.errors import RootSearchError
+
+    def boom(*args):
+        raise RootSearchError("boom")
+
+    monkeypatch.setattr(verify, "check_scaling_laws", boom)
+    with pytest.raises(RootSearchError, match="^boom$"):
+        run_pipeline(make_pz4(), PointC2(1, 0), None, CFG_PZ4)
+    assert forks[0] == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # -- exact work of one admissibility verdict -----------------------------------

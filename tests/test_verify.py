@@ -1,10 +1,16 @@
 """Report assembly, determinism, and the sampling-based checks."""
 
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 
+from leafgauge import verify
 from leafgauge import (
     NumericError,
+    RootSearchError,
     assemble_report,
     build_gauge,
     check_chart,
@@ -16,7 +22,8 @@ from leafgauge import (
     report_to_text,
     run_standard_suite,
 )
-from leafgauge.verify import CheckEntry, _min_singular_value, check_entry, leaf_coords_jacobian
+from leafgauge.verify import (CheckEntry, _min_singular_value, check_entry, leaf_coords_jacobian,
+                             run_checks)
 
 
 def test_empty_report_passes_vacuously():
@@ -154,3 +161,103 @@ def test_submersion_singular_value_matches_numpy(chart_pz4, chart_pzw, chart_v3,
     for J in cases:
         ref = np.linalg.svd(np.asarray(J), compute_uv=False)[-1]
         assert _min_singular_value(J) == pytest.approx(ref, rel=1e-12)
+
+
+# -- the suite across two processes ------------------------------------------
+
+def _raise(exc):
+    def check(*args):
+        raise exc
+    return check
+
+
+def _assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_side_error_surfaces(gauge_pz4_n4, forks, monkeypatch):
+    monkeypatch.setattr(verify, "check_leaf_constancy", _raise(RootSearchError("boom")))
+    with pytest.raises(RootSearchError, match="^boom$"):
+        run_standard_suite(gauge_pz4_n4, n_samples=10)
+    assert forks[0] == 1
+    _assert_no_worker_left()
+
+
+@pytest.mark.parametrize("parent_check, first", [
+    ("check_chart", "parent"),          # serial index 0 comes before 1
+    ("check_homogeneity", "worker"),    # serial index 1 comes before 2
+])
+def test_first_error_in_serial_order_wins(gauge_pz4_n4, forks, monkeypatch, parent_check, first):
+    # leaf constancy runs in the worker, chart and homogeneity here
+    errors = {"worker": RootSearchError("boom"), "parent": NumericError("parent")}
+    monkeypatch.setattr(verify, "check_leaf_constancy", _raise(errors["worker"]))
+    monkeypatch.setattr(verify, parent_check, _raise(errors["parent"]))
+    with pytest.raises(NumericError) as info:
+        run_standard_suite(gauge_pz4_n4, n_samples=10)
+    assert type(info.value) is type(errors[first])
+    assert str(info.value) == str(errors[first])
+    assert forks[0] == 1
+    _assert_no_worker_left()
+
+
+@pytest.mark.parametrize("death", [lambda: os._exit(1),
+                                   lambda: os.kill(os.getpid(), signal.SIGKILL)])
+def test_dead_worker_is_runtime_error(gauge_pz4_n4, forks, monkeypatch, death):
+    fork = os.fork
+
+    def dying_fork():
+        # the worker dies before it writes anything
+        pid = fork()
+        if pid == 0:
+            death()
+        return pid
+
+    monkeypatch.setattr(os, "fork", dying_fork)
+    with pytest.raises(RuntimeError, match="wait status"):
+        run_standard_suite(gauge_pz4_n4, n_samples=10)
+    assert forks[0] == 1
+    _assert_no_worker_left()
+
+
+def test_unpicklable_result_is_runtime_error(forks):
+    tasks = [(lambda: [check_entry("a", 0.0, 1.0)], False), (lambda: [lambda: 0], True)]
+    with pytest.raises(RuntimeError, match="wait status"):
+        run_checks(tasks)
+    assert forks[0] == 1
+
+
+def _tasks():
+    return [(lambda: [check_entry("a", 0.0, 1.0)], False),
+            (lambda: [check_entry("b", 2.0, 1.0)], True),
+            (lambda: [check_entry("c", 0.0, 1.0), check_entry("d", 0.0, 1.0)], True),
+            (lambda: [check_entry("e", 0.0, 1.0)], False)]
+
+
+def test_split_keeps_serial_order(forks, monkeypatch):
+    pins = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(list(cpus)))
+    assert [e.name for e in run_checks(_tasks())] == ["a", "b", "c", "d", "e"]
+    assert forks[0] == 1
+    # this process keeps the cores but the worker's while both run, then all
+    assert pins == [[0], [0, 1]]
+
+
+def test_no_fork_with_a_second_thread(forks):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        entries = run_checks(_tasks())
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks[0] == 0
+    assert [e.name for e in entries] == ["a", "b", "c", "d", "e"]
+
+
+def test_no_fork_on_one_core(forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert [e.name for e in run_checks(_tasks())] == ["a", "b", "c", "d", "e"]
+    assert forks[0] == 0
