@@ -253,8 +253,11 @@ def run_pipeline(P: WirtingerPoly, x: PointC2, degree: int | None = None,
         raise AssumptionError("selected field does not annihilate the Hessian")
     if degree is None:
         degree = homogeneity_degree(P)
-    return _build_and_verify(V, x, degree, cfg, lambda chart: leaf_harmonicity_check(
-        P, V, chart, cfg.n_samples, cfg.seed))
+
+    def extra(chart: LeafChart):
+        return leaf_harmonicity_check(P, V, chart, cfg.n_samples, cfg.seed)
+
+    return _build_and_verify(V, x, degree, cfg, extra)
 
 
 def run_field_pipeline(V: VectorFieldC2, x: PointC2, degree: int,

@@ -442,10 +442,10 @@ def run_checks(tasks) -> list[CheckEntry]:
     """Entries of the (thunk, forked) pairs in `tasks` as running them in
     order would give, first exception included.  With fork, two usable
     cores and no other live thread (forking one can deadlock), a worker
-    pinned to the last core runs the `forked` thunks and pipes back their
-    pickled results while this process runs the rest; else all run here."""
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    if len(cpus) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    runs the `forked` thunks and pipes back their pickled results while
+    this process runs the rest; else all run here."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1):
         results = [iter(_run_each(thunk for thunk, _ in tasks))] * 2
     else:
         import pickle
@@ -453,23 +453,22 @@ def run_checks(tasks) -> list[CheckEntry]:
         pid = os.fork()
         if pid == 0:
             try:                # the worker never returns into the caller
-                os.sched_setaffinity(0, cpus[-1:])
                 with os.fdopen(w, "wb") as out:
                     out.write(pickle.dumps(_run_each(t for t, forked in tasks if forked)))
             finally:
                 os._exit(0)
         os.close(w)
         try:
-            os.sched_setaffinity(0, cpus[:-1])  # or a fresh fork may share our core
             mine = _run_each(t for t, forked in tasks if not forked)
         finally:
-            os.sched_setaffinity(0, cpus)
             with os.fdopen(r, "rb") as pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
-        if status != 0 or not data:
-            raise RuntimeError(f"verification worker failed with wait status {status}")
-        results = [iter(mine), iter(pickle.loads(data))]
+        # a dead worker fails where the walk first needs it, so an earlier
+        # error of this process still wins as it would in serial order
+        theirs = (pickle.loads(data) if status == 0 and data else
+                  [RuntimeError(f"verification worker failed with wait status {status}")])
+        results = [iter(mine), iter(theirs)]
     entries = []
     for _, forked in tasks:
         result = next(results[forked])

@@ -96,7 +96,7 @@ def serial(monkeypatch) -> None:
 def forks(monkeypatch):
     """A one-element list counting os.fork calls, with the verification
     suite split across two processes whatever the host's core count: the
-    process sees cores {0, 1}, and pinning a process to cores does nothing."""
+    process sees cores {0, 1}."""
     calls = [0]
     fork = os.fork
 
@@ -105,7 +105,6 @@ def forks(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
     monkeypatch.setattr(os, "fork", counted)
     return calls
 

@@ -201,9 +201,7 @@ def test_first_error_in_serial_order_wins(gauge_pz4_n4, forks, monkeypatch, pare
     _assert_no_worker_left()
 
 
-@pytest.mark.parametrize("death", [lambda: os._exit(1),
-                                   lambda: os.kill(os.getpid(), signal.SIGKILL)])
-def test_dead_worker_is_runtime_error(gauge_pz4_n4, forks, monkeypatch, death):
+def _dying_fork(death):
     fork = os.fork
 
     def dying_fork():
@@ -212,9 +210,25 @@ def test_dead_worker_is_runtime_error(gauge_pz4_n4, forks, monkeypatch, death):
         if pid == 0:
             death()
         return pid
+    return dying_fork
 
-    monkeypatch.setattr(os, "fork", dying_fork)
+
+@pytest.mark.parametrize("death", [lambda: os._exit(1),
+                                   lambda: os.kill(os.getpid(), signal.SIGKILL)])
+def test_dead_worker_is_runtime_error(gauge_pz4_n4, forks, monkeypatch, death):
+    monkeypatch.setattr(os, "fork", _dying_fork(death))
     with pytest.raises(RuntimeError, match="wait status"):
+        run_standard_suite(gauge_pz4_n4, n_samples=10)
+    assert forks[0] == 1
+    _assert_no_worker_left()
+
+
+def test_earlier_error_wins_over_dead_worker(gauge_pz4_n4, forks, monkeypatch):
+    # check_chart comes first in serial order, so its error is the one a
+    # one-process run raises, whatever happened to the worker
+    monkeypatch.setattr(os, "fork", _dying_fork(lambda: os._exit(1)))
+    monkeypatch.setattr(verify, "check_chart", _raise(NumericError("parent")))
+    with pytest.raises(NumericError, match="^parent$"):
         run_standard_suite(gauge_pz4_n4, n_samples=10)
     assert forks[0] == 1
     _assert_no_worker_left()
@@ -234,13 +248,9 @@ def _tasks():
             (lambda: [check_entry("e", 0.0, 1.0)], False)]
 
 
-def test_split_keeps_serial_order(forks, monkeypatch):
-    pins = []
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(list(cpus)))
+def test_split_keeps_serial_order(forks):
     assert [e.name for e in run_checks(_tasks())] == ["a", "b", "c", "d", "e"]
     assert forks[0] == 1
-    # this process keeps the cores but the worker's while both run, then all
-    assert pins == [[0], [0, 1]]
 
 
 def test_no_fork_with_a_second_thread(forks):
