@@ -440,10 +440,9 @@ def _run_each(thunks) -> list:
 
 def run_checks(tasks) -> list[CheckEntry]:
     """Entries of the (thunk, forked) pairs in `tasks` as running them in
-    order would give, first exception included.  With fork, two usable
-    cores and no other live thread (forking one can deadlock), a worker
-    runs the `forked` thunks and pipes back their pickled results while
-    this process runs the rest; else all run here."""
+    order would give, first exception included.  Given fork, two usable
+    cores and no other live thread (forking one can deadlock), a worker runs
+    the `forked` thunks and pipes back their pickled results; else all run here."""
     if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1):
         results = [iter(_run_each(thunk for thunk, _ in tasks))] * 2
@@ -464,8 +463,7 @@ def run_checks(tasks) -> list[CheckEntry]:
             with os.fdopen(r, "rb") as pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
-        # a dead worker fails where the walk first needs it, so an earlier
-        # error of this process still wins as it would in serial order
+        # a dead worker fails where the walk first needs it: earlier errors win
         theirs = (pickle.loads(data) if status == 0 and data else
                   [RuntimeError(f"verification worker failed with wait status {status}")])
         results = [iter(mine), iter(theirs)]
