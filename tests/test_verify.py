@@ -184,23 +184,6 @@ def test_worker_side_error_surfaces(gauge_pz4_n4, forks, monkeypatch):
     _assert_no_worker_left()
 
 
-@pytest.mark.parametrize("parent_check, first", [
-    ("check_chart", "parent"),          # serial index 0 comes before 1
-    ("check_homogeneity", "worker"),    # serial index 1 comes before 2
-])
-def test_first_error_in_serial_order_wins(gauge_pz4_n4, forks, monkeypatch, parent_check, first):
-    # leaf constancy runs in the worker, chart and homogeneity here
-    errors = {"worker": RootSearchError("boom"), "parent": NumericError("parent")}
-    monkeypatch.setattr(verify, "check_leaf_constancy", _raise(errors["worker"]))
-    monkeypatch.setattr(verify, parent_check, _raise(errors["parent"]))
-    with pytest.raises(NumericError) as info:
-        run_standard_suite(gauge_pz4_n4, n_samples=10)
-    assert type(info.value) is type(errors[first])
-    assert str(info.value) == str(errors[first])
-    assert forks[0] == 1
-    _assert_no_worker_left()
-
-
 def _dying_fork(death):
     fork = os.fork
 
@@ -213,22 +196,32 @@ def _dying_fork(death):
     return dying_fork
 
 
+@pytest.mark.parametrize("parent_check, first, worker_dies", [
+    ("check_chart", "parent", False),           # serial index 0 comes before 1
+    ("check_chart", "parent", True),            # whatever happens to the worker
+    ("check_homogeneity", "worker", False),     # serial index 1 comes before 2
+])
+def test_first_error_in_serial_order_wins(gauge_pz4_n4, forks, monkeypatch, parent_check, first,
+                                          worker_dies):
+    # leaf constancy runs in the worker, chart and homogeneity here
+    if worker_dies:
+        monkeypatch.setattr(os, "fork", _dying_fork(lambda: os._exit(1)))
+    errors = {"worker": RootSearchError("boom"), "parent": NumericError("parent")}
+    monkeypatch.setattr(verify, "check_leaf_constancy", _raise(errors["worker"]))
+    monkeypatch.setattr(verify, parent_check, _raise(errors["parent"]))
+    with pytest.raises(NumericError) as info:
+        run_standard_suite(gauge_pz4_n4, n_samples=10)
+    assert type(info.value) is type(errors[first])
+    assert str(info.value) == str(errors[first])
+    assert forks[0] == 1
+    _assert_no_worker_left()
+
+
 @pytest.mark.parametrize("death", [lambda: os._exit(1),
                                    lambda: os.kill(os.getpid(), signal.SIGKILL)])
 def test_dead_worker_is_runtime_error(gauge_pz4_n4, forks, monkeypatch, death):
     monkeypatch.setattr(os, "fork", _dying_fork(death))
     with pytest.raises(RuntimeError, match="wait status"):
-        run_standard_suite(gauge_pz4_n4, n_samples=10)
-    assert forks[0] == 1
-    _assert_no_worker_left()
-
-
-def test_earlier_error_wins_over_dead_worker(gauge_pz4_n4, forks, monkeypatch):
-    # check_chart comes first in serial order, so its error is the one a
-    # one-process run raises, whatever happened to the worker
-    monkeypatch.setattr(os, "fork", _dying_fork(lambda: os._exit(1)))
-    monkeypatch.setattr(verify, "check_chart", _raise(NumericError("parent")))
-    with pytest.raises(NumericError, match="^parent$"):
         run_standard_suite(gauge_pz4_n4, n_samples=10)
     assert forks[0] == 1
     _assert_no_worker_left()
