@@ -51,8 +51,8 @@ class ChartConfig:
     def __post_init__(self):
         if not (0 < self.radius_scale < 1):
             raise ValueError("radius_scale must lie in (0, 1)")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError("newton_tol must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,15 +75,47 @@ class PointC2:
 # no exponent can push the compiler into its recursion limit.
 _CHUNK = 32
 
-# Dormand-Prince 5(4) tableau (Dormand & Prince 1980): the rows of stages
-# 2-6, the 5th-order weights (also the row of the FSAL stage 7) and the
-# error weights, the difference to the embedded 4th-order ones.  Zero
-# weights are left out of the emitted sums.
-_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+# Runge-Kutta pairs as (rows of stages 2-s, weights, error rows): the weights
+# are also the row of the FSAL stage s + 1, the field at the update, and each
+# error row gives one estimate.  Zero weights are left out of the emitted sums.
+# Dormand-Prince 5(4) (Dormand & Prince 1980): one error row, the difference
+# of the 5th-order weights to the embedded 4th-order ones.
+_DP5 = (((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
          (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+        ((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),))
+# Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
+# sec. II.10), the decimals of Hairer's dop853.f rounded to doubles: the 5th-
+# order error row, then the difference of the 8th-order weights to the
+# embedded 3rd-order ones.
+_DOP853_B = (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+             1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+             -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+_DOP853 = (
+    ((0.05260015195876773,), (0.0197250569845379, 0.0591751709536137),
+     (0.02958758547680685, 0.0, 0.08876275643042054),
+     (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+     (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+     (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+     (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+      -0.015319437748624402, 0.008273789163814023),
+     (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+      27.59209969944671, 20.154067550477894, -43.48988418106996),
+     (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+      21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+     (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+      -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+      -3.0467644718982196),
+     (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+      -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+      12.360567175794303, 0.6433927460157636)),
+    _DOP853_B,
+    ((0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+      1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+      -0.022355307863886294),
+     tuple(b - c for b, c in zip(_DOP853_B, (0.2440944881889764, 0, 0, 0, 0, 0, 0, 0,
+                                              0.7338466882816118, 0, 0, 0.022058823529411766)))))
 
 # Stage k = mix * V(z, w), after the nonvanishing monitor on V(z, w) = (r0, r1).
 _STAGE = """\
@@ -133,20 +165,22 @@ def _exec(defs: dict, name: str, ns: dict) -> tuple:
 
 def _compile(polys: Sequence[WirtingerPoly], name: str):
     """Straight-line float code for (z, w) -> (p(z, w) for p in polys); the
-    same statements are inlined into every stage of the generated DP5(4) step."""
+    same statements are inlined into every stage of the generated flow steps."""
     ns: dict = {}
     body = _field_lines(polys, ns) + ["return " + ", ".join(f"r{k}" for k in range(len(polys)))]
     return _exec({"f(z, w)": body}, name, ns)[0]
 
 
-def _compile_dp5(V: "VectorFieldC2"):
-    """Straight-line code of one Dormand-Prince 5(4) step of q' = mix * V(q):
-    first(z, w, vz, vw, mix) -> (k1z, k1w) takes the first stage from a
-    given field value, and step(z, w, h, mix, k1z, k1w, atol, rtol) ->
-    (zn, wn, k7z, k7w, err_sq) runs stages 2-7 with the field inlined and
-    returns the 5th-order update, its FSAL stage and the sum of the squared
-    scaled errors of the four real components.  Every stage runs the
-    nonvanishing monitor on its field value."""
+def _compile_step(V: "VectorFieldC2", tableau, name: str):
+    """Straight-line code of one step of the Runge-Kutta pair tableau (_DP5
+    or _DOP853) on q' = mix * V(q): first(z, w, vz, vw, mix) -> (k1z, k1w)
+    takes the first stage from a given field value, and step(z, w, h, mix,
+    k1z, k1w, atol, rtol) -> (zn, wn, kz, kw, err, ...) runs stages 2 to
+    s + 1 with the field inlined and returns the update, its FSAL stage and,
+    per error row, the sum of the squared scaled errors (h included) of the
+    four real components.  Every stage runs the nonvanishing monitor on its
+    field value."""
+    rows, weights, errors = tableau
     polys = (V.comp_z, V.comp_w)
     ns = dict(deg=V.degree, thr_sq=NONVANISH_THRESHOLD * NONVANISH_THRESHOLD,
               NumericError=NumericError, RankDropError=RankDropError)
@@ -159,22 +193,26 @@ def _compile_dp5(V: "VectorFieldC2"):
         return _field_lines(polys, ns, z, w) + _STAGE.format(z=z, w=w, k=k).split("\n")
 
     step = []
-    for k, row in enumerate(_DP_A, 2):
+    for k, row in enumerate(rows, 2):
         step += [f"z{k} = z + h * ({combo(row, f'A{k}', 'z')})",
                  f"w{k} = w + h * ({combo(row, f'A{k}', 'w')})", *stage(f"z{k}", f"w{k}", k)]
-    step += [f"zn = z + h * ({combo(_DP_B, 'B', 'z')})",
-             f"wn = w + h * ({combo(_DP_B, 'B', 'w')})", *stage("zn", "wn", 7),
-             f"ez = h * ({combo(_DP_E, 'E', 'z')})", f"ew = h * ({combo(_DP_E, 'E', 'w')})"]
-    err = "err ="
+    fsal = len(rows) + 2
+    step += [f"zn = z + h * ({combo(weights, 'B', 'z')})",
+             f"wn = w + h * ({combo(weights, 'B', 'w')})", *stage("zn", "wn", fsal)]
+    for i, row in enumerate(errors):  # weights E1, E2, ... of the first row, F1, ... of the second
+        step += [f"e{i}{v} = h * ({combo(row, 'EF'[i], v)})" for v in "zw"]
+    add = ""
     for v in "zw":
         for part in ("real", "imag"):
             step += [f"y = abs({v}.{part})", f"yn = abs({v}n.{part})",
-                     f"{err} (e{v}.{part} / (atol + rtol * (yn if yn > y else y))) ** 2"]
-            err = "err +="
-    step.append("return zn, wn, k7z, k7w, err")
+                     "sc = atol + rtol * (yn if yn > y else y)"]
+            step += [f"err{i} {add}= (e{i}{v}.{part} / sc) ** 2" for i in range(len(errors))]
+            add = "+"
+    errs = ", ".join(f"err{i}" for i in range(len(errors)))
+    step.append(f"return zn, wn, k{fsal}z, k{fsal}w, {errs}")
     first = _STAGE.format(z="z", w="w", k=1).split("\n") + ["return k1z, k1w"]
     return _exec({"first(z, w, r0, r1, mix)": first,
-                  "step(z, w, h, mix, k1z, k1w, atol, rtol)": step}, "dp5", ns)
+                  "step(z, w, h, mix, k1z, k1w, atol, rtol)": step}, name, ns)
 
 
 @dataclass(frozen=True)
@@ -207,7 +245,12 @@ class VectorFieldC2:
     @cached_property
     def _dp5(self):
         # (first, step) of the DP5(4) flow; generated lazily, at the first flow
-        return _compile_dp5(self)
+        return _compile_step(self, _DP5, "dp5")
+
+    @cached_property
+    def _dop853(self):
+        # (first, step) of the DOP853 flow; generated at the first long flow
+        return _compile_step(self, _DOP853, "dop853")
 
     @cached_property
     def _real_derivative_polys(self):

@@ -154,12 +154,12 @@ def _expand(key: str, value, kwargs: dict) -> None:
 def resolve_config(fixture_config: dict, **overrides) -> PipelineConfig:
     """Defaults <- fixture config <- keyword overrides (None means unset)."""
     kwargs: dict = {}
-    for key, value in fixture_config.items():
-        _expand(key, value, kwargs)
-    for key, value in overrides.items():
-        if value is not None:
-            _expand(key, value, kwargs)
     try:
+        for key, value in fixture_config.items():
+            _expand(key, value, kwargs)
+        for key, value in overrides.items():
+            if value is not None:
+                _expand(key, value, kwargs)
         return PipelineConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FixtureError(f"bad configuration: {exc}") from exc

@@ -5,16 +5,21 @@ views of V and i*V, sweep out the leaves of the induced foliation.  Since
 a*X1 + b*X2 is the real view of (a + i b)*V, the right-hand side costs one
 complex field evaluation.
 
-The stepper is a Dormand-Prince 5(4) embedded pair with the usual mixed
-absolute/relative error control and the FSAL reuse of the last stage.  It
-is hand-rolled rather than delegated so that the step budget and the
-rank-drop monitor (field norm falling below the nonvanishing threshold)
-are first-class failures, and so that runs are bit-deterministic.  Each
-field generates its own straight-line step (VectorFieldC2._dp5): the six
-stage evaluations with the field expressions, the monitor and the error
-norm inlined, on the complex state (z, w).  This integrator sits under
-every chart projection and gauge evaluation, so only the step-size
-control is left here.
+The stepper is an embedded Runge-Kutta pair with the usual mixed
+absolute/relative error control and the FSAL reuse of the last stage: the
+Dormand-Prince 5(4) pair for short flows, and the 8th-order DOP853 pair
+(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10) for flows whose
+first-stage displacement reaches LONG_FLOW of the state norm, where its
+higher order takes far fewer stages.  The choice is made once per flow, and
+one step-size control serves both.  The stepper is hand-rolled rather than
+delegated so that the step budget and the rank-drop monitor (field norm
+falling below the nonvanishing threshold) are first-class failures, and so
+that runs are bit-deterministic.  Each field generates its own
+straight-line steps (VectorFieldC2._dp5 and _dop853): the stage
+evaluations with the field expressions, the monitor and the error sums
+inlined, on the complex state (z, w).  This integrator sits under every
+chart projection and gauge evaluation, so only the step-size control is
+left here.
 """
 
 from __future__ import annotations
@@ -39,8 +44,9 @@ class FlowConfig:
     max_steps: int = 20000
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.max_step > 0):
-            raise ValueError("tolerances and max_step must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.abs_tol, self.rel_tol, self.max_step)):
+            raise ValueError("tolerances and max_step must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -48,6 +54,9 @@ class FlowConfig:
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+# A flow whose first-stage displacement |s| |k1| reaches this fraction of |q0|
+# takes the DOP853 step; shorter ones, such as Newton corrections, DP5(4).
+LONG_FLOW = 1e-2
 
 
 def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
@@ -77,12 +86,17 @@ def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
     direction = 1.0 if s > 0 else -1.0
     t = 0.0
 
-    # Hairer-style initial step: a small fraction of the solution scale over
-    # the derivative scale, so the first attempt is rarely rejected.
+    # Hairer-style initial step: a fraction of the solution scale over the
+    # derivative scale, so the first attempt is rarely rejected.  A long flow
+    # takes the DOP853 step, whose order lets the first attempt be larger.
     d0 = math.sqrt(sum(v * v for v in (z.real, z.imag, w.real, w.imag)))
     d1 = math.sqrt(sum(v * v for v in (k1z.real, k1z.imag, k1w.real, k1w.imag)))
-    h = min(abs(s), cfg.max_step, 0.01 * (d0 + atol) / (d1 + 1e-300))
+    long = abs(s) * d1 >= LONG_FLOW * d0
+    if long:
+        step = V._dop853[1]
+    h = min(abs(s), cfg.max_step, (1.0 if long else 0.01) * (d0 + atol) / (d1 + 1e-300))
     h = direction * max(h, 1e-12 * abs(s))
+    expo = -1 / 8 if long else -1 / 5
 
     steps = 0
     while direction * (s - t) > 1e-16 * abs(s):
@@ -91,17 +105,23 @@ def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
         steps += 1
         if direction * (t + h) > direction * s:
             h = s - t
-        zn, wn, k7z, k7w, err = step(z, w, h, mix, k1z, k1w, atol, rtol)
-        err = math.sqrt(err / 4.0)
+        if long:
+            zn, wn, kz, kw, e5, e3 = step(z, w, h, mix, k1z, k1w, atol, rtol)
+            # Hairer's combined estimate |h| E5^2 / sqrt((E5^2 + E3^2 / 100) n),
+            # with h inside both sums
+            err = e5 / math.sqrt((e5 + 0.01 * e3) * 4.0) if e5 else 0.0
+        else:
+            zn, wn, kz, kw, err = step(z, w, h, mix, k1z, k1w, atol, rtol)
+            err = math.sqrt(err / 4.0)
 
         if err <= 1.0:
             t += h
             z, w = zn, wn
-            k1z, k1w = k7z, k7w  # FSAL
+            k1z, k1w = kz, kw  # FSAL
             factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
+                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** expo))
         else:
-            factor = max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            factor = max(_MIN_FACTOR, _SAFETY * err ** expo)
         h *= factor
         if abs(h) > cfg.max_step:
             h = direction * cfg.max_step

@@ -93,10 +93,11 @@ class PipelineConfig:
             raise ValueError("sample counts and max_steps must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not all(v > 0 for v in (self.newton_tol, self.root_tol, self.ode_abs_tol,
-                                   self.ode_rel_tol, self.max_step,
-                                   self.involutivity_tol, self.velocity_step)):
-            raise ValueError("tolerances and steps must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.newton_tol, self.root_tol, self.ode_abs_tol,
+                             self.ode_rel_tol, self.max_step,
+                             self.involutivity_tol, self.velocity_step)):
+            raise ValueError("tolerances and steps must be positive and finite")
         if not (0 < self.chart_radius < 1 and 0 < self.bracket_halfwidth < 1):
             raise ValueError("chart_radius and bracket_halfwidth must lie in (0, 1)")
 

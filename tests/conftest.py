@@ -112,31 +112,35 @@ def forks(monkeypatch):
 @pytest.fixture
 def field_evals(monkeypatch):
     """A one-element list counting field evaluations, a deterministic
-    measure of solver work: each call of VectorFieldC2.eval_complex, and
-    six for each call of a field's generated DP5(4) step (its stages 2-7).
-    The class-level property over the cached (first, step) pair takes
-    precedence over the instance cache, so fields built earlier count too.
-    The verification suite runs in this process, so its work counts too."""
+    measure of solver work: each call of VectorFieldC2.eval_complex, six for
+    each call of a field's generated DP5(4) step (its stages 2-7) and twelve
+    for each call of its DOP853 step (stages 2-13).  The class-level
+    properties over the cached (first, step) pairs take precedence over the
+    instance caches, so fields built earlier count too.  The verification
+    suite runs in this process, so its work counts too."""
     serial(monkeypatch)
     calls = [0]
     evaluate = VectorFieldC2.eval_complex
-    dp5 = VectorFieldC2._dp5
 
     def counted(self, z, w):
         calls[0] += 1
         return evaluate(self, z, w)
 
-    def counted_dp5(self):
-        first, step = dp5.__get__(self, VectorFieldC2)
+    def counting(cached, stages):
+        def pair(self):
+            first, step = cached.__get__(self, VectorFieldC2)
 
-        def counted_step(*args):
-            calls[0] += 6
-            return step(*args)
+            def counted_step(*args):
+                calls[0] += stages
+                return step(*args)
 
-        return first, counted_step
+            return first, counted_step
+
+        return property(pair)
 
     monkeypatch.setattr(VectorFieldC2, "eval_complex", counted)
-    monkeypatch.setattr(VectorFieldC2, "_dp5", property(counted_dp5))
+    monkeypatch.setattr(VectorFieldC2, "_dp5", counting(VectorFieldC2._dp5, 6))
+    monkeypatch.setattr(VectorFieldC2, "_dop853", counting(VectorFieldC2._dop853, 12))
     return calls
 
 
@@ -161,7 +165,7 @@ def poly_diffs(monkeypatch):
 @pytest.fixture
 def code_generations(monkeypatch):
     """A one-element list counting straight-line code generations
-    (fields._exec calls: a field, its Jacobian or its DP5(4) step), with
+    (fields._exec calls: a field, its Jacobian or one of its flow steps), with
     the verification suite in this process."""
     serial(monkeypatch)
     calls = [0]

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -386,6 +387,9 @@ def test_build_runs_without_numpy(tmp_path):
     ["--tol-ode", "-1"],
     ["--chart-radius", "2"],
     ["--seed", "-1"],
+    ["--tol-root", "inf"],
+    ["--tol-ode", "inf"],
+    ["--tol-ode", "nan"],
 ])
 def test_bad_config_is_exit_4(flags, tmp_path, capsys):
     # rejected before any work: no vacuous pass, no traceback, no report
@@ -393,6 +397,23 @@ def test_bad_config_is_exit_4(flags, tmp_path, capsys):
     assert main(["build-gauge", fx("pz4.json"), *flags, "--out", str(out)]) == 4
     assert "bad configuration" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("tol_root", math.inf), ("tol_ode", math.inf),
+                                        ("max_step", math.inf), ("samples", math.inf),
+                                        ("samples", math.nan), ("seed", "abc"),
+                                        ("tol_root", "abc")])
+def test_bad_fixture_config_is_exit_4(key, value, tmp_path, capsys):
+    # an infinite tolerance switched error control off (the suite passed
+    # vacuously and the report failed to serialize, or the chart failed),
+    # and a value that is no number escaped as a traceback
+    data = json.loads(Path(fx("pzw.json")).read_text())
+    data["config"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["build-gauge", str(bad), "--out", str(tmp_path / "rep.json")]) == 4
+    assert "bad configuration" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
 
 
 def test_negative_fixture_seed_is_exit_4(tmp_path, capsys):

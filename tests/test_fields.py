@@ -23,6 +23,7 @@ from leafgauge import (
     select_field,
     transversality_check,
 )
+from leafgauge import fields
 from leafgauge.fields import real_views
 from conftest import make_ball, make_field_bad, make_field_nonholo, make_field_v3, make_pz4, make_pzw
 
@@ -381,7 +382,7 @@ def test_compiled_bracket_matches_exact_bracket():
             assert err <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("code", ["field", "dp5"])
+@pytest.mark.parametrize("code", ["field", "dp5", "dop853"])
 def test_compiled_evaluator_handles_high_degree(code):
     # one term of degree 4000, deeper than the compiler accepts as a single
     # expression: the flat statements still compile, and the product
@@ -393,25 +394,38 @@ def test_compiled_evaluator_handles_high_degree(code):
     else:
         # a degree-4000 monomial is always below the relative nonvanishing
         # threshold, so switch the step's monitor off; a zero step puts
-        # every stage at (z, w), and stage 7 with mix = 1 is V(z, w)
-        _, step = V._dp5
+        # every stage at (z, w), and the FSAL stage with mix = 1 is V(z, w)
+        _, step = getattr(V, "_" + code)
         step.__globals__.update(deg=0, thr_sq=-1.0)
-        _, _, got, zero, _ = step(z, w, 0.0, 1 + 0j, 0j, 0j, 1e-12, 1e-12)
+        got, zero = step(z, w, 0.0, 1 + 0j, 0j, 0j, 1e-12, 1e-12)[2:4]
     want = (1 - 1j) * z ** 1500 * z.conjugate() ** 1000 * w ** 900 * w.conjugate() ** 600
     assert zero == 0
     assert abs(got - want) <= 1e-11 * abs(want)
 
 
-@pytest.mark.parametrize("code", ["field", "dp5"])
+def _tableau_names(tableau):
+    rows, weights, errors = tableau
+    return ([f"A{k}{j}" for k, row in enumerate(rows, 2) for j, a in enumerate(row, 1) if a]
+            + [f"B{j}" for j, b in enumerate(weights, 1) if b]
+            + [f"{p}{j}" for p, row in zip("EF", errors) for j, e in enumerate(row, 1) if e])
+
+
+@pytest.mark.parametrize("code", ["field", "dp5", "dop853"])
 def test_compiled_code_hygiene(code):
     V = make_field_nonholo()
-    fns = (V._eval,) if code == "field" else V._dp5
+    fns = (V._eval,) if code == "field" else getattr(V, "_" + code)
     names = ["c0", "c1"]
-    if code != "field":
+    if code == "dp5":
         names += ["A21", "A31", "A32", "A41", "A42", "A43", "A51", "A52", "A53", "A54",
                   "A61", "A62", "A63", "A64", "A65", "B1", "B3", "B4", "B5", "B6",
-                  "E1", "E3", "E4", "E5", "E6", "E7",
-                  "NumericError", "RankDropError", "deg", "thr_sq"]
+                  "E1", "E3", "E4", "E5", "E6", "E7"]
+        assert names[2:] == _tableau_names(fields._DP5)
+    elif code == "dop853":
+        # 11 stage rows, 8 weights and 8 per error row, all distinct names
+        names += _tableau_names(fields._DOP853)
+        assert len(set(names)) == len(names) == 2 + 50 + 8 + 8 + 8
+    if code != "field":
+        names += ["NumericError", "RankDropError", "deg", "thr_sq"]
     for fn in fns:
         # the function is not held by its own namespace (no reference cycle)
         assert fn not in fn.__globals__.values()
@@ -421,3 +435,38 @@ def test_compiled_code_hygiene(code):
         consts = {c for c in fn.__code__.co_consts if not isinstance(c, str)}
         assert consts <= ({None, 0j} if code == "field" else {None, 0j, 1.0, 2})
         assert sorted(k for k in fn.__globals__ if not k.startswith("__")) == sorted(names)
+
+
+# Nodes c_i of the DOP853 stages 1-12 in closed form (Hairer's dop853.f)
+_R6 = 6 ** 0.5
+_DOP853_C = (0.0, (12 - 2 * _R6) / 135, (6 - _R6) / 45, (6 - _R6) / 30, (6 + _R6) / 30,
+             1 / 3, 1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0)
+
+
+@pytest.mark.parametrize("tableau, order", [("_DP5", 5), ("_DOP853", 8)])
+def test_tableau_order_conditions(tableau, order):
+    # rows sum to the nodes, and the weights integrate c^(k-1) exactly for
+    # k up to the order (the nodes of DP5(4) are the row sums themselves)
+    rows, weights, errors = getattr(fields, tableau)
+    c = [0.0] + [sum(row) for row in rows]
+    if tableau == "_DOP853":
+        assert len(c) == len(weights) == 12
+        for got, want in zip(c, _DOP853_C):
+            assert abs(got - want) <= 1e-14
+        c = _DOP853_C
+    for k in range(1, order + 1):
+        assert abs(sum(b * ci ** (k - 1) for b, ci in zip(weights, c)) - 1 / k) <= 1e-14
+    # each error row is a difference of two consistent weight sets
+    for row in errors:
+        assert abs(sum(row)) <= 1e-14
+
+
+def test_dop853_coefficients_match_scipy():
+    coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    rows, weights, (e5, e3) = fields._DOP853
+    for k, row in enumerate(rows, 1):
+        assert list(row) == list(coeffs.A[k, :len(row)])
+        assert not coeffs.A[k, len(row):].any()
+    assert list(weights) == list(coeffs.B)
+    assert list(e5) == list(coeffs.E5[:12]) and coeffs.E5[12] == 0
+    assert list(e3) == list(coeffs.E3[:12]) and coeffs.E3[12] == 0

@@ -1,6 +1,7 @@
 """Flow integration against closed forms, first integrals, and the error
 control contract."""
 
+import cmath
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from leafgauge import (
 )
 from conftest import FIXTURE_DIR, FLOW_TIGHT, make_field_nonholo, make_field_v3, make_pzw
 from leafgauge import derive_candidate_fields, load_fixture, select_field
+from leafgauge.flows import LONG_FLOW
 
 
 def mono(a, b, c, d, re=1, im=0):
@@ -154,6 +156,49 @@ def test_single_step_work_count(field_evals):
     assert field_evals[0] == 7 + 6
 
 
+def test_long_flow_selection_boundary(field_evals, code_generations):
+    # on (-z, w) a unit-coefficient flow has first-stage displacement
+    # |s| |q0|: just below LONG_FLOW |q0| it takes one DP5(4) step (7
+    # evaluations), from there on DOP853 steps (the first stage, then 12
+    # per step).  Two DP5(4) steps also cost 13, so each case also counts
+    # the code a fresh field generates: its evaluator and DP5(4) step, plus
+    # the DOP853 step on the long branch
+    q = PointC2(0.9 + 0.2j, 1.1 - 0.3j)
+
+    def cost(s):
+        before = field_evals[0], code_generations[0]
+        integrate_flow(make_field_v3(), (1, 0), s, q, FLOW_TIGHT)
+        return field_evals[0] - before[0], code_generations[0] - before[1]
+
+    assert cost(LONG_FLOW * (1 - 1e-9)) == (7, 2)
+    assert cost(-LONG_FLOW * (1 - 1e-9)) == (7, 2)
+    assert cost(LONG_FLOW * (1 + 1e-9)) == (1 + 12, 3)
+    assert cost(-LONG_FLOW * (1 + 1e-9)) == (1 + 12, 3)
+    many, generated = cost(1.0)  # max_step 0.1: at least ten steps
+    assert many > 1 + 12 * 9 and (many - 1) % 12 == 0 and generated == 3
+
+
+@pytest.mark.parametrize("coeffs, s", [((1, 0), 0.4), ((0.6, -0.8), -0.7),
+                                       ((0, 1), 1.5), ((0.3, 0.4), 2.0)])
+def test_long_flow_closed_form(coeffs, s):
+    # (-z, w) flows as (z0 e^(-mu s), w0 e^(mu s)), mu = a + ib; these flows
+    # take the DOP853 step
+    V, q = make_field_v3(), PointC2(0.9 + 0.2j, 1.1 - 0.3j)
+    mu = complex(*coeffs)
+    got = integrate_flow(V, coeffs, s, q, FLOW_TIGHT)
+    want = PointC2(q.z * cmath.exp(-mu * s), q.w * cmath.exp(mu * s))
+    assert _err(got, want) <= 1e-11 * want.norm()
+
+
+def test_given_first_stage_is_monitored_on_long_flows():
+    # a vanishing first stage long enough for the DOP853 step fails the
+    # same monitor (the rank-drop and blow-up tests above flow on DOP853
+    # steps too, so its later stages are monitored as well)
+    V = make_field_v3()
+    with pytest.raises(RankDropError):
+        integrate_flow(V, (1, 0), 1e8, PointC2(1, 1), FLOW_TIGHT, (1e-9, -1e-9j))
+
+
 @pytest.mark.parametrize("s, coeffs", [(math.inf, (1, 0)), (-math.inf, (1, 0)),
                                        (math.nan, (1, 0)), (0.1, (math.nan, 0.0)),
                                        (0.1, (1.0, math.inf))])
@@ -185,7 +230,260 @@ def test_config_validation():
 # keyed by (fixture, q0.to_real4(), coeffs, s); V is the fixture's field, or
 # the candidate selected at its base point.  Any change to the arithmetic of
 # the stepper or of the field evaluation shows up here as a diff.
+#
+# Short flows, first-stage displacement |s| |V(q0)| of 1e-4, 1e-3 and 5e-3
+# |q0|: below LONG_FLOW, so they take the DP5(4) step.  Pinned before the
+# DOP853 step existed, so they show that the DP5(4) path kept every bit.
+SHORT_FLOW_GOLDENS = {
+    ('pzw', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), 0.0001):
+        ('0x1.fff2e48e8a71ep-1', '0x0.0p+0', '0x1.00068de3aefe5p+0', '0x0.0p+0'),
+    ('pzw', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), -0.001):
+        ('0x1.004189374bc6ap+0', '0x0.0p+0', '0x1.ff7d0f16c2e09p-1', '0x0.0p+0'),
+    ('pzw', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), 0.005):
+        ('0x1.fd70a3d70a3d6p-1', '0x0.0p+0', '0x1.0149539e3b2d1p+0', '0x0.0p+0'),
+    ('pzw', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), 0.0001):
+        ('0x1.ffffffaa19c48p-1', '-0x1.a36e2e82da999p-14', '0x1.0000000000000p+0', '0x1.a36e2ec938ff8p-14'),
+    ('pzw', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), -0.001):
+        ('0x1.ffffde72117a4p-1', '0x1.0624d1bb12d62p-10', '0x1.0000000000000p+0', '-0x1.0624e2e91ebe3p-10'),
+    ('pzw', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), 0.005):
+        ('0x1.fffcb9256cbd5p-1', '-0x1.47acae915e807p-8', '0x1.0000000000000p+0', '0x1.47aec7705297ap-8'),
+    ('pzw', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), 0.0001):
+        ('0x1.fff82284f37b2p-1', '0x1.4f86310c38fbbp-14', '0x1.0003eeb180496p+0', '-0x1.4f90801876b05p-14'),
+    ('pzw', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), -0.001):
+        ('0x1.002747967fe62p+0', '-0x1.a3ae8fa31df21p-11', '0x1.ffb16768ab32fp-1', '0x1.a32dd1c4459c6p-11'),
+    ('pzw', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), 0.005):
+        ('0x1.fe74b0e8e16c8p-1', '0x1.055ad29997e1ep-8', '0x1.00c5335e0a733p+0', '-0x1.06ef280deeec5p-8'),
+    ('pzw', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), 8.77e-05):
+        ('0x1.ccc21c076ee0cp-1', '0x1.998312264b9a4p-3', '0x1.19a1128e1081ap+0', '-0x1.3333333333333p-2'),
+    ('pzw', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), -0.000877):
+        ('0x1.cd37b055d59cdp-1', '0x1.9a7b03c870b03p-3', '0x1.194ef4548f315p+0', '-0x1.3333333333333p-2'),
+    ('pzw', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), 0.00439):
+        ('0x1.cab54d38225f1p-1', '0x1.95349fdb2dc4ap-3', '0x1.1b116dd612facp+0', '-0x1.3333333333333p-2'),
+    ('pzw', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), 8.77e-05):
+        ('0x1.ccd26e78783e2p-1', '0x1.996ed61c8defep-3', '0x1.199999999999ap+0', '-0x1.33155051d6f5ep-2'),
+    ('pzw', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), -0.000877):
+        ('0x1.cc945f0fc6d21p-1', '0x1.9b44ff363c7fap-3', '0x1.199999999999ap+0', '-0x1.345e262cc564ap-2'),
+    ('pzw', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), 0.00439):
+        ('0x1.cde4291585778p-1', '0x1.9137ad3401daep-3', '0x1.199999999999ap+0', '-0x1.2d5d19adc0edfp-2'),
+    ('pzw', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), 8.77e-05):
+        ('0x1.ccc1e1219706dp-1', '0x1.99ae49d0ee674p-3', '0x1.199e155a53267p+0', '-0x1.334b1c8c66223p-2'),
+    ('pzw', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), -0.000877):
+        ('0x1.cd39f889e0285p-1', '0x1.98ca6bf042870p-3', '0x1.196cce070cb09p+0', '-0x1.32444ad043ad8p-2'),
+    ('pzw', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), 0.00439):
+        ('0x1.caa95f394458dp-1', '0x1.9d9e9aee3ca18p-3', '0x1.1a7ae63470cb8p+0', '-0x1.37e4cbc259929p-2'),
+    ('pz4', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), 3.54e-05):
+        ('0x1.0000000000000p+0', '0x0.0p+0', '0x1.000947a75e7e4p+0', '0x0.0p+0'),
+    ('pz4', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), -0.000354):
+        ('0x1.0000000000000p+0', '0x0.0p+0', '0x1.ff4666ec9e237p-1', '0x0.0p+0'),
+    ('pz4', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), 0.00177):
+        ('0x1.0000000000000p+0', '0x0.0p+0', '0x1.01cffeb074a77p+0', '0x0.0p+0'),
+    ('pz4', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), 3.54e-05):
+        ('0x1.0000000000000p+0', '0x0.0p+0', '0x1.0000000000000p+0', '0x1.28f4ebcfc7530p-13'),
+    ('pz4', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), -0.000354):
+        ('0x1.0000000000000p+0', '0x0.0p+0', '0x1.0000000000000p+0', '-0x1.733226c3b927cp-10'),
+    ('pz4', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), 0.00177):
+        ('0x1.0000000000000p+0', '0x0.0p+0', '0x1.0000000000000p+0', '0x1.cffeb074a771bp-8'),
+    ('pz4', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), 3.54e-05):
+        ('0x1.0000000000000p+0', '0x0.0p+0', '0x1.000591646be55p+0', '-0x1.db21794c721e8p-14'),
+    ('pz4', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), -0.000354):
+        ('0x1.0000000000000p+0', '0x0.0p+0', '0x1.ff90a42792154p-1', '0x1.28f4ebcfc7531p-10'),
+    ('pz4', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), 0.00177):
+        ('0x1.0000000000000p+0', '0x0.0p+0', '0x1.0116659d12caep+0', '-0x1.733226c3b927ep-8'),
+    ('pz4', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), 4.31e-05):
+        ('0x1.ccccccccccccdp-1', '0x1.999999999999ap-3', '0x1.19a334221b88dp+0', '-0x1.3333333333333p-2'),
+    ('pz4', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), -0.000431):
+        ('0x1.ccccccccccccdp-1', '0x1.999999999999ap-3', '0x1.193990448641dp+0', '-0x1.3333333333333p-2'),
+    ('pz4', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), 0.00216):
+        ('0x1.ccccccccccccdp-1', '0x1.999999999999ap-3', '0x1.1b7ae5796bfcbp+0', '-0x1.3333333333333p-2'),
+    ('pz4', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), 4.31e-05):
+        ('0x1.ccccccccccccdp-1', '0x1.999999999999ap-3', '0x1.199999999999ap+0', '-0x1.330cc9112b768p-2'),
+    ('pz4', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), -0.000431):
+        ('0x1.ccccccccccccdp-1', '0x1.999999999999ap-3', '0x1.199999999999ap+0', '-0x1.34b3588780926p-2'),
+    ('pz4', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), 0.00216):
+        ('0x1.ccccccccccccdp-1', '0x1.999999999999ap-3', '0x1.199999999999ap+0', '-0x1.2bae03b3e9a6fp-2'),
+    ('pz4', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), 4.31e-05):
+        ('0x1.ccccccccccccdp-1', '0x1.999999999999ap-3', '0x1.199f5cb84df5fp+0', '-0x1.3351ee819fca3p-2'),
+    ('pz4', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), -0.000431):
+        ('0x1.ccccccccccccdp-1', '0x1.999999999999ap-3', '0x1.195ffa668dfe9p+0', '-0x1.31ffe222f54d7p-2'),
+    ('pz4', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), 0.00216):
+        ('0x1.ccccccccccccdp-1', '0x1.999999999999ap-3', '0x1.1aba60b97e3b7p+0', '-0x1.39375932a13d0p-2'),
+    ('field_v3', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), 0.0001):
+        ('0x1.fff2e4b97d31dp-1', '0x0.0p+0', '0x1.00068dce3484ep+0', '0x0.0p+0'),
+    ('field_v3', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), -0.001):
+        ('0x1.0041919b7ee34p+0', '0x0.0p+0', '0x1.ff7cfe56f1a9ep-1', '0x0.0p+0'),
+    ('field_v3', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), 0.005):
+        ('0x1.fd7246927d28bp-1', '0x0.0p+0', '0x1.0148802529619p+0', '0x0.0p+0'),
+    ('field_v3', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), 0.0001):
+        ('0x1.ffffffd50ce24p-1', '-0x1.a36e2ea609cc7p-14', '0x1.ffffffd50ce24p-1', '0x1.a36e2ea609cc7p-14'),
+    ('field_v3', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), -0.001):
+        ('0x1.ffffef390876cp-1', '0x1.0624da5218a62p-10', '0x1.ffffef390876cp-1', '-0x1.0624da5218a62p-10'),
+    ('field_v3', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), 0.005):
+        ('0x1.fffe5c920a926p-1', '-0x1.47adbb006a986p-8', '0x1.fffe5c920a926p-1', '0x1.47adbb006a986p-8'),
+    ('field_v3', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), 0.0001):
+        ('0x1.fff822afe660ap-1', '0x1.4f8631285e993p-14', '0x1.0003ee9c062dcp+0', '-0x1.4f907ffc50356p-14'),
+    ('field_v3', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), -0.001):
+        ('0x1.00274ffa6979bp+0', '-0x1.a3ae9d6241e5cp-11', '0x1.ffb156a5fe622p-1', '0x1.a32dc40959a3fp-11'),
+    ('field_v3', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), 0.005):
+        ('0x1.fe7653eac49eep-1', '0x1.055ba92205455p-8', '0x1.00c46099a8023p+0', '-0x1.06ee503a4d04ap-8'),
+    ('field_v3', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), 0.0001):
+        ('0x1.ccc1010d57134p-1', '0x1.998f1d6130f4bp-3', '0x1.19a0cf2fa02bcp+0', '-0x1.333b10910bd2ap-2'),
+    ('field_v3', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), -0.001):
+        ('0x1.cd42d2e4b132ap-1', '0x1.9a028292649edp-3', '0x1.19518be304ea4p+0', '-0x1.32e4989a90ff8p-2'),
+    ('field_v3', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), 0.005):
+        ('0x1.ca8072b70a3e4p-1', '0x1.978e9edb9753cp-3', '0x1.1b02f35c13eb6p+0', '-0x1.34bd6692fe752p-2'),
+    ('field_v3', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), 0.0001):
+        ('0x1.cccf6bbcd63bbp-1', '0x1.996a69decad3fp-3', '0x1.199b90d2ff108p+0', '-0x1.33165d1fd2b71p-2'),
+    ('field_v3', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), -0.001):
+        ('0x1.ccb286d0b29bap-1', '0x1.9b71681d00f1dp-3', '0x1.1985e73564e5ep+0', '-0x1.345384df2c2f2p-2'),
+    ('field_v3', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), 0.005):
+        ('0x1.cd4e659b09ae6p-1', '0x1.906100cc0575ap-3', '0x1.19fb00a205f08p+0', '-0x1.2d906e540482dp-2'),
+    ('field_v3', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), 0.0001):
+        ('0x1.ccc39ffacd7ccp-1', '0x1.99b90e0bd9a4cp-3', '0x1.199c5a316d36dp+0', '-0x1.334efd10d3f60p-2'),
+    ('field_v3', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), -0.001):
+        ('0x1.cd288be435f7fp-1', '0x1.985ec93636ba9p-3', '0x1.197e0e2c3f763p+0', '-0x1.321d746af9e33p-2'),
+    ('field_v3', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), 0.005):
+        ('0x1.cb01f3a93cf34p-1', '0x1.9fb870b0c571ep-3', '0x1.1a22bc5dc0eb5p+0', '-0x1.38a3bfb2fd557p-2'),
+    ('field_nonholo', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), 0.0001):
+        ('0x1.fff2e4e46e7a8p-1', '0x0.0p+0', '0x1.00068db8bac71p+0', '0x0.0p+0'),
+    ('field_nonholo', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), -0.001):
+        ('0x1.00419a0290042p+0', '0x0.0p+0', '0x1.ff7ced916872bp-1', '0x0.0p+0'),
+    ('field_nonholo', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), 0.005):
+        ('0x1.fd73e68701462p-1', '0x0.0p+0', '0x1.0147ae147ae14p+0', '0x0.0p+0'),
+    ('field_nonholo', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), 0.0001):
+        ('0x1.0000000000000p+0', '-0x1.a36e2ec938ff8p-14', '0x1.ffffffaa19c48p-1', '0x1.a36e2e82da999p-14'),
+    ('field_nonholo', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), -0.001):
+        ('0x1.0000000000000p+0', '0x1.0624e2e91ebe3p-10', '0x1.ffffde72117a4p-1', '-0x1.0624d1bb12d62p-10'),
+    ('field_nonholo', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), 0.005):
+        ('0x1.0000000000000p+0', '-0x1.47aec7705297ap-8', '0x1.fffcb9256cbd5p-1', '0x1.47acae915e807p-8'),
+    ('field_nonholo', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), 0.0001):
+        ('0x1.fff822dad864fp-1', '0x1.4f86314483a33p-14', '0x1.0003ee868c82cp+0', '-0x1.4f907fe02a4e2p-14'),
+    ('field_nonholo', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), -0.001):
+        ('0x1.002758600b653p+0', '-0x1.a3aeab24374f3p-11', '0x1.ffb145dfe3091p-1', '0x1.a32db64b9df9ep-11'),
+    ('field_nonholo', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), 0.005):
+        ('0x1.fe77f541c82b4p-1', '0x1.055c7ecfe32e7p-8', '0x1.00c38ead56d95p+0', '-0x1.06ed7943ec36fp-8'),
+    ('field_nonholo', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), 0.000108):
+        ('0x1.ccc0c4cd71cc7p-1', '0x1.999999999999ap-3', '0x1.19a02eaf34a38p+0', '-0x1.334112bf26132p-2'),
+    ('field_nonholo', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), -0.00108):
+        ('0x1.cd453dbd199a1p-1', '0x1.999999999999ap-3', '0x1.1957c4a5a2eb0p+0', '-0x1.32a887bfe3da0p-2'),
+    ('field_nonholo', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), 0.00542):
+        ('0x1.ca73e1e0d6421p-1', '0x1.999999999999ap-3', '0x1.1ae3c0781242fp+0', '-0x1.35ecd576fbd39p-2'),
+    ('field_nonholo', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), 0.000108):
+        ('0x1.ccccccccccccdp-1', '0x1.996978adbcd6bp-3', '0x1.199d1149564c7p+0', '-0x1.3318de70c7a14p-2'),
+    ('field_nonholo', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), -0.00108):
+        ('0x1.ccccccccccccdp-1', '0x1.9b7b0021f495bp-3', '0x1.1976dab943508p+0', '-0x1.343a5cc7eb9f2p-2'),
+    ('field_nonholo', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), 0.00542):
+        ('0x1.ccccccccccccdp-1', '0x1.902ccd306be0ap-3', '0x1.1a46094ec7e9bp+0', '-0x1.2e06763cfbb02p-2'),
+    ('field_nonholo', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), 0.000108):
+        ('0x1.ccc594b29e340p-1', '0x1.99c01a253cc8ap-3', '0x1.199ac63617d6dp+0', '-0x1.3350967b2faebp-2'),
+    ('field_nonholo', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), -0.00108):
+        ('0x1.cd15062c9c1d6p-1', '0x1.9818679a9d416p-3', '0x1.198dc8b845e02p+0', '-0x1.320d5e6f660acp-2'),
+    ('field_nonholo', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), 0.00542):
+        ('0x1.cb633ba37490ep-1', '0x1.a121f520c5840p-3', '0x1.19d2e276332fdp+0', '-0x1.38f710a8e46f8p-2')
+}
+
+# Long flows, s = 0.4 and -0.35: they take the DOP853 step.
 FLOW_GOLDENS = {
+    ('pzw', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), 0.4):
+        ('0x1.3333333333ac2p-1', '0x0.0p+0', '0x1.aaaaaaaaaa20ap+0', '0x0.0p+0'),
+    ('pzw', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), -0.35):
+        ('0x1.59999999998bbp+0', '0x0.0p+0', '0x1.7b425ed097bf3p-1', '0x0.0p+0'),
+    ('pzw', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), 0.4):
+        ('0x1.b25b5ef38cc22p-1', '-0x1.6f494c2bffe92p-2', '0x1.0000000000000p+0', '0x1.b0f0b49dce0abp-2'),
+    ('pzw', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), -0.35):
+        ('0x1.c3ccb294fce8ep-1', '0x1.49d6e694619d4p-2', '0x1.0000000000000p+0', '-0x1.75ca079d9e9dep-2'),
+    ('pzw', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), 0.4):
+        ('0x1.5aaccc18e53b6p-1', '0x1.cb89a50101e34p-3', '0x1.54abccc3e54cep+0', '-0x1.c3944414c6ef7p-2'),
+    ('pzw', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), -0.35):
+        ('0x1.1f71499824fd7p+0', '-0x1.4a9f12268e5dfp-2', '0x1.a52b1c73f8123p-1', '0x1.e46f68402a495p-3'),
+    ('pzw', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), 0.4):
+        ('0x1.042cb5b3b58e6p-1', '0x1.9c13a062ae21fp-5', '0x1.04af8b845066bp+1', '-0x1.3333333333333p-2'),
+    ('pzw', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), -0.35):
+        ('0x1.34861d50f63abp+0', '0x1.9dff55751de8ap-2', '0x1.8a8ccd0c476cbp-1', '-0x1.3333333333333p-2'),
+    ('pzw', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), 0.4):
+        ('0x1.d628982f706e7p-1', '-0x1.a72cf00359de7p-3', '0x1.199999999999ap+0', '0x1.8b680370f86dfp-3'),
+    ('pzw', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), -0.35):
+        ('0x1.405c629ffee28p-1', '0x1.b9cd135770f32p-2', '0x1.199999999999ap+0', '-0x1.ad42c6f66f15fp-1'),
+    ('pzw', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), 0.4):
+        ('0x1.f63a019b41113p-2', '0x1.11801169e5790p-2', '0x1.9bbdfba1c8d12p+0', '-0x1.f4a549af6cd84p-1'),
+    ('pzw', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), -0.35):
+        ('0x1.2e78dc8b1ba29p+0', '-0x1.fdd70d8ba66bcp-6', '0x1.c741e8c5498b1p-1', '-0x1.35a6cb8c41d6cp-6'),
+    ('pz4', (1.0, 0.0, 0.0, 0.0), (1.0, 0.0), 0.4):
+        ('0x1.0000000000000p+0', '0x0.0p+0', '0x1.999999999999dp+0', '0x0.0p+0'),
+    ('pz4', (1.0, 0.0, 0.0, 0.0), (1.0, 0.0), -0.35):
+        ('0x1.0000000000000p+0', '0x0.0p+0', '-0x1.6666666666668p+0', '0x0.0p+0'),
+    ('pz4', (1.0, 0.0, 0.0, 0.0), (0.0, 1.0), 0.4):
+        ('0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0', '0x1.999999999999dp+0'),
+    ('pz4', (1.0, 0.0, 0.0, 0.0), (0.0, 1.0), -0.35):
+        ('0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0', '-0x1.6666666666668p+0'),
+    ('pz4', (1.0, 0.0, 0.0, 0.0), (0.6, -0.8), 0.4):
+        ('0x1.0000000000000p+0', '0x0.0p+0', '0x1.eb851eb851eb8p-1', '-0x1.47ae147ae1480p+0'),
+    ('pz4', (1.0, 0.0, 0.0, 0.0), (0.6, -0.8), -0.35):
+        ('0x1.0000000000000p+0', '0x0.0p+0', '-0x1.ae147ae147ae0p-1', '0x1.1eb851eb851efp+0'),
+    ('pz4', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), 0.4):
+        ('0x1.ccccccccccccdp-1', '0x1.999999999999ap-3', '0x1.3ae147ae147adp+1', '-0x1.3333333333333p-2'),
+    ('pz4', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), -0.35):
+        ('0x1.ccccccccccccdp-1', '0x1.999999999999ap-3', '-0x1.70a3d70a3d6dap-4', '-0x1.3333333333333p-2'),
+    ('pz4', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), 0.4):
+        ('0x1.ccccccccccccdp-1', '0x1.999999999999ap-3', '0x1.199999999999ap+0', '0x1.0f5c28f5c28f4p+0'),
+    ('pz4', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), -0.35):
+        ('0x1.ccccccccccccdp-1', '0x1.999999999999ap-3', '0x1.199999999999ap+0', '-0x1.7d70a3d70a3d4p+0'),
+    ('pz4', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), 0.4):
+        ('0x1.ccccccccccccdp-1', '0x1.999999999999ap-3', '0x1.ea7ef9db22d0ep+0', '-0x1.6353f7ced916cp+0'),
+    ('pz4', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), -0.35):
+        ('0x1.ccccccccccccdp-1', '0x1.999999999999ap-3', '0x1.8b43958106253p-2', '0x1.4dd2f1a9fbe7bp-1'),
+    ('field_v3', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), 0.4):
+        ('0x1.57343067270f0p-1', '0x0.0p+0', '0x1.7de8392fbbfdep+0', '0x0.0p+0'),
+    ('field_v3', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), -0.35):
+        ('0x1.6b4802c805debp+0', '0x0.0p+0', '0x1.68cce09671f74p-1', '0x0.0p+0'),
+    ('field_v3', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), 0.4):
+        ('0x1.d7954e7dba2f9p-1', '-0x1.8ec3ae92b6764p-2', '0x1.d7954e7dba2f9p-1', '0x1.8ec3ae92b6764p-2'),
+    ('field_v3', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), -0.35):
+        ('0x1.e0f575d0de5b8p-1', '0x1.5f209a5390a84p-2', '0x1.e0f575d0de5b8p-1', '-0x1.5f209a5390a84p-2'),
+    ('field_v3', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), 0.4):
+        ('0x1.7e4ecf7e73047p-1', '0x1.fac56614a33bcp-3', '0x1.34eb417c629d2p+0', '-0x1.997d699422c30p-2'),
+    ('field_v3', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), -0.35):
+        ('0x1.2f85a5153170bp+0', '-0x1.5d1dc6c0e5758p-2', '0x1.8edb3cbf2fa77p-1', '0x1.cac582d6e9d2fp-3'),
+    ('field_v3', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), 0.4):
+        ('0x1.34e22b90098d8p-1', '0x1.129026b8ec0bfp-3', '0x1.a4190bb481fdap+0', '-0x1.ca49de3947fd5p-2'),
+    ('field_v3', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), -0.35):
+        ('0x1.46f40280d2154p+0', '0x1.22a002399e4bcp-2', '0x1.8ce15d724a298p-1', '-0x1.b0f5da4e225bdp-3'),
+    ('field_v3', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), 0.4):
+        ('0x1.d04d24e639d03p-1', '-0x1.548261d6b37b4p-3', '0x1.214731dcf4164p+0', '0x1.3761bb78b1feap-3'),
+    ('field_v3', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), -0.35):
+        ('0x1.8dc00dcd39a7fp-1', '0x1.fc65ed385b22ap-2', '0x1.dc62b73f9ee51p-1', '-0x1.51685e9fd244dp-1'),
+    ('field_v3', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), 0.4):
+        ('0x1.3ebd0f3d928dbp-1', '0x1.7cf85a88aaa93p-2', '0x1.3519601db6ab1p+0', '-0x1.9a92215c1b166p-1'),
+    ('field_v3', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), -0.35):
+        ('0x1.22a02b4feb2b5p+0', '-0x1.1d8c54d9023dcp-4', '0x1.d9265fd59f8e6p-1', '0x1.a0560a094d260p-7'),
+    ('field_nonholo', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), 0.4):
+        ('0x1.6db6db6db6e69p-1', '0x0.0p+0', '0x1.6666666666574p+0', '0x0.0p+0'),
+    ('field_nonholo', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), -0.35):
+        ('0x1.89d89d89d8380p+0', '0x0.0p+0', '0x1.4ccccccccd360p-1', '0x0.0p+0'),
+    ('field_nonholo', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), 0.4):
+        ('0x1.0000000000000p+0', '-0x1.b0f0b49dce0abp-2', '0x1.b25b5ef38cc22p-1', '0x1.6f494c2bffe92p-2'),
+    ('field_nonholo', (1.0, 0.0, 1.0, 0.0), (0.0, 1.0), -0.35):
+        ('0x1.0000000000000p+0', '0x1.75ca079d9e9dep-2', '0x1.c3ccb294fce8ep-1', '-0x1.49d6e694619d4p-2'),
+    ('field_nonholo', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), 0.4):
+        ('0x1.9a140b5061cc9p-1', '0x1.0fca8c7efb33bp-2', '0x1.1fffbfbbed127p+0', '-0x1.7dc2612762196p-2'),
+    ('field_nonholo', (1.0, 0.0, 1.0, 0.0), (0.6, -0.8), -0.35):
+        ('0x1.4664367c25184p+0', '-0x1.776bcd40c5d64p-2', '0x1.72e8d8d20dfa9p-1', '0x1.aaa06854243bap-3'),
+    ('field_nonholo', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), 0.4):
+        ('0x1.4c994be3f2382p-1', '0x1.999999999999ap-3', '0x1.746bb133cda68p+0', '-0x1.0cbaa11fc29e5p-1'),
+    ('field_nonholo', (0.9, 0.2, 1.1, -0.3), (1.0, 0.0), -0.35):
+        ('0x1.55d92ac8ea06ep+0', '0x1.999999999999ap-3', '0x1.86f38b9e37985p-1', '-0x1.36e6d8da5fb64p-3'),
+    ('field_nonholo', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), 0.4):
+        ('0x1.ccccccccccccdp-1', '-0x1.063ff4c68f470p-3', '0x1.26b9553257dc4p+0', '0x1.bb603ce610cc6p-4'),
+    ('field_nonholo', (0.9, 0.2, 1.1, -0.3), (0.0, 1.0), -0.35):
+        ('0x1.ccccccccccccdp-1', '0x1.10443a09d9941p-1', '0x1.ae4d9dd752836p-1', '-0x1.1ab1150b232c1p-1'),
+    ('field_nonholo', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), 0.4):
+        ('0x1.6f0c259ffb3b8p-1', '0x1.c6ce8a99a6503p-2', '0x1.06f52ab03f389p+0', '-0x1.698a1b2a80509p-1'),
+    ('field_nonholo', (0.9, 0.2, 1.1, -0.3), (0.6, -0.8), -0.35):
+        ('0x1.1cedb1b48d94fp+0', '-0x1.5813135010ac7p-4', '0x1.e20221e418e91p-1', '0x1.ac1a06e70e0f2p-6')
+}
+
+# FLOW_GOLDENS as the DP5(4) step computed them, before long flows took the
+# DOP853 step: an independent reference for the accuracy of the new pins.
+FLOW_GOLDENS_DP5 = {
     ('pzw', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), 0.4):
         ('0x1.33333333325b9p-1', '0x0.0p+0', '0x1.aaaaaaaaab676p+0', '0x0.0p+0'),
     ('pzw', (1.0, 0.0, 1.0, 0.0), (1.0, 0.0), -0.35):
@@ -293,13 +591,23 @@ def _fixture_field(name):
 @pytest.mark.parametrize("name", ["pzw", "pz4", "field_v3", "field_nonholo"])
 def test_flow_goldens_bit_for_bit(name):
     V = _fixture_field(name)
-    cases = {key[1:]: want for key, want in FLOW_GOLDENS.items() if key[0] == name}
-    assert len(cases) == 12
-    for (q4, coeffs, s), want in cases.items():
-        q0 = PointC2.from_real4(q4)
-        got = integrate_flow(V, coeffs, s, q0, FLOW_TIGHT)
-        assert tuple(float.hex(v) for v in got.to_real4()) == want, (q4, coeffs, s)
-        # the field value at q0, when the caller holds it, is the first
-        # stage in place of an evaluation and changes no bit
-        given = integrate_flow(V, coeffs, s, q0, FLOW_TIGHT, V.eval_complex(q0.z, q0.w))
-        assert tuple(float.hex(v) for v in given.to_real4()) == want, (q4, coeffs, s)
+    for goldens, count in ((SHORT_FLOW_GOLDENS, 18), (FLOW_GOLDENS, 12)):
+        cases = {key[1:]: want for key, want in goldens.items() if key[0] == name}
+        assert len(cases) == count
+        for (q4, coeffs, s), want in cases.items():
+            q0 = PointC2.from_real4(q4)
+            got = integrate_flow(V, coeffs, s, q0, FLOW_TIGHT)
+            assert tuple(float.hex(v) for v in got.to_real4()) == want, (q4, coeffs, s)
+            # the field value at q0, when the caller holds it, is the first
+            # stage in place of an evaluation and changes no bit
+            given = integrate_flow(V, coeffs, s, q0, FLOW_TIGHT, V.eval_complex(q0.z, q0.w))
+            assert tuple(float.hex(v) for v in given.to_real4()) == want, (q4, coeffs, s)
+
+
+def test_long_flow_goldens_match_dp5_reference():
+    # the two steps agree far inside the 1e-12 tolerances of the flows
+    assert FLOW_GOLDENS.keys() == FLOW_GOLDENS_DP5.keys()
+    for key, want in FLOW_GOLDENS_DP5.items():
+        ref = [float.fromhex(v) for v in want]
+        got = [float.fromhex(v) for v in FLOW_GOLDENS[key]]
+        assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-11 * math.hypot(*ref), key

@@ -150,7 +150,7 @@ def test_concurrent_evaluation_matches_serial(gauge_pzw_n4):
 
 def test_work_count_ceilings(gauge_pzw_n4, field_evals):
     # deterministic work per cold evaluation over the chart ball, counted
-    # as field evaluations (mean 85.3, max 173 for gauge_eval; mean 81.9
+    # as field evaluations (mean 53.1, max 83 for gauge_eval; mean 51.2
     # for leaf_coords); catches solver regressions without timing noise
     calls = field_evals
     G = gauge_pzw_n4

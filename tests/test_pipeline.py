@@ -182,8 +182,9 @@ def test_curved_leaf_geometry():
 
 def test_build_work_count_ceiling(field_evals):
     # deterministic work of one full build at the shipped field_v3 config
-    # (100k field evaluations; 362k when each Newton correction was flowed
-    # over unit time), so a flow-layer regression shows without timing noise
+    # (60k field evaluations; 100k before long flows took the DOP853 step,
+    # 362k when each Newton correction was flowed over unit time), so a
+    # flow-layer regression shows without timing noise
     from leafgauge.fixtures import load_fixture, resolve_config
     from conftest import FIXTURE_DIR
 
@@ -192,7 +193,7 @@ def test_build_work_count_ceiling(field_evals):
     assert report.overall_pass
     assert field_evals[0] <= 150_000
     # and exactly, so that work done out of sight (a forked worker) fails it
-    assert field_evals[0] == 100_082
+    assert field_evals[0] == 60_326
 
 
 def _fixture_build(name: str, seed: int):
