@@ -140,9 +140,14 @@ def _field_lines(polys, ns: dict, z: str = "z", w: str = "w") -> list[str]:
     n = 0
     for k, poly in enumerate(polys):
         lines.append(f"r{k} = 0j")
-        for exp, (re, im) in poly.items():
+        items, den = poly.int_items()
+        for exp, (re, im) in items:
             coeff = f"c{n}"
-            ns[coeff] = complex(float(re), float(im))
+            try:
+                ns[coeff] = complex(re / den, im / den)
+            except OverflowError:
+                raise NumericError(f"the coefficient of the term {exp} (exponents of z, zbar, "
+                                   f"w, wbar) overflows a float") from None
             n += 1
             factors = [coeff]
             for var, e in zip((z, z + "b", w, w + "b"), exp):
@@ -253,22 +258,10 @@ class VectorFieldC2:
         return _compile_step(self, _DOP853, "dop853")
 
     @cached_property
-    def _real_derivative_polys(self):
-        # d/dx_j of each component, j over (Re z, Im z, Re w, Im w), as exact
-        # polynomials: d/dx1 = d_z + d_zbar, d/dx2 = i(d_z - d_zbar), etc.
-        def four(poly):
-            pz, pzb = poly_diff(poly, "z"), poly_diff(poly, "zbar")
-            pw, pwb = poly_diff(poly, "w"), poly_diff(poly, "wbar")
-            return (pz + pzb, (pz - pzb).scale(0, 1),
-                    pw + pwb, (pw - pwb).scale(0, 1))
-
-        return (four(self.comp_z), four(self.comp_w))
-
-    @cached_property
     def _jacobian(self):
-        # (z, w) -> the eight values of _real_derivative_polys, z row first
-        dz, dw = self._real_derivative_polys
-        return _compile(dz + dw, "jacobian")
+        # (z, w) -> the zbar- and wbar-derivatives of comp_z, then of comp_w
+        return _compile([poly_diff(c, var) for c in (self.comp_z, self.comp_w)
+                         for var in ("zbar", "wbar")], "jacobian")
 
 
 class CheckResult(NamedTuple):
@@ -340,21 +333,18 @@ def annihilation_check(P: WirtingerPoly, V: VectorFieldC2) -> bool:
 
 
 def lie_bracket_real(V: VectorFieldC2, p: PointC2) -> tuple[float, ...]:
-    """[X1, X2](p) = DX2(p) X1(p) - DX1(p) X2(p), with the real Jacobians
-    taken from the compiled first derivatives of the field.
+    """[X1, X2](p) for X1 = view(V) and X2 = view(i*V), in closed form.
 
-    Written per component as D u = sum_j u_j dV/dx_j, DX1 u is the real
-    view of D u and DX2 u that of i D u, so the bracket is the real view
-    of i D X1 - D X2."""
+    As derivations, view(U) = U^z d_z + conj(U^z) d_zbar + U^w d_w +
+    conj(U^w) d_wbar, and each component of the bracket is
+    X1(i V^k) - X2(V^k).  The holomorphic derivatives cancel, which leaves
+    view(2i (V_zbar conj(V^z) + V_wbar conj(V^w))), from the compiled
+    zbar- and wbar-derivatives of the field."""
     vz, vw = V.eval_complex(p.z, p.w)
-    X1 = (vz.real, vz.imag, vw.real, vw.imag)
-    X2 = (-vz.imag, vz.real, -vw.imag, vw.real)
-    jac = V._jacobian(p.z, p.w)
-    out = []
-    for d in (jac[:4], jac[4:]):
-        b = 1j * sum(dj * u for dj, u in zip(d, X1)) - sum(dj * u for dj, u in zip(d, X2))
-        out += (b.real, b.imag)
-    return tuple(out)
+    cz, cw = 2j * vz.conjugate(), 2j * vw.conjugate()
+    z_zb, z_wb, w_zb, w_wb = V._jacobian(p.z, p.w)
+    bz, bw = z_zb * cz + z_wb * cw, w_zb * cz + w_wb * cw
+    return (bz.real, bz.imag, bw.real, bw.imag)
 
 
 def _split_bracket(X1, X2, br):
@@ -413,8 +403,5 @@ def transversality_check(V: VectorFieldC2, p: PointC2,
 def homogeneity_check_field(V: VectorFieldC2) -> bool:
     """Exact check that every monomial of both components has total degree
     equal to the declared degree."""
-    for comp in (V.comp_z, V.comp_w):
-        for exp in comp.terms:
-            if sum(exp) != V.degree:
-                return False
-    return True
+    return all(comp.is_zero or homogeneity_degree(comp) == V.degree
+               for comp in (V.comp_z, V.comp_w))

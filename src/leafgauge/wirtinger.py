@@ -1,30 +1,30 @@
 """Exact polynomial algebra in two complex variables and their conjugates.
 
 A polynomial in (z, zbar, w, wbar) is stored as a sparse map from exponent
-quadruples (a, b, c, d), standing for z^a zbar^b w^c wbar^d, to complex
-coefficients kept as pairs of exact rationals (re, im).  Every ring
-operation (sum, product, formal derivative, conjugate) is exact, so
-identity tests such as "this determinant is the zero polynomial" are
-decided by an empty term map, never by a floating-point tolerance.
+quadruples (a, b, c, d), standing for z^a zbar^b w^c wbar^d, to
+Gaussian-integer numerators (re, im) over one positive common denominator
+den: the term's coefficient is (re + i*im) / den.  Every ring operation
+(sum, product, formal derivative, conjugate) works on these integers and
+is exact, so identity tests such as "this determinant is the zero
+polynomial" are decided by an empty term map, never by a floating-point
+tolerance.
 
-The coefficients are stored as Fractions, but the hot loops (sum,
-product, derivative, line restriction, evaluation) run on Gaussian-integer
-numerators over one common denominator per operand; each output
-coefficient becomes a Fraction only at the end.  A float point is dyadic,
-so it lifts to integers exactly.  Rounding happens only when a polynomial
-is evaluated at a numeric point, and then once, in a correctly rounded
-integer division.
-
-Canonical form: no zero coefficients, at most one entry per quadruple,
-terms ordered lexicographically on (a, b, c, d) wherever order matters
-(printing, serialization, hashing).
+Canonical form: no zero numerators, at most one entry per quadruple, and
+den the least common denominator (gcd(den, every numerator) = 1; the zero
+polynomial has den 1), so equal polynomials have equal stores.  Terms are
+ordered lexicographically on (a, b, c, d) wherever order matters
+(printing, serialization, hashing).  Coefficients become reduced Fractions
+only at the boundary: `terms`, `items`, printing and serialization.  A
+float point is dyadic, so it lifts to integers exactly.  Rounding happens
+only when a polynomial is evaluated at a numeric point, and then once, in
+a correctly rounded integer division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import hypot, inf, lcm
+from math import gcd, hypot, inf, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import NumericError
@@ -64,23 +64,23 @@ class WirtingerPoly:
     coefficients.  Instances are immutable; all arithmetic returns new
     polynomials in canonical form."""
 
-    __slots__ = ("_terms", "_hessian")
+    __slots__ = ("_nums", "_den", "_hessian")
 
     def __init__(self, terms: Union[Mapping[Exponent, Coeff], Iterable] = ()):
-        canon: dict[Exponent, Coeff] = {}
+        coeffs: dict[Exponent, Coeff] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coeff in items:
             exp = tuple(int(e) for e in exp)
             if len(exp) != 4 or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent quadruple {exp!r}")
-            cf = _coeff(coeff[0], coeff[1])
-            if exp in canon:
-                cf = (canon[exp][0] + cf[0], canon[exp][1] + cf[1])
-            if cf == (0, 0):
-                canon.pop(exp, None)
-            else:
-                canon[exp] = cf
-        self._terms = canon
+            re, im = _coeff(coeff[0], coeff[1])
+            r0, i0 = coeffs.get(exp, (0, 0))
+            coeffs[exp] = (r0 + re, i0 + im)
+        d = lcm(*(x.denominator for cf in coeffs.values() for x in cf))
+        canon = _from_ints({exp: (re.numerator * (d // re.denominator),
+                                  im.numerator * (d // im.denominator))
+                            for exp, (re, im) in coeffs.items()}, d)
+        self._nums, self._den = canon._nums, canon._den
 
     # -- constructors ------------------------------------------------------
 
@@ -102,27 +102,33 @@ class WirtingerPoly:
 
     @property
     def terms(self) -> dict[Exponent, Coeff]:
-        """Snapshot of the term map (mutating it does not affect self)."""
-        return dict(self._terms)
+        """The term map with reduced Fraction coefficients (a new dict)."""
+        d = self._den
+        return {exp: (Fraction(re, d), Fraction(im, d)) for exp, (re, im) in self._nums.items()}
 
     def items(self):
         """Terms in lexicographic exponent order."""
-        return sorted(self._terms.items())
+        return sorted(self.terms.items())
+
+    def int_items(self) -> tuple[list, int]:
+        """The numerators (exponent, (re, im)) in lexicographic exponent
+        order, and their common denominator."""
+        return sorted(self._nums.items()), self._den
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WirtingerPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(tuple(self.items()))
+        return hash((self._den, tuple(sorted(self._nums.items()))))
 
     # -- ring operations ---------------------------------------------------
 
@@ -136,29 +142,28 @@ class WirtingerPoly:
         # self + sign * other, over the lcm of the two denominators
         if not isinstance(other, WirtingerPoly):
             return NotImplemented
-        (a, da), (b, db) = _to_ints(self), _to_ints(other)
+        da, db = self._den, other._den
         d = lcm(da, db)
         sa, sb = d // da, sign * (d // db)
-        out = {exp: (re * sa, im * sa) for exp, (re, im) in a.items()}
-        for exp, (re, im) in b.items():
+        out = {exp: (re * sa, im * sa) for exp, (re, im) in self._nums.items()}
+        for exp, (re, im) in other._nums.items():
             r0, i0 = out.get(exp, (0, 0))
             out[exp] = (r0 + re * sb, i0 + im * sb)
         return _from_ints(out, d)
 
     def __neg__(self) -> "WirtingerPoly":
-        return _wrap({exp: (-re, -im) for exp, (re, im) in self._terms.items()})
+        return _from_ints({exp: (-re, -im) for exp, (re, im) in self._nums.items()}, self._den)
 
     def __mul__(self, other: "WirtingerPoly") -> "WirtingerPoly":
         if not isinstance(other, WirtingerPoly):
             return NotImplemented
-        (a, da), (b, db) = _to_ints(self), _to_ints(other)
         out: dict = {}
-        for ea, (ar, ai) in a.items():
-            for eb, (br, bi) in b.items():
+        for ea, (ar, ai) in self._nums.items():
+            for eb, (br, bi) in other._nums.items():
                 exp = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
                 r0, i0 = out.get(exp, (0, 0))
                 out[exp] = (r0 + ar * br - ai * bi, i0 + ar * bi + ai * br)
-        return _from_ints(out, da * db)
+        return _from_ints(out, self._den * other._den)
 
     def scale(self, re: Rational, im: Rational = 0) -> "WirtingerPoly":
         """Multiply by the exact complex scalar re + i*im."""
@@ -167,43 +172,30 @@ class WirtingerPoly:
     def conjugate(self) -> "WirtingerPoly":
         """The polynomial representing q -> conj(p(q)): exponents are swapped
         (a,b,c,d) -> (b,a,d,c) and coefficients conjugated."""
-        return _wrap({(b, a, d, c): (re, -im)
-                      for (a, b, c, d), (re, im) in self._terms.items()})
+        return _from_ints({(b, a, d, c): (re, -im)
+                           for (a, b, c, d), (re, im) in self._nums.items()}, self._den)
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "0"
-        parts = []
-        for exp, cf in self.items():
-            parts.append(_term_str(exp, cf))
-        return " + ".join(parts)
+        return " + ".join(_term_str(exp, cf) for exp, cf in self.items())
 
     def __repr__(self) -> str:
         return f"WirtingerPoly({self!s})"
 
 
-def _wrap(canon: dict[Exponent, Coeff]) -> WirtingerPoly:
-    p = WirtingerPoly.__new__(WirtingerPoly)
-    p._terms = canon
-    return p
-
-
-# Numerators (re, im) as ints over one positive common denominator: the
-# only conversions between the stored Fractions and the integer kernel.
-
-def _to_ints(p: WirtingerPoly) -> tuple[dict, int]:
-    d = 1
-    for re, im in p._terms.values():
-        d = lcm(d, re.denominator, im.denominator)
-    return {exp: (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
-            for exp, (re, im) in p._terms.items()}, d
-
-
 def _from_ints(nums: dict, d: int) -> WirtingerPoly:
-    return _wrap({exp: (Fraction(re, d), Fraction(im, d))
-                  for exp, (re, im) in nums.items() if re or im})
+    """The polynomial with Gaussian-integer numerators nums over the
+    positive d, brought to canonical form by one gcd."""
+    nums = {exp: cf for exp, cf in nums.items() if cf[0] or cf[1]}
+    g = gcd(d, *(x for cf in nums.values() for x in cf))
+    if g != 1:
+        nums = {exp: (re // g, im // g) for exp, (re, im) in nums.items()}
+    p = WirtingerPoly.__new__(WirtingerPoly)
+    p._nums, p._den = nums, d // g
+    return p
 
 
 def _rat_str(x: Fraction) -> str:
@@ -263,7 +255,7 @@ def _substitute(p: WirtingerPoly, q, key) -> tuple[dict, int]:
     ratios = [x.as_integer_ratio() for x in (z.real, z.imag, w.real, w.imag)]
     e = max(den for _, den in ratios).bit_length() - 1
     zr, zi, wr, wi = (num << (e - den.bit_length() + 1) for num, den in ratios)
-    nums, d = _to_ints(p)
+    nums, d = p._nums, p._den
     top = max((sum(exp) for exp in nums), default=0)
     pows = [_gpowers(zr, zi, top), _gpowers(zr, -zi, top),
             _gpowers(wr, wi, top), _gpowers(wr, -wi, top)]
@@ -300,13 +292,12 @@ def poly_eval(p: WirtingerPoly, q) -> complex:
 def poly_diff(p: WirtingerPoly, var: str) -> WirtingerPoly:
     """Formal partial derivative treating z, zbar, w, wbar as independent."""
     k = _VAR_INDEX[var]
-    nums, d = _to_ints(p)
     out = {}
-    for exp, (re, im) in nums.items():
+    for exp, (re, im) in p._nums.items():
         e = exp[k]
         if e:
             out[exp[:k] + (e - 1,) + exp[k + 1:]] = (re * e, im * e)
-    return _from_ints(out, d)
+    return _from_ints(out, p._den)
 
 
 def poly_is_real(p: WirtingerPoly) -> bool:
@@ -321,7 +312,7 @@ def homogeneity_degree(p: WirtingerPoly):
     disagree (inhomogeneous).  The zero polynomial has no degree."""
     if p.is_zero:
         raise ValueError("degree undefined for the zero polynomial")
-    degrees = {sum(exp) for exp in p._terms}
+    degrees = {sum(exp) for exp in p._nums}
     if len(degrees) == 1:
         return degrees.pop()
     return None
@@ -391,6 +382,13 @@ def _restrict_to_line(p: WirtingerPoly, direction) -> WirtingerPoly:
     return _from_ints(sums, d)
 
 
+def _constant(c: complex) -> WirtingerPoly:
+    # the exact constant c: both parts are dyadic, over powers of two
+    (re, dr), (im, di) = c.real.as_integer_ratio(), c.imag.as_integer_ratio()
+    d = max(dr, di)
+    return _from_ints({(0, 0, 0, 0): (re * (d // dr), im * (d // di))}, d)
+
+
 def line_hessian_restriction(p: WirtingerPoly, direction):
     """Both components of hessian(s*direction) . direction as exact
     polynomials in (s, sbar).
@@ -403,13 +401,11 @@ def line_hessian_restriction(p: WirtingerPoly, direction):
     z, w = _zw(direction)
     if z == 0 and w == 0:
         raise ValueError("direction must be nonzero")
-    H = complex_hessian(p)
     comps = []
-    for row in (0, 1):
+    for row in complex_hessian(p).entries:
         acc = WirtingerPoly.zero()
-        for col, d in ((0, z), (1, w)):
-            restricted = _restrict_to_line(H.entries[row][col], direction)
-            acc = acc + restricted.scale(Fraction(d.real), Fraction(d.imag))
+        for entry, c in zip(row, (z, w)):
+            acc = acc + _restrict_to_line(entry, direction) * _constant(c)
         comps.append(acc)
     return comps[0], comps[1]
 

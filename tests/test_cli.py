@@ -438,6 +438,18 @@ def test_overflowing_hessian_scale_is_exit_3(command, tmp_path, capsys):
     assert "overflows a float" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["build-gauge", "trace-leaf"])
+def test_overflowing_field_coefficient_is_exit_3(command, tmp_path, capsys):
+    # the exact coefficients are fine; their rounding to a float overflows
+    data = json.loads(Path(fx("field_v3.json")).read_text())
+    data["field"]["z"][0]["re"], data["field"]["w"][0]["re"] = "-1e400", "1e400"
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(data))
+    assert main([command, str(huge), "--out", str(tmp_path / "out.json")]) == 3
+    assert "coefficient of the term (1, 0, 0, 0)" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_build_writes_once(tmp_path):
     # the forked verification worker never returns into the caller: the
     # caller's finally block runs once and the report table prints once

@@ -19,6 +19,7 @@ from leafgauge import (
     homogeneity_check_field,
     involutivity_check,
     lie_bracket_real,
+    poly_diff,
     poly_eval,
     select_field,
     transversality_check,
@@ -340,13 +341,28 @@ def _magnitude(poly, q) -> float:
                for (a, b, c, d), (re, im) in poly.items())
 
 
+def _real_derivatives(poly):
+    # d/dx_j of poly for x = (Re z, Im z, Re w, Im w): d/dx1 = d_z + d_zbar,
+    # d/dx2 = i(d_z - d_zbar), and likewise in w
+    out = []
+    for hol, anti in (("z", "zbar"), ("w", "wbar")):
+        ph, pa = poly_diff(poly, hol), poly_diff(poly, anti)
+        out += [ph + pa, (ph - pa).scale(0, 1)]
+    return out
+
+
+def _ddbar(V):
+    # the zbar- and wbar-derivatives of comp_z, then of comp_w
+    return [poly_diff(c, var) for c in (V.comp_z, V.comp_w) for var in ("zbar", "wbar")]
+
+
 def _exact_bracket(V, q):
-    # the bracket assembled from exact values of the field and of its
+    # the bracket assembled from exact values of the field and of its eight
     # real first derivatives, in the matrix form of the definition
     vz, vw = poly_eval(V.comp_z, q), poly_eval(V.comp_w, q)
     X1 = np.array([vz.real, vz.imag, vw.real, vw.imag])
     X2 = np.array([-vz.imag, vz.real, -vw.imag, vw.real])
-    dz, dw = ([poly_eval(p, q) for p in polys] for polys in V._real_derivative_polys)
+    dz, dw = ([poly_eval(p, q) for p in _real_derivatives(c)] for c in (V.comp_z, V.comp_w))
     DX1 = np.array([[v.real for v in dz], [v.imag for v in dz],
                     [v.real for v in dw], [v.imag for v in dw]])
     DX2 = np.array([[-v.imag for v in dz], [v.real for v in dz],
@@ -359,14 +375,14 @@ def test_compiled_field_and_jacobian_match_exact():
     assert any(V.comp_z.is_zero or V.comp_w.is_zero for V in family)
     assert {V.degree for V in family} == set(range(7))
     for V in family:
-        derivs = V._real_derivative_polys[0] + V._real_derivative_polys[1]
+        derivs = _ddbar(V)
         for q in points:
             got = V.eval_complex(q.z, q.w)
             for value, poly in zip(got, (V.comp_z, V.comp_w)):
                 assert abs(value - poly_eval(poly, q)) <= 1e-13 * _magnitude(poly, q)
             assert field_eval(V, q) == PointC2(*got)
             jac = V._jacobian(q.z, q.w)
-            assert len(jac) == 8
+            assert len(jac) == 4
             for value, poly in zip(jac, derivs):
                 assert abs(value - poly_eval(poly, q)) <= 1e-13 * _magnitude(poly, q)
 
@@ -374,12 +390,42 @@ def test_compiled_field_and_jacobian_match_exact():
 def test_compiled_bracket_matches_exact_bracket():
     family, points = _field_family()
     for V in family:
-        derivs = V._real_derivative_polys[0] + V._real_derivative_polys[1]
+        derivs = _real_derivatives(V.comp_z) + _real_derivatives(V.comp_w)
         for q in points:
             scale = (sum(_magnitude(p, q) for p in derivs)
                      * (_magnitude(V.comp_z, q) + _magnitude(V.comp_w, q)))
             err = np.abs(lie_bracket_real(V, q) - _exact_bracket(V, q)).max()
             assert err <= 1e-13 * scale
+
+
+def _real_parts(c):
+    # Re c = (c + conj c)/2 and Im c = (c - conj c)/(2i), as polynomials
+    cc = c.conjugate()
+    return [(c + cc).scale(Fraction(1, 2)), (c - cc).scale(0, Fraction(-1, 2))]
+
+
+def test_closed_form_bracket_is_an_exact_identity():
+    # DX2 X1 - DX1 X2 as exact polynomials against the closed form
+    # view(2i (V_zbar conj(V^z) + V_wbar conj(V^w))) of lie_bracket_real:
+    # their difference is the zero polynomial on the whole family
+    family, _ = _field_family()
+    nonzero = 0
+    for V in family:
+        X1 = _real_parts(V.comp_z) + _real_parts(V.comp_w)
+        X2 = [-X1[1], X1[0], -X1[3], X1[2]]
+        DX1, DX2 = ([_real_derivatives(c) for c in X] for X in (X1, X2))
+        definition = []
+        for i in range(4):
+            acc = WirtingerPoly.zero()
+            for j in range(4):
+                acc = acc + DX2[i][j] * X1[j] - DX1[i][j] * X2[j]
+            definition.append(acc)
+        cz, cw = (c.conjugate().scale(0, 2) for c in (V.comp_z, V.comp_w))
+        z_zb, z_wb, w_zb, w_wb = _ddbar(V)
+        closed = _real_parts(z_zb * cz + z_wb * cw) + _real_parts(w_zb * cz + w_wb * cw)
+        assert all((d - c).is_zero for d, c in zip(definition, closed))
+        nonzero += any(not c.is_zero for c in closed)
+    assert nonzero > 0
 
 
 @pytest.mark.parametrize("code", ["field", "dp5", "dop853"])

@@ -267,11 +267,12 @@ def test_admit_derives_one_hessian(k, m, poly_diffs):
     P = _square(k, m)
     poly_diffs[0] = 0
     assert _admit(P, X_SQUARE) == (True, True, True)
-    # the complex Hessian once (6 derivatives) and the selected field's
-    # real Jacobian (8); 38 when each of its five users derived the Hessian
-    assert poly_diffs[0] == 14
+    # the complex Hessian once (6 derivatives) and the zbar- and
+    # wbar-derivatives of the selected field (4); 14 with the eight real
+    # first derivatives, 38 when each of its five users derived the Hessian
+    assert poly_diffs[0] == 10
     assert complex_hessian(P) is complex_hessian(P)
-    assert poly_diffs[0] == 14
+    assert poly_diffs[0] == 10
 
 
 @pytest.mark.parametrize("k, m", [(2, 2), (3, 4), (4, 5)])

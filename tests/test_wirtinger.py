@@ -1,6 +1,8 @@
 """Exact polynomial algebra: worked examples and algebraic invariants."""
 
+import json
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from leafgauge import (
     homogeneity_degree,
     is_on_harmonic_line,
     levi_determinant,
+    load_fixture,
     line_hessian_restriction,
     poly_diff,
     poly_eval,
@@ -24,7 +27,7 @@ from leafgauge import (
     poly_to_records,
     psh_sample_check,
 )
-from conftest import make_ball, make_pz4, make_pzw
+from conftest import FIXTURE_DIR, make_ball, make_pz4, make_pzw
 
 
 def mono(a, b, c, d, re=1, im=0):
@@ -222,7 +225,8 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 exponent = st.tuples(st.integers(0, 3), st.integers(0, 3),
                      st.integers(0, 3), st.integers(0, 3))
 coeff = st.tuples(rationals, rationals)
-polys = st.dictionaries(exponent, coeff, max_size=4).map(WirtingerPoly)
+term_maps = st.dictionaries(exponent, coeff, max_size=4)
+polys = term_maps.map(WirtingerPoly)
 scalars = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
 points = st.tuples(scalars, scalars).map(lambda zw: PointC2(*zw))
 
@@ -423,3 +427,81 @@ def test_hessian_is_derived_once():
         complex_hessian(mono(1, 0, 0, 0))
     with pytest.raises(ValueError):
         complex_hessian(mono(1, 0, 0, 0))
+
+
+# -- the integer store -------------------------------------------------------------
+#
+# Numerators over the least common denominator: one canonical store per
+# polynomial, whatever route built it.
+
+def _assert_canonical(p):
+    nums = [x for cf in p._nums.values() for x in cf]
+    assert p._den > 0 and gcd(p._den, *nums) == 1
+    assert all(re or im for re, im in p._nums.values())
+    assert p._den == lcm(*(x.denominator for cf in p.terms.values() for x in cf))
+    assert p._den == 1 or not p.is_zero
+
+
+@given(polys, polys, polys, points)
+@settings(max_examples=80, deadline=None)
+def test_integer_store_is_canonical(p, q, r, pt):
+    real = p * p.conjugate()
+    built = [p, p + q, p - q, p * q, -p, p.conjugate(), poly_diff(p, "zbar"),
+             p.scale(Fraction(3, 7), Fraction(-1, 6)), p - p, levi_determinant(real + q + q.conjugate())]
+    if pt.z != 0 or pt.w != 0:
+        built += line_hessian_restriction(real, pt)
+    for x in built:
+        _assert_canonical(x)
+    assert (p - p)._den == 1 and WirtingerPoly.zero()._den == 1
+    for a, b in [((p * q) * r, p * (q * r)), ((p + q) - q, p),
+                 (p * (q + r), p * q + p * r),
+                 (p.scale(Fraction(1, 3)).scale(3), p), (p.conjugate().conjugate(), p)]:
+        assert a == b and hash(a) == hash(b)
+        assert (a._den, a._nums) == (b._den, b._nums)
+
+
+@given(term_maps)
+@settings(max_examples=80, deadline=None)
+def test_terms_are_the_reduced_fractions_of_the_records(terms):
+    p = WirtingerPoly(terms)
+    back = poly_from_records(poly_to_records(p))
+    assert back == p
+    assert p.terms == back.terms == {exp: cf for exp, cf in terms.items() if cf != (0, 0)}
+    assert [(x.numerator, x.denominator) for _, cf in p.items() for x in cf] == \
+        [(x.numerator, x.denominator) for _, cf in back.items() for x in cf]
+
+
+# poly_to_records of each fixture polynomial (both components of a field),
+# and of one Hessian entry of |f|^2 with non-dyadic coefficients, as the
+# Fraction store wrote them
+_RECORD_PINS = {
+    "ball": ['[{"dz": 0, "dzbar": 0, "dw": 1, "dwbar": 1, "re": "1", "im": "0"}, '
+             '{"dz": 1, "dzbar": 1, "dw": 0, "dwbar": 0, "re": "1", "im": "0"}]'],
+    "field_bad": ['[{"dz": 0, "dzbar": 0, "dw": 0, "dwbar": 0, "re": "1", "im": "0"}]',
+                  '[{"dz": 0, "dzbar": 1, "dw": 0, "dwbar": 0, "re": "1", "im": "0"}]'],
+    "field_nonholo": ['[{"dz": 1, "dzbar": 1, "dw": 0, "dwbar": 0, "re": "-1", "im": "0"}]',
+                      '[{"dz": 0, "dzbar": 1, "dw": 1, "dwbar": 0, "re": "1", "im": "0"}]'],
+    "field_v3": ['[{"dz": 1, "dzbar": 0, "dw": 0, "dwbar": 0, "re": "-1", "im": "0"}]',
+                 '[{"dz": 0, "dzbar": 0, "dw": 1, "dwbar": 0, "re": "1", "im": "0"}]'],
+    "pz4": ['[{"dz": 2, "dzbar": 2, "dw": 0, "dwbar": 0, "re": "1", "im": "0"}]'],
+    "pzw": ['[{"dz": 1, "dzbar": 1, "dw": 1, "dwbar": 1, "re": "1", "im": "0"}]'],
+}
+_HESSIAN_PIN = (
+    '[{"dz": 0, "dzbar": 0, "dw": 1, "dwbar": 1, "re": "-5/4", "im": "5/3"}, '
+    '{"dz": 0, "dzbar": 1, "dw": 1, "dwbar": 0, "re": "-15/7", "im": "10/21"}, '
+    '{"dz": 1, "dzbar": 0, "dw": 0, "dwbar": 1, "re": "25/36", "im": "0"}, '
+    '{"dz": 1, "dzbar": 1, "dw": 0, "dwbar": 0, "re": "5/9", "im": "10/21"}]')
+
+
+@pytest.mark.parametrize("name", sorted(_RECORD_PINS))
+def test_fixture_records_are_unchanged(name):
+    fx = load_fixture(FIXTURE_DIR / f"{name}.json")
+    found = [fx.polynomial] if fx.polynomial is not None else [fx.field.comp_z, fx.field.comp_w]
+    assert [json.dumps(poly_to_records(p)) for p in found] == _RECORD_PINS[name]
+
+
+def test_non_dyadic_records_are_unchanged():
+    f = (mono(2, 0, 0, 0, Fraction(1, 3), Fraction(-2, 7)) + mono(1, 0, 1, 0, Fraction(5, 6))
+         + mono(0, 0, 2, 0, Fraction(-3, 4), 1))
+    H = complex_hessian(f * f.conjugate())
+    assert json.dumps(poly_to_records(H.entries[0][1])) == _HESSIAN_PIN
