@@ -180,7 +180,10 @@ class WirtingerPoly:
     def __str__(self) -> str:
         if not self._nums:
             return "0"
-        return " + ".join(_term_str(exp, cf) for exp, cf in self.items())
+        parts = []
+        for exp, cf in self.items():
+            parts.append(_term_str(exp, cf))
+        return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"WirtingerPoly({self!s})"
@@ -401,11 +404,13 @@ def line_hessian_restriction(p: WirtingerPoly, direction):
     z, w = _zw(direction)
     if z == 0 and w == 0:
         raise ValueError("direction must be nonzero")
+    H = complex_hessian(p)
     comps = []
-    for row in complex_hessian(p).entries:
+    for row in (0, 1):
         acc = WirtingerPoly.zero()
-        for entry, c in zip(row, (z, w)):
-            acc = acc + _restrict_to_line(entry, direction) * _constant(c)
+        for col, d in ((0, z), (1, w)):
+            restricted = _restrict_to_line(H.entries[row][col], direction)
+            acc = acc + restricted * _constant(d)
         comps.append(acc)
     return comps[0], comps[1]
 
