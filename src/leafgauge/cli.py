@@ -24,12 +24,13 @@ from pathlib import Path
 
 from .errors import AssumptionError, FixtureError, LeafgaugeError, NumericError
 from .fields import PointC2, derive_candidate_fields, select_field
-from .fixtures import (Fixture, fixture_to_dict, load_fixture, parse_fixture,
-                       point_from_real4, resolve_config)
+from .fixtures import (REPORT_KEYS, Fixture, config_to_dict, fixture_to_dict, load_fixture,
+                       parse_fixture, point_from_real4, resolve_config)
 from .flows import trace_leaf
 from .gauge import gauge_grid_rows
 from .pipeline import PipelineConfig, run_field_pipeline, run_pipeline, validate_hypotheses
 from .verify import check_rng, report_to_dict, report_to_text, sample_chart_ball
+from .wirtinger import as_int
 
 __all__ = ["main"]
 
@@ -76,14 +77,9 @@ def _resolve_degree(fx: Fixture, args) -> int | None:
 
 
 def _config(fx: Fixture, args) -> PipelineConfig:
-    return resolve_config(
-        fx.config,
-        tol_ode=getattr(args, "tol_ode", None),
-        root_tol=getattr(args, "tol_root", None),
-        chart_radius=getattr(args, "chart_radius", None),
-        n_samples=getattr(args, "samples", None),
-        seed=getattr(args, "seed", None),
-    )
+    # each config flag's dest is its fixture key
+    return resolve_config(fx.config, **{key: getattr(args, key, None) for key in
+                                        ("tol_ode", "tol_root", "chart_radius", "samples", "seed")})
 
 
 def _write(path: str | None, text: str) -> None:
@@ -180,16 +176,7 @@ def _report_payload(fx: Fixture, point: PointC2, degree: int,
             "fixture": fixture_to_dict(fx),
             "point": list(point.to_real4()),
             "degree": degree,
-            "config": {
-                "chart_radius": cfg.chart_radius,
-                "newton_tol": cfg.newton_tol,
-                "bracket_halfwidth": cfg.bracket_halfwidth,
-                "tol_root": cfg.root_tol,
-                "tol_ode": cfg.ode_abs_tol,
-                "max_step": cfg.max_step,
-                "samples": cfg.n_samples,
-                "seed": cfg.seed,
-            },
+            "config": config_to_dict(cfg),
         },
         "gauge": {
             "base": list(gauge.chart.base.to_real4()),
@@ -204,11 +191,7 @@ def _report_payload(fx: Fixture, point: PointC2, degree: int,
 
 
 def _emit_report(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(out, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def cmd_build_gauge(args) -> int:
@@ -255,23 +238,15 @@ def cmd_verify(args) -> int:
     try:
         fx = parse_fixture(desc["fixture"], name=desc["fixture"].get("name", "saved"))
         point = point_from_real4(desc["point"])
-        degree = int(desc["degree"])
-        saved = dict(desc.get("config", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+        degree = as_int(desc["degree"])
+        config = dict(desc.get("config", {}))
+        saved = {key: config[key] for key in REPORT_KEYS if key in config}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FixtureError(f"malformed report description: {exc!r}") from exc
-    # fixture-only keys (such as involutivity_tol) come from the saved
-    # fixture; the saved run config overrides the rest
-    cfg = resolve_config(
-        fx.config,
-        chart_radius=saved.get("chart_radius"),
-        newton_tol=saved.get("newton_tol"),
-        bracket_halfwidth=saved.get("bracket_halfwidth"),
-        root_tol=saved.get("tol_root"),
-        tol_ode=saved.get("tol_ode"),
-        max_step=saved.get("max_step"),
-        n_samples=saved.get("samples"),
-        seed=args.seed if args.seed is not None else saved.get("seed"),
-    )
+    # fixture-only keys (involutivity_tol) come from the saved fixture; the
+    # saved run config overrides the rest
+    seed = args.seed if args.seed is not None else saved.get("seed")
+    cfg = resolve_config(fx.config, **{**saved, "seed": seed})
     gauge, report = _run_fixture_pipeline(fx, point, degree, cfg)
     payload = _report_payload(fx, point, gauge.degree, cfg, gauge, report)
     _emit_report(payload, args.out)

@@ -180,11 +180,11 @@ def _compile_step(V: "VectorFieldC2", tableau, name: str):
     """Straight-line code of one step of the Runge-Kutta pair tableau (_DP5
     or _DOP853) on q' = mix * V(q): first(z, w, vz, vw, mix) -> (k1z, k1w)
     takes the first stage from a given field value, and step(z, w, h, mix,
-    k1z, k1w, atol, rtol) -> (zn, wn, kz, kw, err, ...) runs stages 2 to
-    s + 1 with the field inlined and returns the update, its FSAL stage and,
-    per error row, the sum of the squared scaled errors (h included) of the
-    four real components.  Every stage runs the nonvanishing monitor on its
-    field value."""
+    k1z, k1w, tol) -> (zn, wn, kz, kw, err, ...) runs stages 2 to s + 1
+    with the field inlined and returns the update, its FSAL stage and, per
+    error row, the sum of the squared scaled errors (h included) of the four
+    real components.  Every stage runs the nonvanishing monitor on its field
+    value."""
     rows, weights, errors = tableau
     polys = (V.comp_z, V.comp_w)
     ns = dict(deg=V.degree, thr_sq=NONVANISH_THRESHOLD * NONVANISH_THRESHOLD,
@@ -210,14 +210,14 @@ def _compile_step(V: "VectorFieldC2", tableau, name: str):
     for v in "zw":
         for part in ("real", "imag"):
             step += [f"y = abs({v}.{part})", f"yn = abs({v}n.{part})",
-                     "sc = atol + rtol * (yn if yn > y else y)"]
+                     "sc = tol + tol * (yn if yn > y else y)"]
             step += [f"err{i} {add}= (e{i}{v}.{part} / sc) ** 2" for i in range(len(errors))]
             add = "+"
     errs = ", ".join(f"err{i}" for i in range(len(errors)))
     step.append(f"return zn, wn, k{fsal}z, k{fsal}w, {errs}")
     first = _STAGE.format(z="z", w="w", k=1).split("\n") + ["return k1z, k1w"]
     return _exec({"first(z, w, r0, r1, mix)": first,
-                  "step(z, w, h, mix, k1z, k1w, atol, rtol)": step}, name, ns)
+                  "step(z, w, h, mix, k1z, k1w, tol)": step}, name, ns)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,15 @@ Schema:
       "n": int,
       "config": {"chart_radius": ..., "bracket_halfwidth": ...,
                  "tol_ode": ..., "tol_root": ..., "newton_tol": ...,
-                 "samples": ..., "seed": ...}
+                 "max_step": ..., "samples": ..., "seed": ...,
+                 "involutivity_tol": ...}
     }
 
 Coefficients are strings parsed as exact rationals so that fixtures
 round-trip through the exact polynomial representation without rounding.
+The integers (exponents, m, n, samples, seed) may be written as 4 or 4.0;
+a value with a fractional part is malformed, never truncated.  tol_ode is
+the one flow tolerance, absolute and relative.
 A fixture carries a polynomial, an explicit field, or both (the field then
 takes precedence on the gauge-building path).
 """
@@ -29,23 +33,27 @@ from pathlib import Path
 from .errors import FixtureError
 from .fields import PointC2, VectorFieldC2
 from .pipeline import PipelineConfig
-from .wirtinger import WirtingerPoly, poly_from_records, poly_to_records
+from .wirtinger import WirtingerPoly, as_int, poly_from_records, poly_to_records
 
 __all__ = [
     "Fixture",
     "load_fixture",
     "parse_fixture",
     "fixture_to_dict",
+    "config_to_dict",
     "field_to_dict",
     "field_from_dict",
     "resolve_config",
     "point_from_real4",
 ]
 
+# The one table of config names: fixture key -> PipelineConfig field.
+# Reports save the run configuration under these keys, all but
+# involutivity_tol, which verify takes from the saved fixture.
 _CONFIG_KEYS = {
     "chart_radius": "chart_radius",
     "bracket_halfwidth": "bracket_halfwidth",
-    "tol_ode": None,        # expands to ode_abs_tol + ode_rel_tol
+    "tol_ode": "ode_tol",
     "tol_root": "root_tol",
     "newton_tol": "newton_tol",
     "max_step": "max_step",
@@ -53,6 +61,8 @@ _CONFIG_KEYS = {
     "seed": "seed",
     "involutivity_tol": "involutivity_tol",
 }
+REPORT_KEYS = tuple(key for key in _CONFIG_KEYS if key != "involutivity_tol")
+_INT_FIELDS = {"n_samples", "seed"}
 
 
 @dataclass(frozen=True)
@@ -72,7 +82,7 @@ def field_to_dict(V: VectorFieldC2) -> dict:
 
 def field_from_dict(data: dict) -> VectorFieldC2:
     return VectorFieldC2(poly_from_records(data["z"]),
-                         poly_from_records(data["w"]), int(data["m"]))
+                         poly_from_records(data["w"]), as_int(data["m"]))
 
 
 def point_from_real4(values) -> PointC2:
@@ -98,14 +108,14 @@ def parse_fixture(data: dict, name: str = "") -> Fixture:
         if "field" in data:
             fld = field_from_dict(data["field"])
         point = point_from_real4(data["point"]) if "point" in data else None
-        degree = int(data["n"]) if "n" in data else None
+        degree = as_int(data["n"]) if "n" in data else None
         config = dict(data.get("config", {}))
         unknown = set(config) - set(_CONFIG_KEYS)
         if unknown:
             raise FixtureError(f"unknown config keys: {sorted(unknown)}")
     except FixtureError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FixtureError(f"malformed fixture: {exc}") from exc
     if poly is None and fld is None:
         raise FixtureError("fixture must provide a polynomial or a field")
@@ -139,20 +149,19 @@ def fixture_to_dict(fx: Fixture) -> dict:
     return out
 
 
-_INT_FIELDS = {"n_samples", "seed", "max_steps", "n_involutivity"}
+def config_to_dict(cfg: PipelineConfig) -> dict:
+    """The run configuration a report saves, under its fixture keys."""
+    return {key: getattr(cfg, _CONFIG_KEYS[key]) for key in REPORT_KEYS}
 
 
 def _expand(key: str, value, kwargs: dict) -> None:
-    if key == "tol_ode":
-        kwargs["ode_abs_tol"] = float(value)
-        kwargs["ode_rel_tol"] = float(value)
-        return
     name = _CONFIG_KEYS.get(key, key)
-    kwargs[name] = int(value) if name in _INT_FIELDS else float(value)
+    kwargs[name] = as_int(value) if name in _INT_FIELDS else float(value)
 
 
 def resolve_config(fixture_config: dict, **overrides) -> PipelineConfig:
-    """Defaults <- fixture config <- keyword overrides (None means unset)."""
+    """Defaults <- fixture config <- keyword overrides under fixture keys
+    (None means unset)."""
     kwargs: dict = {}
     try:
         for key, value in fixture_config.items():

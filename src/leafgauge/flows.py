@@ -35,18 +35,18 @@ __all__ = ["FlowConfig", "integrate_flow", "leaf_flow_map", "trace_leaf"]
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Error control of integrate_flow.  max_step bounds the step in the
-    time of a unit-coefficient flow, such as those of leaf_flow_map."""
+    """Error control of integrate_flow.  One tolerance is both the absolute
+    and the relative part: each real component's error is scaled by
+    tol + tol * max(|y|, |y_new|).  max_step bounds the step in the time of
+    a unit-coefficient flow, such as those of leaf_flow_map."""
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
+    tol: float = 1e-10
     max_step: float = 0.1
     max_steps: int = 20000
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0
-                   for v in (self.abs_tol, self.rel_tol, self.max_step)):
-            raise ValueError("tolerances and max_step must be positive and finite")
+        if not all(math.isfinite(v) and v > 0 for v in (self.tol, self.max_step)):
+            raise ValueError("tol and max_step must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -82,7 +82,7 @@ def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
     z, w = complex(q0.z), complex(q0.w)
     vz, vw = V.eval_complex(z, w) if v0 is None else v0
     k1z, k1w = first(z, w, vz, vw, mix)
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    tol = cfg.tol
     direction = 1.0 if s > 0 else -1.0
     t = 0.0
 
@@ -94,7 +94,7 @@ def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
     long = abs(s) * d1 >= LONG_FLOW * d0
     if long:
         step = V._dop853[1]
-    h = min(abs(s), cfg.max_step, (1.0 if long else 0.01) * (d0 + atol) / (d1 + 1e-300))
+    h = min(abs(s), cfg.max_step, (1.0 if long else 0.01) * (d0 + tol) / (d1 + 1e-300))
     h = direction * max(h, 1e-12 * abs(s))
     expo = -1 / 8 if long else -1 / 5
 
@@ -106,12 +106,12 @@ def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
         if direction * (t + h) > direction * s:
             h = s - t
         if long:
-            zn, wn, kz, kw, e5, e3 = step(z, w, h, mix, k1z, k1w, atol, rtol)
+            zn, wn, kz, kw, e5, e3 = step(z, w, h, mix, k1z, k1w, tol)
             # Hairer's combined estimate |h| E5^2 / sqrt((E5^2 + E3^2 / 100) n),
             # with h inside both sums
             err = e5 / math.sqrt((e5 + 0.01 * e3) * 4.0) if e5 else 0.0
         else:
-            zn, wn, kz, kw, err = step(z, w, h, mix, k1z, k1w, atol, rtol)
+            zn, wn, kz, kw, err = step(z, w, h, mix, k1z, k1w, tol)
             err = math.sqrt(err / 4.0)
 
         if err <= 1.0:
@@ -132,8 +132,7 @@ def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
 def leaf_flow_map(V: VectorFieldC2, q: PointC2, s1: float, s2: float,
                   cfg: FlowConfig | None = None) -> PointC2:
     """Flow along X1 for time s1, then along X2 for time s2 (fixed order)."""
-    mid = integrate_flow(V, (1.0, 0.0), s1, q, cfg) if s1 != 0.0 else q
-    return integrate_flow(V, (0.0, 1.0), s2, mid, cfg) if s2 != 0.0 else mid
+    return integrate_flow(V, (0.0, 1.0), s2, integrate_flow(V, (1.0, 0.0), s1, q, cfg), cfg)
 
 
 def trace_leaf(V: VectorFieldC2, q: PointC2, grid, cfg: FlowConfig | None = None):

@@ -2,8 +2,10 @@
 
 Given a leaf chart, the scaling velocity d is the derivative at t = 1 of
 t -> leaf_coords(t * base): it measures how the leaf changes along the
-radial ray through the base point, and it cannot vanish when the base
-point is transversal to the field.
+radial ray through the base point.  The field is homogeneous, so
+leaf(t*x) = t*leaf(x), and d has the closed form (n1.x, n2.x), the
+transversal part of the base point x; it cannot vanish when x is
+transversal to the field.
 
 The zero set of q -> <leaf_coords(q), d> is a union of leaves through the
 base leaf and is transverse to radial scaling, so for each nearby q there
@@ -27,7 +29,7 @@ from functools import cached_property
 
 from .charts import LeafChart, _project, leaf_coords
 from .errors import AssumptionError, ProjectionError, RootSearchError
-from .fields import PointC2, homogeneity_check_field
+from .fields import PointC2, _dot, homogeneity_check_field
 
 __all__ = [
     "GaugeFunction",
@@ -40,19 +42,16 @@ __all__ = [
 ]
 
 
-def scaling_velocity(chart: LeafChart, step: float = 1e-4) -> tuple[float, float]:
-    """Richardson-extrapolated central difference of t -> leaf_coords(t*x)
-    at t = 1.  A norm below 1e-4 means the ray is numerically tangent to
-    the leaf, which contradicts transversality of the base point."""
-    x = chart.base
-
-    def central(h: float) -> tuple[float, float]:
-        up, dn = leaf_coords(chart, x.scale(1.0 + h)), leaf_coords(chart, x.scale(1.0 - h))
-        return ((up[0] - dn[0]) / (2.0 * h), (up[1] - dn[1]) / (2.0 * h))
-
-    fine, coarse = central(step / 2), central(step)
-    d = ((4.0 * fine[0] - coarse[0]) / 3.0, (4.0 * fine[1] - coarse[1]) / 3.0)
-    if math.hypot(*d) <= 1e-4:
+def scaling_velocity(chart: LeafChart) -> tuple[float, float]:
+    """d/dt leaf_coords(t*x) at t = 1 in closed form.  leaf(t*x) = t*leaf(x)
+    and n1, n2 are normal to the leaf at x, so d = (n1.x, n2.x): the
+    transversal part of x itself.  |d| / |x| is the sine of the angle
+    between x and the complex tangent line of its leaf; at or below 1e-4
+    the ray is numerically tangent to the leaf, which contradicts
+    transversality of the base point."""
+    _, _, n1, n2 = chart.frame
+    d = (_dot(n1, chart.base4), _dot(n2, chart.base4))
+    if math.hypot(*d) <= 1e-4 * chart.base_norm:
         raise AssumptionError(
             "radial direction tangent to leaf: base point fails transversality numerically")
     return d
@@ -78,6 +77,7 @@ class GaugeFunction:
 
 def build_gauge(chart: LeafChart, degree: int, bracket_halfwidth: float = 0.15,
                 root_tol: float = 1e-11, velocity_step: float = 1e-4) -> GaugeFunction:
+    """velocity_step is unused (the ray velocity has a closed form); perfbench passes it."""
     if int(degree) != degree or degree < 1:
         raise ValueError("gauge degree must be a positive integer")
     if not (0 < bracket_halfwidth < 1):
@@ -87,7 +87,7 @@ def build_gauge(chart: LeafChart, degree: int, bracket_halfwidth: float = 0.15,
     if not homogeneity_check_field(chart.field):
         # the scale-factor solve relies on leaf(t*q) = t*leaf(q)
         raise AssumptionError("gauge needs a field homogeneous of its declared degree")
-    d = scaling_velocity(chart, velocity_step)
+    d = scaling_velocity(chart)
     G = GaugeFunction(chart=chart, ray_velocity=d, degree=int(degree),
                       bracket_halfwidth=bracket_halfwidth, root_tol=root_tol)
     base_val = gauge_eval(G, chart.base)

@@ -63,6 +63,9 @@ __all__ = [
     "run_field_pipeline",
 ]
 
+# sample points of the involutivity check
+N_INVOLUTIVITY = 20
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -77,33 +80,27 @@ class PipelineConfig:
     newton_tol: float = 1e-13
     bracket_halfwidth: float = 0.15
     root_tol: float = 1e-11
-    ode_abs_tol: float = 1e-12
-    ode_rel_tol: float = 1e-12
+    ode_tol: float = 1e-12
     max_step: float = 0.1
-    max_steps: int = 20000
     n_samples: int = 50
-    n_involutivity: int = 20
     seed: int = DEFAULT_SEED
     involutivity_tol: float = 1e-8
-    velocity_step: float = 1e-4
-    t_grid: tuple = (0.92, 0.96, 1.04, 1.08)
+    velocity_step: float = 1e-4     # unused; perfbench passes it to build_gauge
 
     def __post_init__(self):
-        if min(self.n_samples, self.n_involutivity, self.max_steps) < 1:
-            raise ValueError("sample counts and max_steps must be >= 1")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not all(math.isfinite(v) and v > 0
-                   for v in (self.newton_tol, self.root_tol, self.ode_abs_tol,
-                             self.ode_rel_tol, self.max_step,
+                   for v in (self.newton_tol, self.root_tol, self.ode_tol, self.max_step,
                              self.involutivity_tol, self.velocity_step)):
             raise ValueError("tolerances and steps must be positive and finite")
         if not (0 < self.chart_radius < 1 and 0 < self.bracket_halfwidth < 1):
             raise ValueError("chart_radius and bracket_halfwidth must lie in (0, 1)")
 
     def flow_cfg(self) -> FlowConfig:
-        return FlowConfig(abs_tol=self.ode_abs_tol, rel_tol=self.ode_rel_tol,
-                          max_step=self.max_step, max_steps=self.max_steps)
+        return FlowConfig(tol=self.ode_tol, max_step=self.max_step)
 
     def chart_cfg(self) -> ChartConfig:
         return ChartConfig(radius_scale=self.chart_radius, newton_tol=self.newton_tol,
@@ -212,7 +209,7 @@ def leaf_harmonicity_check(P: WirtingerPoly, V: VectorFieldC2, chart: LeafChart,
 
 def _assumption_entries(V: VectorFieldC2, x: PointC2,
                         cfg: PipelineConfig) -> list[CheckEntry]:
-    samples = sample_ball(x.to_real4(), cfg.chart_radius * x.norm(), cfg.n_involutivity,
+    samples = sample_ball(x.to_real4(), cfg.chart_radius * x.norm(), N_INVOLUTIVITY,
                           check_rng(cfg.seed, "involutivity"))
     inv = involutivity_check(V, samples, cfg.involutivity_tol)
     if not inv.passed:
@@ -234,8 +231,8 @@ def _build_and_verify(V: VectorFieldC2, x: PointC2, degree: int,
     entries = _assumption_entries(V, x, cfg)
     chart = build_chart(V, x, cfg.chart_cfg())
     G = build_gauge(chart, degree, bracket_halfwidth=cfg.bracket_halfwidth,
-                    root_tol=cfg.root_tol, velocity_step=cfg.velocity_step)
-    entries += run_standard_suite(G, cfg.n_samples, cfg.seed, cfg.t_grid,
+                    root_tol=cfg.root_tol)
+    entries += run_standard_suite(G, cfg.n_samples, cfg.seed,
                                   extra=[lambda: extra_entries(chart)])
     return G, assemble_report(entries)
 

@@ -477,15 +477,14 @@ def run_checks(tasks) -> list[CheckEntry]:
 
 
 def run_standard_suite(G: GaugeFunction, n_samples: int = 50,
-                       seed: int = DEFAULT_SEED,
-                       t_grid=(0.92, 0.96, 1.04, 1.08), extra=()) -> list[CheckEntry]:
+                       seed: int = DEFAULT_SEED, extra=()) -> list[CheckEntry]:
     """All chart and gauge checks with shared sampling parameters, then the
     `extra` thunks; leaf constancy and the scaling laws, about half of the
     work, are the ones a forked worker runs (see run_checks)."""
     return run_checks([
         (lambda: check_chart(G.chart, n_samples, seed), False),
         (lambda: check_leaf_constancy(G, n_samples, seed), True),
-        (lambda: check_homogeneity(G, t_grid, n_samples, seed), False),
+        (lambda: check_homogeneity(G, n_samples=n_samples, seed=seed), False),
         (lambda: check_ray_consistency(G.chart, n_samples, seed), False),
         (lambda: check_scaling_laws(G, n_samples, seed), True),
         *((thunk, False) for thunk in extra),

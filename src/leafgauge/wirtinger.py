@@ -59,6 +59,17 @@ def _coeff(re: Rational, im: Rational = 0) -> Coeff:
     return (Fraction(re), Fraction(im))
 
 
+def as_int(value) -> int:
+    """value as an int.  Unlike int(), a value with a fractional part (2.5,
+    "2.5") raises ValueError instead of being truncated; 4.0 is 4."""
+    if type(value) is int:
+        return value
+    q = Fraction(value)  # exact for a float; OverflowError for an infinity
+    if q.denominator != 1:
+        raise ValueError(f"{value!r} is not an integer")
+    return q.numerator
+
+
 class WirtingerPoly:
     """Sparse polynomial in (z, zbar, w, wbar) with exact complex-rational
     coefficients.  Instances are immutable; all arithmetic returns new
@@ -70,7 +81,7 @@ class WirtingerPoly:
         coeffs: dict[Exponent, Coeff] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coeff in items:
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(map(as_int, exp))
             if len(exp) != 4 or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent quadruple {exp!r}")
             re, im = _coeff(coeff[0], coeff[1])

@@ -28,7 +28,7 @@ from leafgauge import fields, wirtinger
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
-FLOW_TIGHT = FlowConfig(abs_tol=1e-12, rel_tol=1e-12, max_step=0.1, max_steps=20000)
+FLOW_TIGHT = FlowConfig(tol=1e-12, max_step=0.1, max_steps=20000)
 
 # Populated by the acceptance module; echoed after the run so the
 # per-criterion verdicts always appear in the terminal output.
@@ -74,6 +74,13 @@ def make_field_nonholo() -> VectorFieldC2:
     with non-holomorphic components."""
     return VectorFieldC2(WirtingerPoly.monomial(1, 1, 0, 0, -1),
                          WirtingerPoly.monomial(0, 1, 1, 0), 2)
+
+
+def make_field_curved() -> VectorFieldC2:
+    """(-z, 2w): tangent to the level sets of z^2 w, whose leaf-space curves
+    are curved, unlike those of the shipped fixtures."""
+    return VectorFieldC2(WirtingerPoly.monomial(1, 0, 0, 0, -1),
+                         WirtingerPoly.monomial(0, 0, 1, 0, 2), 1)
 
 
 def make_field_bad() -> VectorFieldC2:

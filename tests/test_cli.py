@@ -475,3 +475,83 @@ def test_build_writes_once(tmp_path):
     assert log.read_text().splitlines() == ["1 fork"]
     assert proc.stdout.count("overall: pass") == 1
     assert proc.stdout.startswith("check ")
+
+
+@pytest.mark.parametrize("point, code", [("1,0,3e-5,0", 2), ("0.01,0,3e-7,0", 2),
+                                         ("100,0,3e-3,0", 2), ("100,0,1e-4,0", 2),
+                                         ("1,0,1e-3,0", 3)])
+def test_near_tangent_base_point_exit_is_unit_free(point, code, capsys):
+    # the tangency guard compares |d| with |x|: the same near-tangent
+    # geometry exits 2 at every scale (100,0,3e-3,0 exited 3 under an
+    # absolute threshold), and a wider angle gets past it
+    assert main(["build-gauge", fx("field_v3.json"), "--point", point]) == code
+    assert ("tangent to leaf" in capsys.readouterr().err) == (code == 2)
+
+
+def _edited_fixture(tmp_path, name: str, edit) -> str:
+    data = json.loads(Path(fx(name)).read_text())
+    edit(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("pz4.json", lambda d: d.update(n=2.5)),
+    ("pz4.json", lambda d: d.update(n=math.inf)),
+    ("pz4.json", lambda d: d["polynomial"][0].update(dz=2.5, dzbar=2.9)),
+    ("field_v3.json", lambda d: d["field"].update(m=1.5)),
+    ("pz4.json", lambda d: d["config"].update(samples=20.5)),
+    ("pz4.json", lambda d: d["config"].update(seed=1.5)),
+], ids=["n", "n_inf", "exponents", "m", "samples", "seed"])
+def test_non_integral_integer_is_exit_4(name, edit, tmp_path, capsys):
+    # int() truncated these: n = 2.5 built a degree-2 gauge, exponents
+    # 2.5 and 2.9 became |z|^4, and both exited 0
+    path = _edited_fixture(tmp_path, name, edit)
+    out = tmp_path / "rep.json"
+    assert main(["build-gauge", path, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_integral_floats_and_large_ints_are_integers(tmp_path):
+    # 4.0 is 4: the report is byte-identical to the shipped fixture's
+    def edit(d):
+        d.update(n=4.0)
+        d["polynomial"][0].update(dz=2.0, dzbar=2.0)
+
+    path = _edited_fixture(tmp_path, "pz4.json", edit)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["build-gauge", fx("pz4.json"), "--samples", "10", "--out", str(a)]) == 0
+    assert main(["build-gauge", path, "--samples", "10", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    big = _edited_fixture(tmp_path, "pz4.json", lambda d: d["config"].update(seed=2 ** 64 + 1))
+    assert main(["build-gauge", big, "--samples", "10", "--out", str(b)]) == 0
+    assert json.loads(b.read_text())["description"]["config"]["seed"] == 2 ** 64 + 1
+    assert main(["verify", str(b), "--out", str(a)]) == 0
+
+
+@pytest.mark.parametrize("degree, code", [(4.0, 0), (2.5, 4)])
+def test_verify_saved_degree_must_be_integral(degree, code, tmp_path):
+    report = tmp_path / "rep.json"
+    assert main(["build-gauge", fx("pz4.json"), "--samples", "10", "--out", str(report)]) == 0
+    data = json.loads(report.read_text())
+    data["description"]["degree"] = degree
+    report.write_text(json.dumps(data))
+    assert main(["verify", str(report), "--out", str(tmp_path / "again.json")]) == code
+
+
+def test_config_names_live_in_one_table(tmp_path):
+    # every PipelineConfig field but the unused velocity_step has a fixture
+    # key, and a report saves the run keys, all but involutivity_tol
+    from dataclasses import fields
+
+    from leafgauge.fixtures import _CONFIG_KEYS, REPORT_KEYS
+    from leafgauge.pipeline import PipelineConfig
+
+    names = {f.name for f in fields(PipelineConfig)}
+    assert names == set(_CONFIG_KEYS.values()) | {"velocity_step"}
+    assert set(REPORT_KEYS) == set(_CONFIG_KEYS) - {"involutivity_tol"}
+    report = tmp_path / "rep.json"
+    assert main(["build-gauge", fx("pz4.json"), "--samples", "10", "--out", str(report)]) == 0
+    assert sorted(json.loads(report.read_text())["description"]["config"]) == sorted(REPORT_KEYS)

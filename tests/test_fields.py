@@ -443,7 +443,7 @@ def test_compiled_evaluator_handles_high_degree(code):
         # every stage at (z, w), and the FSAL stage with mix = 1 is V(z, w)
         _, step = getattr(V, "_" + code)
         step.__globals__.update(deg=0, thr_sq=-1.0)
-        got, zero = step(z, w, 0.0, 1 + 0j, 0j, 0j, 1e-12, 1e-12)[2:4]
+        got, zero = step(z, w, 0.0, 1 + 0j, 0j, 0j, 1e-12)[2:4]
     want = (1 - 1j) * z ** 1500 * z.conjugate() ** 1000 * w ** 900 * w.conjugate() ** 600
     assert zero == 0
     assert abs(got - want) <= 1e-11 * abs(want)

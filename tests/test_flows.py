@@ -63,6 +63,15 @@ def test_leaf_flow_map_zero_times():
     assert leaf_flow_map(make_field_v3(), q, 0.0, 0.0) is q
 
 
+def test_leaf_flow_map_one_zero_time_is_one_flow():
+    # a zero time is a no-op of integrate_flow itself, bit for bit
+    V, q = make_field_nonholo(), PointC2(1 + 0.2j, 0.6 - 0.3j)
+    assert leaf_flow_map(V, q, 0.3, 0.0, FLOW_TIGHT) == integrate_flow(V, (1, 0), 0.3, q,
+                                                                        FLOW_TIGHT)
+    assert leaf_flow_map(V, q, 0.0, -0.2, FLOW_TIGHT) == integrate_flow(V, (0, 1), -0.2, q,
+                                                                         FLOW_TIGHT)
+
+
 def test_leaf_flow_keeps_z_for_w_directed_field():
     V = VectorFieldC2(WirtingerPoly.zero(), mono(1, 1, 0, 0, 4), 2)
     q = PointC2(1, 0.3)
@@ -102,13 +111,13 @@ def test_trace_leaf_z_constant_leaves():
 
 
 def test_flow_composition():
-    # flowing s then t equals flowing s + t, residual <= 10 * abs_tol
+    # flowing s then t equals flowing s + t, residual <= 10 * tol
     V1, _ = derive_candidate_fields(make_pzw())
-    cfg = FlowConfig(abs_tol=1e-10, rel_tol=1e-10)
+    cfg = FlowConfig(tol=1e-10)
     q = PointC2(1, 1)
     one = integrate_flow(V1, (1, 0), 0.25, q, cfg)
     two = integrate_flow(V1, (1, 0), 0.1, integrate_flow(V1, (1, 0), 0.15, q, cfg), cfg)
-    assert _err(one, two) <= 10 * cfg.abs_tol
+    assert _err(one, two) <= 10 * cfg.tol
 
 
 def test_tolerance_monotonicity():
@@ -118,14 +127,14 @@ def test_tolerance_monotonicity():
     want = PointC2(math.exp(-0.8), math.exp(0.8))
     errs = []
     for tol in (1e-6, 5e-7, 2.5e-7, 1.25e-7):
-        cfg = FlowConfig(abs_tol=tol, rel_tol=tol)
+        cfg = FlowConfig(tol=tol)
         errs.append(_err(integrate_flow(V, (1, 0), 0.8, q, cfg), want))
     for coarse, fine in zip(errs, errs[1:]):
         assert fine <= coarse + 1e-15
 
 
 def test_step_budget_error():
-    cfg = FlowConfig(abs_tol=1e-12, rel_tol=1e-12, max_step=0.01, max_steps=3)
+    cfg = FlowConfig(tol=1e-12, max_step=0.01, max_steps=3)
     with pytest.raises(StepBudgetError):
         integrate_flow(make_field_v3(), (1, 0), 5.0, PointC2(1, 1), cfg)
 
@@ -219,7 +228,7 @@ def test_blow_up_is_numeric_error():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        FlowConfig(abs_tol=-1)
+        FlowConfig(tol=-1)
     with pytest.raises(ValueError):
         FlowConfig(max_steps=0)
 

@@ -24,7 +24,7 @@ from leafgauge import (
 )
 from leafgauge.gauge import gauge_grid_rows
 from leafgauge.verify import sample_chart_ball
-from conftest import X_PZW, chart_cfg
+from conftest import X_PZW, chart_cfg, make_field_curved, make_field_nonholo, make_field_v3
 
 
 def test_scaling_velocity_pz4(chart_pz4):
@@ -48,6 +48,78 @@ def test_scaling_velocity_matches_across_parametrizations(chart_v3, chart_nonhol
     d_b = scaling_velocity(chart_nonholo)
     assert d_a[0] == pytest.approx(d_b[0], abs=1e-8)
     assert d_a[1] == pytest.approx(d_b[1], abs=1e-8)
+
+
+def _richardson_velocity(chart, step=1e-4):
+    # the finite-difference oracle: Richardson-extrapolated central
+    # difference of t -> leaf_coords(t*x) at t = 1
+    x = chart.base
+
+    def central(h):
+        up, dn = leaf_coords(chart, x.scale(1.0 + h)), leaf_coords(chart, x.scale(1.0 - h))
+        return ((up[0] - dn[0]) / (2.0 * h), (up[1] - dn[1]) / (2.0 * h))
+
+    fine, coarse = central(step / 2), central(step)
+    return ((4.0 * fine[0] - coarse[0]) / 3.0, (4.0 * fine[1] - coarse[1]) / 3.0)
+
+
+X_GENERIC = PointC2(1 + 0.2j, 0.6 - 0.3j)
+
+
+def _curved_chart(x=X_PZW):
+    return build_chart(make_field_curved(), x, chart_cfg(0.22))
+
+
+@pytest.mark.parametrize("name", ["chart_pz4", "chart_pzw", "chart_v3", "chart_nonholo",
+                                  "curved", "curved_generic"])
+def test_scaling_velocity_matches_difference_oracle(name, request):
+    # on the fixture charts and at (1, 1) the velocity lies along n1; at the
+    # generic point both of its components are nonzero
+    if name.startswith("curved"):
+        chart = _curved_chart(X_GENERIC if name == "curved_generic" else X_PZW)
+    else:
+        chart = request.getfixturevalue(name)
+    d = scaling_velocity(chart)
+    assert math.dist(d, _richardson_velocity(chart)) <= 1e-9 * math.hypot(*d)
+
+
+def test_scaling_velocity_curved_closed_form():
+    # n1 = (2, 0, 1, 0) / sqrt(5) at x = (1, 1), so n1.x = 3 / sqrt(5)
+    d = scaling_velocity(_curved_chart())
+    assert d[0] == pytest.approx(3 / math.sqrt(5), rel=1e-15)
+    assert d[1] == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("k", [-3, 5, 30])
+@pytest.mark.parametrize("make", [make_field_v3, make_field_nonholo, make_field_curved])
+def test_ray_velocity_scales_exactly_with_the_base_point(make, k):
+    # x -> 2^k x scales the field views by a power of two, so the frame keeps
+    # its bits and the ray velocity, the transversal part of x, scales by 2^k
+    V, x = make(), X_GENERIC
+    G = build_gauge(build_chart(V, x, chart_cfg(0.1)), 2)
+    H = build_gauge(build_chart(V, x.scale(2.0 ** k), chart_cfg(0.1)), 2)
+    assert H.chart.frame == G.chart.frame
+    assert H.ray_velocity == tuple(2.0 ** k * c for c in G.ray_velocity)
+
+
+def test_build_gauge_on_curved_field_takes_no_field_evaluations(field_evals):
+    # the ray velocity needs no leaf projection, and the base point solves
+    # its own Newton system
+    chart = _curved_chart()
+    field_evals[0] = 0
+    build_gauge(chart, 3, bracket_halfwidth=0.35)
+    assert field_evals[0] == 0
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+def test_tangency_guard_is_unit_free(scale):
+    # the angle between x and its leaf's tangent line decides, not |x|:
+    # sin 6e-5 fails the 1e-4 guard at every scale, sin 2e-3 passes it
+    V = make_field_v3()
+    with pytest.raises(AssumptionError, match="tangent to leaf"):
+        scaling_velocity(build_chart(V, PointC2(scale, 3e-5 * scale), chart_cfg(0.05)))
+    d = scaling_velocity(build_chart(V, PointC2(scale, 1e-3 * scale), chart_cfg(0.05)))
+    assert math.hypot(*d) == pytest.approx(2e-3 * scale, rel=1e-3)
 
 
 def test_radial_mismatch_examples(gauge_pz4_n2):
