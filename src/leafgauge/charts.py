@@ -29,7 +29,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .errors import AssumptionError, DegenerateRootError, NumericError, ProjectionError
-from .fields import PointC2, VectorFieldC2, _dot, real_views, transversality_check, vanish_scale
+from .fields import (NONVANISH_THRESHOLD, PointC2, VectorFieldC2, _dot, real_views,
+                     transversality_check, vanish_scale)
 from .flows import FlowConfig, integrate_flow
 
 __all__ = ["ChartConfig", "LeafChart", "build_chart", "leaf_coords", "in_chart_ball"]
@@ -39,13 +40,15 @@ __all__ = ["ChartConfig", "LeafChart", "build_chart", "leaf_coords", "in_chart_b
 _FRAME_SKIP_THRESHOLD = 0.1
 
 _MIN_RADIUS = 1e-4
+NEWTON_MAX_ITER = 40    # iteration budget of one projection or scale-factor solve
 
 
 @dataclass(frozen=True)
 class ChartConfig:
+    """Chart settings; the defaults are the pipeline's."""
+
     radius_scale: float = 0.05          # chart ball radius, relative to |x|
-    newton_tol: float = 1e-11           # projection residual, relative to |x|
-    newton_max_iter: int = 40
+    newton_tol: float = 1e-13           # projection residual, relative to |x|
     flow: FlowConfig = dc_field(default_factory=FlowConfig)
 
     def __post_init__(self):
@@ -62,7 +65,6 @@ class LeafChart:
     frame: tuple[tuple[float, ...], ...]  # rows e1, e2, n1, n2; orthonormal
     radius_scale: float
     newton_tol: float
-    newton_max_iter: int
     flow_cfg: FlowConfig
 
     @cached_property
@@ -116,7 +118,7 @@ def build_chart(V: VectorFieldC2, x: PointC2,
     failures (halved down to 1e-4, then construction fails)."""
     cfg = cfg or ChartConfig()
     X1, X2 = real_views(V, x)
-    if math.hypot(*X1) <= 1e-8 * vanish_scale(V, x):
+    if math.hypot(*X1) <= NONVANISH_THRESHOLD * vanish_scale(V, x):
         raise AssumptionError("field vanishes at the chart base point")
     tr = transversality_check(V, x)
     if not tr.passed:
@@ -126,8 +128,7 @@ def build_chart(V: VectorFieldC2, x: PointC2,
     rho = cfg.radius_scale
     while True:
         chart = LeafChart(field=V, base=x, frame=frame, radius_scale=rho,
-                          newton_tol=cfg.newton_tol, newton_max_iter=cfg.newton_max_iter,
-                          flow_cfg=cfg.flow)
+                          newton_tol=cfg.newton_tol, flow_cfg=cfg.flow)
         try:
             _probe(chart)
             return chart
@@ -194,7 +195,7 @@ def _project(chart: LeafChart, q: PointC2, m=None, t: float = 1.0):
     point, p = q, q.to_real4()
     r = residual(p, t)
     rn = math.hypot(*r)
-    for _ in range(chart.newton_max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if rn <= tol:
             return t, p
         v = V.eval_complex(complex(p[0], p[1]), complex(p[2], p[3]))

@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 pass, 2 hypothesis/assumption violation, 3 numeric failure
 (including a failing verification report, and a saved report that verify's
-rebuild does not reproduce), 4 malformed input.
+rebuild does not reproduce), 4 malformed input or an unwritable output path.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from pathlib import Path
 
 from .errors import AssumptionError, FixtureError, LeafgaugeError, NumericError
 from .fields import PointC2, derive_candidate_fields, select_field
-from .fixtures import (REPORT_KEYS, Fixture, config_to_dict, fixture_to_dict, load_fixture,
-                       parse_fixture, point_from_real4, resolve_config)
+from .fixtures import (Fixture, config_to_dict, fixture_to_dict, load_fixture, parse_fixture,
+                       point_from_real4, resolve_config)
 from .flows import trace_leaf
 from .gauge import gauge_grid_rows
 from .pipeline import PipelineConfig, run_field_pipeline, run_pipeline, validate_hypotheses
@@ -84,7 +84,10 @@ def _config(fx: Fixture, args) -> PipelineConfig:
 
 def _write(path: str | None, text: str) -> None:
     if path:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise FixtureError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -214,7 +217,7 @@ def cmd_build_gauge(args) -> int:
         writer.writerow(["re_z", "im_z", "re_w", "im_w", "scale", "gauge"])
         for row in gauge_grid_rows(gauge, pts):
             writer.writerow([repr(v) for v in row])
-        Path(args.grid_out).write_text(buf.getvalue())
+        _write(args.grid_out, buf.getvalue())
     return EXIT_PASS if report.overall_pass else EXIT_NUMERIC
 
 
@@ -239,12 +242,9 @@ def cmd_verify(args) -> int:
         fx = parse_fixture(desc["fixture"], name=desc["fixture"].get("name", "saved"))
         point = point_from_real4(desc["point"])
         degree = as_int(desc["degree"])
-        config = dict(desc.get("config", {}))
-        saved = {key: config[key] for key in REPORT_KEYS if key in config}
+        saved = dict(desc.get("config", {}))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FixtureError(f"malformed report description: {exc!r}") from exc
-    # fixture-only keys (involutivity_tol) come from the saved fixture; the
-    # saved run config overrides the rest
     seed = args.seed if args.seed is not None else saved.get("seed")
     cfg = resolve_config(fx.config, **{**saved, "seed": seed})
     gauge, report = _run_fixture_pipeline(fx, point, degree, cfg)

@@ -310,15 +310,14 @@ def derive_candidate_fields(P: WirtingerPoly):
     return V1, V2
 
 
-def select_field(P: WirtingerPoly, x: PointC2,
-                 threshold: float = NONVANISH_THRESHOLD) -> VectorFieldC2:
+def select_field(P: WirtingerPoly, x: PointC2) -> VectorFieldC2:
     """Pick the candidate field that does not vanish at x, preferring the
     first on ties.  Raises AssumptionError when both vanish (the Hessian of
     P is zero at x).  The candidates are evaluated exactly, once each, so
     neither is compiled here."""
     for V in derive_candidate_fields(P):
         if PointC2(poly_eval(V.comp_z, x), poly_eval(V.comp_w, x)).norm() > \
-                threshold * vanish_scale(V, x):
+                NONVANISH_THRESHOLD * vanish_scale(V, x):
             return V
     raise AssumptionError("Hessian vanishes at base point")
 
@@ -387,14 +386,13 @@ def involutivity_check(V: VectorFieldC2, samples: Sequence[PointC2],
     return CheckResult(worst <= tol, worst)
 
 
-def transversality_check(V: VectorFieldC2, p: PointC2,
-                         threshold: float = NONVANISH_THRESHOLD) -> CheckResult:
-    """|det[p | V(p)]| against a relative threshold; failure means p and
-    V(p) are (numerically) complex-linearly dependent.  Raises NumericError
-    when the determinant or its bound is not finite."""
+def transversality_check(V: VectorFieldC2, p: PointC2) -> CheckResult:
+    """|det[p | V(p)]| against the relative nonvanishing threshold; failure
+    means p and V(p) are (numerically) complex-linearly dependent.  Raises
+    NumericError when the determinant or its bound is not finite."""
     v = field_eval(V, p)
     det = abs(p.z * v.w - p.w * v.z)
-    bound = threshold * p.norm() * v.norm()
+    bound = NONVANISH_THRESHOLD * p.norm() * v.norm()
     if not (math.isfinite(det) and math.isfinite(bound)):
         raise NumericError(f"transversality: determinant at {p} overflows a float")
     return CheckResult(det > bound, det)

@@ -10,8 +10,7 @@ Schema:
       "n": int,
       "config": {"chart_radius": ..., "bracket_halfwidth": ...,
                  "tol_ode": ..., "tol_root": ..., "newton_tol": ...,
-                 "max_step": ..., "samples": ..., "seed": ...,
-                 "involutivity_tol": ...}
+                 "max_step": ..., "samples": ..., "seed": ...}
     }
 
 Coefficients are strings parsed as exact rationals so that fixtures
@@ -48,8 +47,7 @@ __all__ = [
 ]
 
 # The one table of config names: fixture key -> PipelineConfig field.
-# Reports save the run configuration under these keys, all but
-# involutivity_tol, which verify takes from the saved fixture.
+# Reports save the run configuration under these keys.
 _CONFIG_KEYS = {
     "chart_radius": "chart_radius",
     "bracket_halfwidth": "bracket_halfwidth",
@@ -59,9 +57,7 @@ _CONFIG_KEYS = {
     "max_step": "max_step",
     "samples": "n_samples",
     "seed": "seed",
-    "involutivity_tol": "involutivity_tol",
 }
-REPORT_KEYS = tuple(key for key in _CONFIG_KEYS if key != "involutivity_tol")
 _INT_FIELDS = {"n_samples", "seed"}
 
 
@@ -151,11 +147,11 @@ def fixture_to_dict(fx: Fixture) -> dict:
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
     """The run configuration a report saves, under its fixture keys."""
-    return {key: getattr(cfg, _CONFIG_KEYS[key]) for key in REPORT_KEYS}
+    return {key: getattr(cfg, name) for key, name in _CONFIG_KEYS.items()}
 
 
 def _expand(key: str, value, kwargs: dict) -> None:
-    name = _CONFIG_KEYS.get(key, key)
+    name = _CONFIG_KEYS[key]    # KeyError: an unknown key
     kwargs[name] = as_int(value) if name in _INT_FIELDS else float(value)
 
 
@@ -170,5 +166,5 @@ def resolve_config(fixture_config: dict, **overrides) -> PipelineConfig:
             if value is not None:
                 _expand(key, value, kwargs)
         return PipelineConfig(**kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FixtureError(f"bad configuration: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FixtureError(f"bad configuration: {exc!r}") from exc

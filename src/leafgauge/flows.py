@@ -38,19 +38,19 @@ class FlowConfig:
     """Error control of integrate_flow.  One tolerance is both the absolute
     and the relative part: each real component's error is scaled by
     tol + tol * max(|y|, |y_new|).  max_step bounds the step in the time of
-    a unit-coefficient flow, such as those of leaf_flow_map."""
+    a unit-coefficient flow, such as those of leaf_flow_map.  The defaults
+    are the pipeline's: tight enough that root residuals stay well below
+    the reported check tolerances."""
 
-    tol: float = 1e-10
+    tol: float = 1e-12
     max_step: float = 0.1
-    max_steps: int = 20000
 
     def __post_init__(self):
         if not all(math.isfinite(v) and v > 0 for v in (self.tol, self.max_step)):
             raise ValueError("tol and max_step must be positive and finite")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
 
 
+MAX_STEPS = 20000       # step budget of one flow
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -100,8 +100,8 @@ def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
 
     steps = 0
     while direction * (s - t) > 1e-16 * abs(s):
-        if steps >= cfg.max_steps:
-            raise StepBudgetError("flow integration exceeded max_steps")
+        if steps >= MAX_STEPS:
+            raise StepBudgetError(f"flow integration exceeded {MAX_STEPS} steps")
         steps += 1
         if direction * (t + h) > direction * s:
             h = s - t

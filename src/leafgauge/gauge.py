@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .charts import LeafChart, _project, leaf_coords
-from .errors import AssumptionError, ProjectionError, RootSearchError
+from .errors import AssumptionError, NumericError, ProjectionError, RootSearchError
 from .fields import PointC2, _dot, homogeneity_check_field
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "build_gauge",
     "radial_mismatch",
     "solve_scale",
+    "scale_power",
     "gauge_eval",
     "gauge_grid_rows",
 ]
@@ -88,12 +89,8 @@ def build_gauge(chart: LeafChart, degree: int, bracket_halfwidth: float = 0.15,
         # the scale-factor solve relies on leaf(t*q) = t*leaf(q)
         raise AssumptionError("gauge needs a field homogeneous of its declared degree")
     d = scaling_velocity(chart)
-    G = GaugeFunction(chart=chart, ray_velocity=d, degree=int(degree),
-                      bracket_halfwidth=bracket_halfwidth, root_tol=root_tol)
-    base_val = gauge_eval(G, chart.base)
-    if abs(base_val - 1.0) > degree * root_tol:
-        raise AssumptionError("gauge normalization failed at the base point")
-    return G
+    return GaugeFunction(chart=chart, ray_velocity=d, degree=int(degree),
+                         bracket_halfwidth=bracket_halfwidth, root_tol=root_tol)
 
 
 def radial_mismatch(G: GaugeFunction, q: PointC2, t: float) -> float:
@@ -122,15 +119,23 @@ def solve_scale(G: GaugeFunction, q: PointC2, t_guess: float | None = None) -> f
     return t
 
 
+def scale_power(t: float, k: int) -> float:
+    """t ** k for a scale factor t, the gauge value for k = -degree.  Raises
+    NumericError when it overflows a float, RootSearchError when it is 0."""
+    try:
+        value = t ** k
+    except OverflowError:
+        raise NumericError(f"scale factor {t!r} to the power {k} overflows a float") from None
+    if not value > 0.0:
+        raise RootSearchError(f"scale factor {t!r} to the power {k} underflows to 0")
+    return value
+
+
 def gauge_eval(G: GaugeFunction, q: PointC2, t_guess: float | None = None) -> float:
     """g(q) = solve_scale(q) ** (-degree); positive on the whole domain.
     An optional scale-factor guess (e.g. from a nearby point) starts the
     Newton iteration there without changing the result."""
-    t = solve_scale(G, q, t_guess)
-    value = t ** (-G.degree)
-    if not (value > 0.0) or not math.isfinite(value):
-        raise RootSearchError(f"gauge evaluation produced non-positive value {value}")
-    return value
+    return scale_power(solve_scale(G, q, t_guess), -G.degree)
 
 
 def gauge_grid_rows(G: GaugeFunction, points) -> list[tuple[float, ...]]:
@@ -138,5 +143,5 @@ def gauge_grid_rows(G: GaugeFunction, points) -> list[tuple[float, ...]]:
     rows = []
     for q in points:
         t = solve_scale(G, q)
-        rows.append((q.z.real, q.z.imag, q.w.real, q.w.imag, t, t ** (-G.degree)))
+        rows.append((q.z.real, q.z.imag, q.w.real, q.w.imag, t, scale_power(t, -G.degree)))
     return rows

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .charts import ChartConfig, LeafChart, build_chart
 from .errors import AssumptionError, NumericError
 from .fields import (
+    NONVANISH_THRESHOLD,
     PointC2,
     VectorFieldC2,
     annihilation_check,
@@ -63,28 +64,27 @@ __all__ = [
     "run_field_pipeline",
 ]
 
-# sample points of the involutivity check
+# sample points and tolerance of the involutivity check
 N_INVOLUTIVITY = 20
+INVOLUTIVITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Solver and sampling knobs for a full pipeline run.
-
-    The ODE and projection tolerances default tighter than the module-level
-    defaults so that root residuals stay well below the reported check
-    tolerances.
+    """Solver and sampling knobs for a full pipeline run.  The chart and
+    flow settings default to those of ChartConfig and FlowConfig, so
+    flow_cfg() and chart_cfg() of the defaults equal FlowConfig() and
+    ChartConfig().
     """
 
-    chart_radius: float = 0.05
-    newton_tol: float = 1e-13
+    chart_radius: float = ChartConfig.radius_scale
+    newton_tol: float = ChartConfig.newton_tol
     bracket_halfwidth: float = 0.15
     root_tol: float = 1e-11
-    ode_tol: float = 1e-12
-    max_step: float = 0.1
+    ode_tol: float = FlowConfig.tol
+    max_step: float = FlowConfig.max_step
     n_samples: int = 50
     seed: int = DEFAULT_SEED
-    involutivity_tol: float = 1e-8
     velocity_step: float = 1e-4     # unused; perfbench passes it to build_gauge
 
     def __post_init__(self):
@@ -94,7 +94,7 @@ class PipelineConfig:
             raise ValueError("seed must be >= 0")
         if not all(math.isfinite(v) and v > 0
                    for v in (self.newton_tol, self.root_tol, self.ode_tol, self.max_step,
-                             self.involutivity_tol, self.velocity_step)):
+                             self.velocity_step)):
             raise ValueError("tolerances and steps must be positive and finite")
         if not (0 < self.chart_radius < 1 and 0 < self.bracket_halfwidth < 1):
             raise ValueError("chart_radius and bracket_halfwidth must lie in (0, 1)")
@@ -211,7 +211,7 @@ def _assumption_entries(V: VectorFieldC2, x: PointC2,
                         cfg: PipelineConfig) -> list[CheckEntry]:
     samples = sample_ball(x.to_real4(), cfg.chart_radius * x.norm(), N_INVOLUTIVITY,
                           check_rng(cfg.seed, "involutivity"))
-    inv = involutivity_check(V, samples, cfg.involutivity_tol)
+    inv = involutivity_check(V, samples, INVOLUTIVITY_TOL)
     if not inv.passed:
         raise AssumptionError(
             f"involutivity failed: worst relative singular value {inv.residual:.3e}")
@@ -220,9 +220,8 @@ def _assumption_entries(V: VectorFieldC2, x: PointC2,
         raise AssumptionError("transversality failed at the base point")
     tr_norm = tr.residual / (x.norm() * field_eval(V, x).norm())
     return [
-        check_entry("field_involutivity", inv.residual, cfg.involutivity_tol,
-                    samples=len(samples)),
-        check_entry("base_transversality", tr_norm, 1e-8, mode="min", samples=1),
+        check_entry("field_involutivity", inv.residual, INVOLUTIVITY_TOL, samples=len(samples)),
+        check_entry("base_transversality", tr_norm, NONVANISH_THRESHOLD, mode="min", samples=1),
     ]
 
 
@@ -267,6 +266,6 @@ def run_field_pipeline(V: VectorFieldC2, x: PointC2, degree: int,
         raise AssumptionError("field components are not homogeneous of the declared degree")
     if V.degree < 1:
         raise AssumptionError("field homogeneity degree must be a positive integer")
-    if field_eval(V, x).norm() <= 1e-8 * vanish_scale(V, x):
+    if field_eval(V, x).norm() <= NONVANISH_THRESHOLD * vanish_scale(V, x):
         raise AssumptionError("field vanishes at the base point")
     return _build_and_verify(V, x, degree, cfg, lambda chart: [])

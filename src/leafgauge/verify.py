@@ -24,7 +24,7 @@ from .charts import LeafChart, _unit, in_chart_ball, leaf_coords
 from .errors import NumericError, RootSearchError
 from .fields import PointC2, _dot, real_views
 from .flows import leaf_flow_map
-from .gauge import GaugeFunction, gauge_eval, radial_mismatch, solve_scale
+from .gauge import GaugeFunction, gauge_eval, radial_mismatch, scale_power, solve_scale
 from .rng import Stream
 
 __all__ = [
@@ -293,7 +293,7 @@ def check_leaf_constancy(G: GaugeFunction, n_samples: int = 50,
             skipped += 1
             continue
         t_q = solve_scale(G, q)
-        g_q = t_q ** (-G.degree)
+        g_q = scale_power(t_q, -G.degree)
         # the mate is solved cold so the drift is an independent measurement
         g_m = gauge_eval(G, mate)
         worst_drift = max(worst_drift, abs(g_m - g_q) / g_q)
@@ -323,7 +323,7 @@ def check_homogeneity(G: GaugeFunction, t_grid=(0.92, 0.96, 1.04, 1.08),
     used = skipped = 0
     for q in samples:
         t_q = solve_scale(G, q)
-        g_q = t_q ** (-G.degree)
+        g_q = scale_power(t_q, -G.degree)
         any_used = False
         for t in t_grid:
             tq = q.scale(t)
@@ -334,7 +334,7 @@ def check_homogeneity(G: GaugeFunction, t_grid=(0.92, 0.96, 1.04, 1.08),
                 g_t = gauge_eval(G, tq, t_guess=t_q / t)
             except RootSearchError:
                 continue
-            expected = t ** G.degree * g_q
+            expected = scale_power(t, G.degree) * g_q
             worst = max(worst, abs(g_t - expected) / expected)
             any_used = True
         if any_used:
@@ -394,7 +394,7 @@ def check_scaling_laws(G: GaugeFunction, n_samples: int = 50,
     used = skipped_recip = 0
     for q in samples:
         t_star = solve_scale(G, q)
-        g_q = t_star ** (-G.degree)
+        g_q = scale_power(t_star, -G.degree)
         min_g = min(min_g, g_q)
         worst_root = max(worst_root, abs(radial_mismatch(G, q, t_star)))
 

@@ -212,19 +212,15 @@ def _from_ints(nums: dict, d: int) -> WirtingerPoly:
     return p
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _term_str(exp: Exponent, cf: Coeff) -> str:
     re, im = cf
     if im == 0:
-        coeff = _rat_str(re)
+        coeff = str(re)
     elif re == 0:
-        coeff = f"{_rat_str(im)}i"
+        coeff = f"{im}i"
     else:
         sign = "+" if im > 0 else "-"
-        coeff = f"({_rat_str(re)}{sign}{_rat_str(abs(im))}i)"
+        coeff = f"({re}{sign}{abs(im)}i)"
     factors = [f"{name}^{e}" if e > 1 else name
                for name, e in zip(VARIABLES, exp) if e > 0]
     if not factors:

@@ -1,8 +1,8 @@
 """Shared builders and session-scoped charts/gauges for the test suite.
 
 Charts and gauges are expensive enough to share: they are immutable after
-construction, so session scope is safe.  All solver tolerances here match
-the pipeline defaults (ODE 1e-12, projection 1e-13 relative); per-fixture
+construction, so session scope is safe.  All solver tolerances here are
+the defaults (ODE 1e-12, projection 1e-13 relative); per-fixture
 chart radii and brackets are sized so the closed-form oracle regions lie
 inside the evaluable domain.
 """
@@ -28,7 +28,7 @@ from leafgauge import fields, wirtinger
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
-FLOW_TIGHT = FlowConfig(tol=1e-12, max_step=0.1, max_steps=20000)
+FLOW_TIGHT = FlowConfig()
 
 # Populated by the acceptance module; echoed after the run so the
 # per-criterion verdicts always appear in the terminal output.
@@ -43,7 +43,7 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def chart_cfg(radius: float) -> ChartConfig:
-    return ChartConfig(radius_scale=radius, newton_tol=1e-13, flow=FLOW_TIGHT)
+    return ChartConfig(radius_scale=radius)
 
 
 # -- polynomial and field builders ------------------------------------------

@@ -1,6 +1,5 @@
 """Leaf charts: frame construction, closed-form coordinates, invariants."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +17,8 @@ from leafgauge import (
     in_chart_ball,
     leaf_coords,
 )
-from conftest import FLOW_TIGHT, chart_cfg, make_field_v3
+from leafgauge import charts
+from conftest import chart_cfg, make_field_v3
 
 
 def mono(a, b, c, d, re=1, im=0):
@@ -106,10 +106,10 @@ def test_chart_invariants_all_fixtures(chart_pz4, chart_pzw, chart_v3, chart_non
         assert all(e.passed for e in entries), [e for e in entries if not e.passed]
 
 
-def test_projection_error_on_iteration_budget(chart_pzw):
-    starved = dataclasses.replace(chart_pzw, newton_max_iter=1)
+def test_projection_error_on_iteration_budget(chart_pzw, monkeypatch):
+    monkeypatch.setattr(charts, "NEWTON_MAX_ITER", 1)
     with pytest.raises(ProjectionError):
-        leaf_coords(starved, PointC2(1.25, 0.8))
+        leaf_coords(chart_pzw, PointC2(1.25, 0.8))
 
 
 def test_chart_config_validation():
@@ -119,10 +119,8 @@ def test_chart_config_validation():
         ChartConfig(newton_tol=0)
 
 
-def test_build_respects_radius_floor():
+def test_build_respects_radius_floor(monkeypatch):
     # an impossible newton budget exhausts the radius halving and fails
-    V = make_field_v3()
-    cfg = ChartConfig(radius_scale=0.3, newton_tol=1e-13, newton_max_iter=1,
-                      flow=FLOW_TIGHT)
+    monkeypatch.setattr(charts, "NEWTON_MAX_ITER", 1)
     with pytest.raises(ProjectionError, match="radius"):
-        build_chart(V, PointC2(1, 1), cfg)
+        build_chart(make_field_v3(), PointC2(1, 1), chart_cfg(0.3))

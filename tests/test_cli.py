@@ -174,21 +174,30 @@ def test_verify_rejects_plain_json(tmp_path):
     assert main(["verify", str(p)]) == 4
 
 
-def test_verify_keeps_fixture_config(tmp_path):
+def test_involutivity_tol_is_not_a_config_key(tmp_path, capsys):
+    # the involutivity tolerance is the constant 1e-8: a fixture or a saved
+    # report that still sets it is malformed
     data = json.loads((FIXTURE_DIR / "field_v3.json").read_text())
     data["config"]["involutivity_tol"] = 1e-3
     fixture = tmp_path / "loose.json"
     fixture.write_text(json.dumps(data))
+    assert main(["build-gauge", str(fixture), "--samples", "10"]) == 4
+    assert "involutivity_tol" in capsys.readouterr().err
+
     report_path = tmp_path / "rep.json"
-    again = tmp_path / "again.json"
-    assert main(["build-gauge", str(fixture), "--samples", "10",
+    assert main(["build-gauge", fx("field_v3.json"), "--samples", "10",
                  "--out", str(report_path)]) == 0
-    assert main(["verify", str(report_path), "--out", str(again)]) == 0
-    for path in (report_path, again):
-        entries = json.loads(path.read_text())["report"]["entries"]
-        inv = next(e for e in entries if e["name"] == "field_involutivity")
-        assert inv["tolerance"] == 1e-3
-    assert again.read_bytes() == report_path.read_bytes()
+    report = json.loads(report_path.read_text())
+    inv = next(e for e in report["report"]["entries"] if e["name"] == "field_involutivity")
+    assert inv["tolerance"] == 1e-8
+    for block in (report["description"]["fixture"]["config"], report["description"]["config"]):
+        block["involutivity_tol"] = 1e-3
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["verify", str(tampered), "--out", str(tmp_path / "again.json")]) == 4
+        assert "involutivity_tol" in capsys.readouterr().err
+        del block["involutivity_tol"]
 
 
 def test_verify_rejects_other_schema(tmp_path):
@@ -543,15 +552,38 @@ def test_verify_saved_degree_must_be_integral(degree, code, tmp_path):
 
 def test_config_names_live_in_one_table(tmp_path):
     # every PipelineConfig field but the unused velocity_step has a fixture
-    # key, and a report saves the run keys, all but involutivity_tol
+    # key, and a report saves the run configuration under exactly those keys
     from dataclasses import fields
 
-    from leafgauge.fixtures import _CONFIG_KEYS, REPORT_KEYS
+    from leafgauge.fixtures import _CONFIG_KEYS
     from leafgauge.pipeline import PipelineConfig
 
     names = {f.name for f in fields(PipelineConfig)}
     assert names == set(_CONFIG_KEYS.values()) | {"velocity_step"}
-    assert set(REPORT_KEYS) == set(_CONFIG_KEYS) - {"involutivity_tol"}
+    assert len(_CONFIG_KEYS) == 8
     report = tmp_path / "rep.json"
     assert main(["build-gauge", fx("pz4.json"), "--samples", "10", "--out", str(report)]) == 0
-    assert sorted(json.loads(report.read_text())["description"]["config"]) == sorted(REPORT_KEYS)
+    assert sorted(json.loads(report.read_text())["description"]["config"]) == sorted(_CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("degree", ["10000", "30000"])
+def test_overflowing_gauge_degree_is_exit_3(degree, capsys):
+    # the scale factor of a verification sample below the base, raised to
+    # minus the degree, overflows a float
+    assert main(["build-gauge", fx("pz4.json"), "--samples", "10", "--degree", degree]) == 3
+    assert "overflows a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["build-gauge", fx("pz4.json"), "--samples", "10", "--out", "{missing}/x.json"],
+    ["build-gauge", fx("pz4.json"), "--samples", "10", "--grid-out", "{missing}/x.csv"],
+    ["verify", "{report}", "--out", "{missing}/y.json"],
+    ["trace-leaf", fx("pz4.json"), "--out", "{missing}/y.csv"],
+])
+def test_unwritable_output_is_exit_4(args, tmp_path, capsys):
+    # each output path lies in a directory that does not exist
+    report = tmp_path / "rep.json"
+    assert main(["build-gauge", fx("pz4.json"), "--samples", "10", "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert main([a.format(missing=tmp_path / "missing", report=report) for a in args]) == 4
+    assert "cannot write" in capsys.readouterr().err

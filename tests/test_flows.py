@@ -21,6 +21,7 @@ from leafgauge import (
 )
 from conftest import FIXTURE_DIR, FLOW_TIGHT, make_field_nonholo, make_field_v3, make_pzw
 from leafgauge import derive_candidate_fields, load_fixture, select_field
+from leafgauge import flows
 from leafgauge.flows import LONG_FLOW
 
 
@@ -133,8 +134,9 @@ def test_tolerance_monotonicity():
         assert fine <= coarse + 1e-15
 
 
-def test_step_budget_error():
-    cfg = FlowConfig(tol=1e-12, max_step=0.01, max_steps=3)
+def test_step_budget_error(monkeypatch):
+    monkeypatch.setattr(flows, "MAX_STEPS", 3)
+    cfg = FlowConfig(max_step=0.01)
     with pytest.raises(StepBudgetError):
         integrate_flow(make_field_v3(), (1, 0), 5.0, PointC2(1, 1), cfg)
 
@@ -230,7 +232,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(tol=-1)
     with pytest.raises(ValueError):
-        FlowConfig(max_steps=0)
+        FlowConfig(max_step=0)
 
 
 # -- bit-for-bit pins -----------------------------------------------------------

@@ -10,6 +10,7 @@ from leafgauge import (
     AssumptionError,
     DegenerateRootError,
     GaugeFunction,
+    NumericError,
     PointC2,
     RootSearchError,
     VectorFieldC2,
@@ -103,8 +104,7 @@ def test_ray_velocity_scales_exactly_with_the_base_point(make, k):
 
 
 def test_build_gauge_on_curved_field_takes_no_field_evaluations(field_evals):
-    # the ray velocity needs no leaf projection, and the base point solves
-    # its own Newton system
+    # the ray velocity needs no leaf projection
     chart = _curved_chart()
     field_evals[0] = 0
     build_gauge(chart, 3, bracket_halfwidth=0.35)
@@ -200,6 +200,25 @@ def test_gauge_grid_rows(gauge_pz4_n2):
     assert (re_z, im_z, re_w, im_w) == (1.1, 0.0, 0.0, 0.0)
     assert scale == pytest.approx(1 / 1.1, rel=1e-9)
     assert value == pytest.approx(1.1 ** 2, rel=1e-9)
+
+
+def test_gauge_is_one_at_the_base_point(gauge_pz4_n4, gauge_pzw_n4, gauge_v3_n2,
+                                        gauge_nonholo_n2):
+    # the base point solves its own Newton system at t = 1 exactly
+    for G in (gauge_pz4_n4, gauge_pzw_n4, gauge_v3_n2, gauge_nonholo_n2):
+        assert gauge_eval(G, G.chart.base) == 1.0
+
+
+def test_large_degree_overflow_and_underflow(chart_pz4):
+    # g = (Re z)^n on pz4: 1.1^10000 overflows a float, 0.9^10000 underflows
+    G = build_gauge(chart_pz4, 10000, bracket_halfwidth=0.60)
+    with pytest.raises(NumericError, match="overflows") as info:
+        gauge_eval(G, PointC2(1.1, 0))
+    assert not isinstance(info.value, RootSearchError)
+    with pytest.raises(RootSearchError, match="underflows"):
+        gauge_eval(G, PointC2(0.9, 0))
+    with pytest.raises(NumericError, match="overflows"):
+        gauge_grid_rows(G, [PointC2(1.1, 0)])
 
 
 def test_gauge_immutable(gauge_pz4_n2):

@@ -1,5 +1,7 @@
 """End-to-end pipelines: hypothesis gate, leaf harmonicity, full runs."""
 
+import dataclasses
+import inspect
 import os
 from fractions import Fraction
 
@@ -7,6 +9,9 @@ import pytest
 
 from leafgauge import (
     AssumptionError,
+    ChartConfig,
+    FlowConfig,
+    LeafChart,
     PipelineConfig,
     PointC2,
     VectorFieldC2,
@@ -34,6 +39,18 @@ from conftest import (
 
 CFG = PipelineConfig(chart_radius=0.30, bracket_halfwidth=0.45, n_samples=25)
 CFG_PZ4 = PipelineConfig(chart_radius=0.30, bracket_halfwidth=0.60, n_samples=25)
+
+
+def test_solver_settings_have_one_home():
+    # the pipeline defaults are the chart and flow defaults, and each
+    # one-value setting is a module constant rather than a field
+    assert PipelineConfig().flow_cfg() == FlowConfig()
+    assert PipelineConfig().chart_cfg() == ChartConfig()
+    counts = {cls.__name__: len(dataclasses.fields(cls))
+              for cls in (PipelineConfig, ChartConfig, FlowConfig, LeafChart)}
+    assert counts == {"PipelineConfig": 9, "ChartConfig": 3, "FlowConfig": 2, "LeafChart": 6}
+    assert list(inspect.signature(select_field).parameters) == ["P", "x"]
+    assert list(inspect.signature(transversality_check).parameters) == ["V", "p"]
 
 
 def _verdicts(checklist):
