@@ -206,9 +206,8 @@ def cmd_build_gauge(args) -> int:
     cfg = _config(fx, args)
     gauge, report = _run_fixture_pipeline(fx, point, degree, cfg)
     payload = _report_payload(fx, point, gauge.degree, cfg, gauge, report)
-    _emit_report(payload, args.out)
-    if args.out:
-        sys.stdout.write(report_to_text(report))
+    # the grid is computed and written first: a run that fails on it leaves
+    # no report behind
     if args.grid_out:
         pts = sample_chart_ball(gauge.chart, args.grid_n, check_rng(cfg.seed, "grid"),
                                 shrink=0.7)
@@ -218,6 +217,9 @@ def cmd_build_gauge(args) -> int:
         for row in gauge_grid_rows(gauge, pts):
             writer.writerow([repr(v) for v in row])
         _write(args.grid_out, buf.getvalue())
+    _emit_report(payload, args.out)
+    if args.out:
+        sys.stdout.write(report_to_text(report))
     return EXIT_PASS if report.overall_pass else EXIT_NUMERIC
 
 

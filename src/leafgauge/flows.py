@@ -14,10 +14,11 @@ higher order takes far fewer stages.  The choice is made once per flow, and
 one step-size control serves both.  The stepper is hand-rolled rather than
 delegated so that the step budget and the rank-drop monitor (field norm
 falling below the nonvanishing threshold) are first-class failures, and so
-that runs are bit-deterministic.  Each field generates its own
-straight-line steps (VectorFieldC2._dp5 and _dop853): the stage
-evaluations with the field expressions, the monitor and the error sums
-inlined, on the complex state (z, w).  This integrator sits under every
+that runs are bit-deterministic.  The steps are straight-line code
+(VectorFieldC2._dp5 and _dop853): the stage evaluations with the field
+expressions, the monitor and the error sums inlined, on the complex state
+(z, w).  Their code is compiled once per shape of field, and each field
+binds its own coefficients to it.  This integrator sits under every
 chart projection and gauge evaluation, so only the step-size control is
 left here.
 """

@@ -385,7 +385,10 @@ def check_scaling_laws(G: GaugeFunction, n_samples: int = 50,
     chart = G.chart
     rng = check_rng(seed, "scaling_laws")
     samples = sample_chart_ball(chart, n_samples, rng, shrink=0.6)
-    h = 1e-5 * chart.base_norm
+    # the central difference errs by about (degree * h / |x|)^2: above degree
+    # 4 the step shrinks as 1 / degree, which holds that error at its degree-4
+    # size (for degree <= 4 the factor is exactly 1)
+    h = 1e-5 * chart.base_norm * min(1.0, 4 / G.degree)
 
     min_g = math.inf
     worst_root = 0.0

@@ -171,18 +171,34 @@ def poly_diffs(monkeypatch):
 
 @pytest.fixture
 def code_generations(monkeypatch):
-    """A one-element list counting straight-line code generations
+    """A one-element list counting instantiations of generated code
     (fields._exec calls: a field, its Jacobian or one of its flow steps), with
-    the verification suite in this process."""
+    the verification suite in this process.  The code itself is compiled once
+    per shape; code_compiles counts that."""
     serial(monkeypatch)
     calls = [0]
     run = fields._exec
 
-    def counted(defs, name, ns):
+    def counted(kind, shape, ns):
         calls[0] += 1
-        return run(defs, name, ns)
+        return run(kind, shape, ns)
 
     monkeypatch.setattr(fields, "_exec", counted)
+    return calls
+
+
+@pytest.fixture
+def code_compiles(monkeypatch):
+    """A one-element list counting compiles of generated code, which only a
+    shape missing from the code cache costs; the cache starts empty."""
+    fields._code.cache_clear()
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return compile(*args)
+
+    monkeypatch.setattr(fields, "compile", counted, raising=False)
     return calls
 
 

@@ -574,6 +574,27 @@ def test_overflowing_gauge_degree_is_exit_3(degree, capsys):
     assert "overflows a float" in capsys.readouterr().err
 
 
+def test_large_degree_build_passes(capsys):
+    # the pz4 gauge (Re z)^n is exact at any degree; gauge_euler_identity
+    # failed this build (2.0e-4 against 1e-4) while its finite-difference
+    # step did not shrink with the degree
+    assert main(["build-gauge", fx("pz4.json"), "--samples", "20", "--degree", "3000"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["overall_pass"]
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_failed_grid_write_leaves_no_report(to_file, tmp_path, capsys):
+    # the grid is written before the report, so a failed grid write leaves
+    # no report for verify to read, neither at --out nor on stdout
+    report = tmp_path / "rep.json"
+    out_args = ["--out", str(report)] if to_file else []
+    assert main(["build-gauge", fx("pz4.json"), "--samples", "10", *out_args,
+                 "--grid-out", str(tmp_path / "missing" / "x.csv")]) == 4
+    out, err = capsys.readouterr()
+    assert not report.exists()
+    assert out == "" and "cannot write" in err
+
+
 @pytest.mark.parametrize("args", [
     ["build-gauge", fx("pz4.json"), "--samples", "10", "--out", "{missing}/x.json"],
     ["build-gauge", fx("pz4.json"), "--samples", "10", "--grid-out", "{missing}/x.csv"],

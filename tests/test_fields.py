@@ -1,6 +1,7 @@
 """Vector fields: candidate derivation, selection, and the admissibility
 checks (annihilation, bracket, involutivity, transversality, homogeneity)."""
 
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -481,6 +482,82 @@ def test_compiled_code_hygiene(code):
         consts = {c for c in fn.__code__.co_consts if not isinstance(c, str)}
         assert consts <= ({None, 0j} if code == "field" else {None, 0j, 1.0, 2})
         assert sorted(k for k in fn.__globals__ if not k.startswith("__")) == sorted(names)
+
+
+# -- the code cache: one compile per (kind, shape), coefficients per field --
+
+def _twin_fields():
+    # one shape, (1 + 3 z zbar w) and (w^2 + w wbar), with different coefficients
+    def field(a, b, c, d):
+        return VectorFieldC2(mono(0, 0, 0, 0, a) + mono(1, 1, 1, 0, b),
+                             mono(0, 0, 2, 0, c) + mono(0, 0, 1, 1, 0, d), 3)
+    return field(1, 3, 1, 1), field(Fraction(-2, 7), 5, Fraction(1, 3), -4)
+
+
+_POINTS = [(0.3 - 0.8j, 1.1 + 0.2j), (-1.7 + 0.1j, 0.05 - 2.2j), (1e3 + 1j, -1e-3j)]
+
+
+def test_one_shape_compiles_once(code_compiles):
+    A, B = _twin_fields()
+    A.eval_complex(1, 1)
+    B.eval_complex(1, 1)
+    assert code_compiles[0] == 1
+    A._jacobian(1, 1)
+    B._jacobian(1, 1)
+    assert code_compiles[0] == 2
+
+
+def test_cached_code_matches_a_fresh_compile(code_compiles):
+    # B runs code compiled for A; its values and Jacobian values are the bits
+    # of a compile made for B alone
+    A, B = _twin_fields()
+    A.eval_complex(1, 1), A._jacobian(1, 1)
+    got = [(B.eval_complex(z, w), B._jacobian(z, w)) for z, w in _POINTS]
+    assert code_compiles[0] == 2
+    fields._code.cache_clear()
+    _, fresh = _twin_fields()
+    assert got == [(fresh.eval_complex(z, w), fresh._jacobian(z, w)) for z, w in _POINTS]
+    assert code_compiles[0] == 4
+
+
+def test_overflowing_coefficient_on_a_cache_hit(code_compiles):
+    A, _ = _twin_fields()
+    A.eval_complex(1, 1)
+    huge = VectorFieldC2(mono(0, 0, 0, 0, 10 ** 400) + mono(1, 1, 1, 0),
+                         A.comp_w, 3)
+    with pytest.raises(NumericError, match="overflows a float"):
+        huge.eval_complex(1, 1)
+    assert code_compiles[0] == 1
+
+
+def test_code_cache_is_bounded():
+    fields._code.cache_clear()
+    assert fields.CODE_CACHE_SIZE == 256
+    assert fields._code.cache_parameters()["maxsize"] == fields.CODE_CACHE_SIZE
+
+
+def test_cache_holds_no_field(code_compiles):
+    V, _ = _twin_fields()
+    V.eval_complex(1, 1), V._jacobian(1, 1), V._dp5, V._dop853
+    assert code_compiles[0] == 4
+    ref = weakref.ref(V)
+    del V
+    assert ref() is None
+
+
+def test_scaled_field_reuses_its_flow_steps(code_compiles):
+    V = make_field_nonholo()
+    V._dp5, V._dop853
+    assert code_compiles[0] == 2
+    cV = VectorFieldC2(V.comp_z.scale(3, -1), V.comp_w.scale(3, -1), V.degree)
+    steps = cV._dp5, cV._dop853
+    assert code_compiles[0] == 2
+    # with h = 0 every stage sits at (z, w), so the FSAL stage is cV(z, w):
+    # each step reads the coefficients of cV, not those of V
+    z, w = 0.7 + 0.2j, 0.4 - 0.9j
+    for _, step in steps:
+        assert step(z, w, 0.0, 1 + 0j, 0j, 0j, 1e-12)[2:4] == cV.eval_complex(z, w)
+    assert cV.eval_complex(z, w) != V.eval_complex(z, w)
 
 
 # Nodes c_i of the DOP853 stages 1-12 in closed form (Hairer's dop853.f)

@@ -167,13 +167,14 @@ def test_single_step_work_count(field_evals):
     assert field_evals[0] == 7 + 6
 
 
-def test_long_flow_selection_boundary(field_evals, code_generations):
+def test_long_flow_selection_boundary(field_evals, code_generations, code_compiles):
     # on (-z, w) a unit-coefficient flow has first-stage displacement
     # |s| |q0|: just below LONG_FLOW |q0| it takes one DP5(4) step (7
     # evaluations), from there on DOP853 steps (the first stage, then 12
     # per step).  Two DP5(4) steps also cost 13, so each case also counts
-    # the code a fresh field generates: its evaluator and DP5(4) step, plus
-    # the DOP853 step on the long branch
+    # the code a fresh field instantiates: its evaluator and DP5(4) step,
+    # plus the DOP853 step on the long branch.  All five fields have one
+    # shape, so each of the three is compiled once
     q = PointC2(0.9 + 0.2j, 1.1 - 0.3j)
 
     def cost(s):
@@ -187,6 +188,7 @@ def test_long_flow_selection_boundary(field_evals, code_generations):
     assert cost(-LONG_FLOW * (1 + 1e-9)) == (1 + 12, 3)
     many, generated = cost(1.0)  # max_step 0.1: at least ten steps
     assert many > 1 + 12 * 9 and (many - 1) % 12 == 0 and generated == 3
+    assert code_compiles[0] == 3
 
 
 @pytest.mark.parametrize("coeffs, s", [((1, 0), 0.4), ((0.6, -0.8), -0.7),

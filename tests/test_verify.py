@@ -1,5 +1,6 @@
 """Report assembly, determinism, and the sampling-based checks."""
 
+import math
 import os
 import signal
 import threading
@@ -7,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from leafgauge import verify
+from leafgauge import gauge, verify
 from leafgauge import (
     NumericError,
     RootSearchError,
@@ -99,6 +100,36 @@ def test_individual_checks_pass(gauge_pzw_n4):
         check_scaling_laws(gauge_pzw_n4, 15, 0x5EED),
     ):
         assert all(e.passed for e in entries)
+
+
+def _euler_entry(entries):
+    return next(e for e in entries if e.name == "gauge_euler_identity")
+
+
+def test_euler_identity_holds_at_large_degree(chart_pz4):
+    # (Re z)^3000 is exactly homogeneous; a fixed step of 1e-5 |x| read
+    # 2.0e-4 here, above the tolerance 1e-4, from the (n h / |x|)^2 error
+    # of its central difference
+    G = build_gauge(chart_pz4, 3000, bracket_halfwidth=0.60)
+    entry = _euler_entry(check_scaling_laws(G, 20, 0x5EED))
+    assert entry.passed and entry.residual < 1e-6
+
+
+def test_euler_identity_fails_a_bent_large_degree_gauge(chart_pz4, monkeypatch):
+    # negative control for the shrunken step: scaling each scale factor by
+    # exp(-Re z / (n |x|)) makes the gauge (Re z)^n exp(Re z / |x|), still
+    # constant on the leaves z = c but not homogeneous; q . grad log g is
+    # then n + Re z / |x|, a relative Euler residual of about 1/n = 3.3e-4
+    solve = gauge.solve_scale
+
+    def bent(G, q, t_guess=None):
+        return solve(G, q, t_guess) * math.exp(-q.z.real / (G.degree * G.chart.base_norm))
+
+    monkeypatch.setattr(gauge, "solve_scale", bent)
+    monkeypatch.setattr(verify, "solve_scale", bent)
+    G = build_gauge(chart_pz4, 3000, bracket_halfwidth=0.60)
+    entry = _euler_entry(check_scaling_laws(G, 20, 0x5EED))
+    assert not entry.passed and entry.residual > 2e-4
 
 
 def test_too_many_skips_is_an_error(chart_pzw):
