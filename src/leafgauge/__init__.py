@@ -68,13 +68,11 @@ from .wirtinger import (
     homogeneity_degree,
     is_on_harmonic_line,
     levi_determinant,
-    line_hessian_restriction,
     poly_diff,
     poly_eval,
     poly_from_records,
     poly_is_real,
     poly_to_records,
-    psh_sample_check,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ from .fields import (
     NONVANISH_THRESHOLD,
     PointC2,
     VectorFieldC2,
-    annihilation_check,
     field_eval,
     homogeneity_check_field,
     involutivity_check,
@@ -245,9 +244,9 @@ def run_pipeline(P: WirtingerPoly, x: PointC2, degree: int | None = None,
     checklist = validate_hypotheses(P, x)
     if not checklist.all_passed:
         raise AssumptionError("hypothesis failed: " + ", ".join(checklist.failures))
+    # H.V1 = (0, det H) and H.V2 = (-det H, 0) term by term, so the
+    # levi_determinant_zero verdict is also the annihilation verdict
     V = select_field(P, x)
-    if not annihilation_check(P, V):
-        raise AssumptionError("selected field does not annihilate the Hessian")
     if degree is None:
         degree = homogeneity_degree(P)
 

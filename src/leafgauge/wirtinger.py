@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, hypot, inf, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from math import gcd, lcm
+from typing import Iterable, Mapping, Union
 
 from .errors import NumericError
 
@@ -40,9 +40,7 @@ __all__ = [
     "complex_hessian",
     "hessian_eval",
     "levi_determinant",
-    "line_hessian_restriction",
     "is_on_harmonic_line",
-    "psh_sample_check",
     "poly_from_records",
     "poly_to_records",
 ]
@@ -75,7 +73,7 @@ class WirtingerPoly:
     coefficients.  Instances are immutable; all arithmetic returns new
     polynomials in canonical form."""
 
-    __slots__ = ("_nums", "_den", "_hessian")
+    __slots__ = ("_nums", "_den", "_derivs")
 
     def __init__(self, terms: Union[Mapping[Exponent, Coeff], Iterable] = ()):
         coeffs: dict[Exponent, Coeff] = {}
@@ -354,23 +352,29 @@ class PolyMatrix2:
                 e[1][0] * vz + e[1][1] * vw)
 
 
-def complex_hessian(p: WirtingerPoly) -> PolyMatrix2:
-    """Matrix of mixed second derivatives
-    [[p_z_zbar, p_w_zbar], [p_z_wbar, p_w_wbar]] for real-valued p, derived
-    once per polynomial and kept on it."""
+def _dbar(p: WirtingerPoly):
+    # ((p_zbar, p_wbar), complex Hessian) of real-valued p, derived once and
+    # kept on it
     try:
-        return p._hessian
+        return p._derivs
     except AttributeError:
         pass
     if not poly_is_real(p):
         raise ValueError("complex Hessian requires a real-valued polynomial")
     p_zbar = poly_diff(p, "zbar")
     p_wbar = poly_diff(p, "wbar")
-    p._hessian = PolyMatrix2((
+    p._derivs = (p_zbar, p_wbar), PolyMatrix2((
         (poly_diff(p_zbar, "z"), poly_diff(p_zbar, "w")),
         (poly_diff(p_wbar, "z"), poly_diff(p_wbar, "w")),
     ))
-    return p._hessian
+    return p._derivs
+
+
+def complex_hessian(p: WirtingerPoly) -> PolyMatrix2:
+    """Matrix of mixed second derivatives
+    [[p_z_zbar, p_w_zbar], [p_z_wbar, p_w_wbar]] for real-valued p, derived
+    once per polynomial and kept on it."""
+    return _dbar(p)[1]
 
 
 def hessian_eval(p: WirtingerPoly, q) -> tuple[tuple[complex, complex],
@@ -385,65 +389,23 @@ def levi_determinant(p: WirtingerPoly) -> WirtingerPoly:
     return complex_hessian(p).det()
 
 
-def _restrict_to_line(p: WirtingerPoly, direction) -> WirtingerPoly:
-    # Substitute z -> s*dz, w -> s*dw.  Output lives in the same 4-variable
-    # representation with exponents (j, k, 0, 0) meaning s^j sbar^k.
-    sums, d = _substitute(p, direction, lambda e: (e[0] + e[2], e[1] + e[3], 0, 0))
-    return _from_ints(sums, d)
-
-
-def _constant(c: complex) -> WirtingerPoly:
-    # the exact constant c: both parts are dyadic, over powers of two
-    (re, dr), (im, di) = c.real.as_integer_ratio(), c.imag.as_integer_ratio()
-    d = max(dr, di)
-    return _from_ints({(0, 0, 0, 0): (re * (d // dr), im * (d // di))}, d)
-
-
-def line_hessian_restriction(p: WirtingerPoly, direction):
-    """Both components of hessian(s*direction) . direction as exact
-    polynomials in (s, sbar).
-
-    The float components of `direction` are lifted exactly to rationals, so
-    the result is an exact polynomial and the "vanishes identically" test
-    stays decidable.  Returned polynomials use exponents (j, k, 0, 0) for
-    s^j sbar^k.
-    """
-    z, w = _zw(direction)
-    if z == 0 and w == 0:
-        raise ValueError("direction must be nonzero")
-    H = complex_hessian(p)
-    comps = []
-    for row in (0, 1):
-        acc = WirtingerPoly.zero()
-        for col, d in ((0, z), (1, w)):
-            restricted = _restrict_to_line(H.entries[row][col], direction)
-            acc = acc + restricted * _constant(d)
-        comps.append(acc)
-    return comps[0], comps[1]
-
-
 def is_on_harmonic_line(p: WirtingerPoly, x) -> bool:
     """True iff p is harmonic along the complex line through 0 and x, i.e.
-    both components of the line-restricted Hessian action vanish exactly."""
-    c0, c1 = line_hessian_restriction(p, x)
-    return c0.is_zero and c1.is_zero
+    hessian(s*x) . x vanishes identically in s.
 
-
-def psh_sample_check(p: WirtingerPoly, samples: Sequence, tol: float = 1e-9):
-    """Sampling-based plurisubharmonicity sanity check.
-
-    Evaluates the numeric Hessian at each sample and passes iff the
-    smallest eigenvalue of its Hermitian part [[a, c], [conj c, d]],
-    (a + d)/2 - hypot((a - d)/2, |c|), is >= -tol everywhere.  Returns
-    (passed, worst) where worst is the most negative eigenvalue seen.
-    """
-    H = complex_hessian(p)
-    worst = inf
-    for q in samples:
-        (h00, h01), (h10, h11) = H.eval_at(q)
-        a, d, c = h00.real, h11.real, 0.5 * (h01 + h10.conjugate())
-        worst = min(worst, (a + d) / 2 - hypot((a - d) / 2, abs(c)))
-    return (worst >= -tol), worst
+    By the chain rule row r of hessian(s*x) . x is the s-derivative of
+    F_r(s) = p_zbar(s*x) (r = 0) or p_wbar(s*x) (r = 1), so it vanishes
+    identically iff neither restriction, a polynomial in (s, sbar), has a
+    term with a positive power of s.  The float components of x are lifted
+    exactly, so the test is decided on integers."""
+    z, w = _zw(x)
+    if z == 0 and w == 0:
+        raise ValueError("direction must be nonzero")
+    for f in _dbar(p)[0]:
+        sums, _ = _substitute(f, x, lambda e: (e[0] + e[2], e[1] + e[3]))
+        if any(j and (re or im) for (j, _), (re, im) in sums.items()):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

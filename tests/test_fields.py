@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from leafgauge import (
     AssumptionError,
@@ -19,6 +21,7 @@ from leafgauge import (
     field_eval,
     homogeneity_check_field,
     involutivity_check,
+    levi_determinant,
     lie_bracket_real,
     poly_diff,
     poly_eval,
@@ -111,6 +114,43 @@ def test_annihilation_pz4():
 def test_annihilation_fails_for_ball():
     V = VectorFieldC2(WirtingerPoly.zero(), WirtingerPoly.constant(1), 0)
     assert not annihilation_check(make_ball(), V)
+
+
+small = st.fractions(-3, 3, max_denominator=6)
+
+
+@st.composite
+def real_homogeneous_polys(draw):
+    """Real P homogeneous of degree 2k: |f|^2 for a holomorphic f of degree
+    k (Levi determinant zero), or (|z|^2 + |w|^2)^k + p + conj(p) for a
+    random p (Levi determinant mostly nonzero)."""
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        f = WirtingerPoly([((j, 0, k - j, 0), (draw(small), draw(small)))
+                           for j in range(k + 1)])
+        P = f * f.conjugate()
+    else:
+        terms = []
+        for _ in range(draw(st.integers(0, 3))):
+            a, b, c = (draw(st.integers(0, 2 * k)) for _ in range(3))
+            assume(a + b + c <= 2 * k)
+            terms.append(((a, b, c, 2 * k - a - b - c), (draw(small), draw(small))))
+        ball = make_ball()
+        for _ in range(k - 1):
+            ball = ball * make_ball()
+        p = WirtingerPoly(terms)
+        P = ball + p + p.conjugate()
+    assume(not P.is_zero)
+    return P
+
+
+@given(real_homogeneous_polys())
+@settings(max_examples=60, deadline=None)
+def test_annihilation_of_a_candidate_is_the_levi_verdict(P):
+    # H.V1 = (0, det H) and H.V2 = (-det H, 0) term by term, so a
+    # candidate annihilates the Hessian exactly when det H is zero
+    for V in derive_candidate_fields(P):
+        assert annihilation_check(P, V) == levi_determinant(P).is_zero
 
 
 # -- Lie bracket ---------------------------------------------------------------

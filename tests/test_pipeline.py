@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 import os
 from fractions import Fraction
 
@@ -199,9 +200,10 @@ def test_curved_leaf_geometry():
 
 def test_build_work_count_ceiling(field_evals):
     # deterministic work of one full build at the shipped field_v3 config
-    # (60k field evaluations; 100k before long flows took the DOP853 step,
-    # 362k when each Newton correction was flowed over unit time), so a
-    # flow-layer regression shows without timing noise
+    # (50k field evaluations; 60k when the Euler identity took a 4-axis
+    # gradient, 100k before long flows took the DOP853 step, 362k when each
+    # Newton correction was flowed over unit time), so a flow-layer
+    # regression shows without timing noise
     from leafgauge.fixtures import load_fixture, resolve_config
     from conftest import FIXTURE_DIR
 
@@ -210,7 +212,30 @@ def test_build_work_count_ceiling(field_evals):
     assert report.overall_pass
     assert field_evals[0] <= 150_000
     # and exactly, so that work done out of sight (a forked worker) fails it
-    assert field_evals[0] == 60_326
+    assert field_evals[0] == 49_772
+
+
+@pytest.mark.parametrize("name", ["pzw", "pz4", "field_v3", "field_nonholo", "curved"])
+def test_base_transversality_is_the_ray_velocity_sine(name):
+    # |det[x | V(x)]| / (|x| |V(x)|) and |(n1.x, n2.x)| / |x| are both the
+    # sine of the angle between x and the complex line of V(x), so the
+    # entry's 1e-8 bound is implied by scaling_velocity's 1e-4 guard.  The
+    # shipped base points are normal to their leaves (sine 1); the curved
+    # field's is not (sine 3 / sqrt(10))
+    from leafgauge import scaling_velocity
+    from leafgauge.fixtures import load_fixture, resolve_config
+    from leafgauge.pipeline import _assumption_entries
+    from conftest import FIXTURE_DIR, make_field_curved
+
+    if name == "curved":
+        V, x, cfg = make_field_curved(), PointC2(1, 1), PipelineConfig()
+    else:
+        fx = load_fixture(FIXTURE_DIR / f"{name}.json")
+        x, cfg = fx.point, resolve_config(fx.config)
+        V = fx.field if fx.field is not None else select_field(fx.polynomial, x)
+    entry = next(e for e in _assumption_entries(V, x, cfg) if e.name == "base_transversality")
+    sine = math.hypot(*scaling_velocity(build_chart(V, x, cfg.chart_cfg()))) / x.norm()
+    assert entry.residual == pytest.approx(sine, rel=1e-12, abs=0)
 
 
 def _fixture_build(name: str, seed: int):

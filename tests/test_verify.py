@@ -132,6 +132,30 @@ def test_euler_identity_fails_a_bent_large_degree_gauge(chart_pz4, monkeypatch):
     assert not entry.passed and entry.residual > 2e-4
 
 
+def test_euler_identity_fails_a_bent_low_degree_gauge(gauge_pz4_n4, monkeypatch):
+    # negative control at the shipped degree: g * (1 + eps psi) with
+    # psi = Re z / |x|, constant on the leaves z = c but of degree 1, has the
+    # relative Euler residual eps psi / (n (1 + eps psi)) exactly; the check
+    # reads it to 1e-3, so it fails from eps = 4e-4 / max psi on
+    G, eps = gauge_pz4_n4, 6e-4
+    solve = gauge.solve_scale
+
+    def psi(q):
+        return q.z.real / G.chart.base_norm
+
+    def bent(G, q, t_guess=None):
+        return solve(G, q, t_guess) * (1 + eps * psi(q)) ** (-1 / G.degree)
+
+    monkeypatch.setattr(gauge, "solve_scale", bent)
+    monkeypatch.setattr(verify, "solve_scale", bent)
+    entry = _euler_entry(check_scaling_laws(G, 20, 0x5EED))
+    samples = verify.sample_chart_ball(G.chart, 20, verify.check_rng(0x5EED, "scaling_laws"),
+                                       shrink=0.6)
+    bend = max(eps * psi(q) / (G.degree * (1 + eps * psi(q))) for q in samples)
+    assert bend > 1e-4
+    assert not entry.passed and entry.residual == pytest.approx(bend, rel=1e-3)
+
+
 def test_too_many_skips_is_an_error(chart_pzw):
     # a tiny bracket makes nearly every scaled sample leave the gauge domain
     tiny = build_gauge(chart_pzw, 2, bracket_halfwidth=0.01)

@@ -19,13 +19,11 @@ from leafgauge import (
     is_on_harmonic_line,
     levi_determinant,
     load_fixture,
-    line_hessian_restriction,
     poly_diff,
     poly_eval,
     poly_from_records,
     poly_is_real,
     poly_to_records,
-    psh_sample_check,
 )
 from conftest import FIXTURE_DIR, make_ball, make_pz4, make_pzw
 
@@ -150,66 +148,44 @@ def test_levi_ball_is_one():
 
 
 # -- line restriction / harmonic lines ----------------------------------------
+#
+# ref_line_restriction (below) is the Fraction oracle: hessian(s*x) . x as
+# exact polynomials in (s, sbar), all zero exactly on a harmonic line.
 
 def test_line_restriction_pz4_w_axis():
-    c0, c1 = line_hessian_restriction(make_pz4(), PointC2(0, 1))
-    assert c0.is_zero and c1.is_zero
+    assert ref_line_restriction(make_pz4(), PointC2(0, 1)) == [{}, {}]
+    assert is_on_harmonic_line(make_pz4(), PointC2(0, 1))
 
 
 def test_line_restriction_pz4_z_axis():
-    c0, c1 = line_hessian_restriction(make_pz4(), PointC2(1, 0))
-    assert c0 == mono(1, 1, 0, 0, 4)  # 4 s sbar
-    assert c1.is_zero
+    four = (Fraction(4), Fraction(0))
+    assert ref_line_restriction(make_pz4(), PointC2(1, 0)) == [{(1, 1, 0, 0): four}, {}]
+    assert not is_on_harmonic_line(make_pz4(), PointC2(1, 0))
 
 
 def test_line_restriction_pzw_diagonal():
-    c0, c1 = line_hessian_restriction(make_pzw(), PointC2(1, 1))
-    assert c0 == mono(1, 1, 0, 0, 2)  # row sums of the Hessian at (s, s)
-    assert c1 == mono(1, 1, 0, 0, 2)
+    # row sums of the Hessian at (s, s): 2 s sbar in both rows
+    two = {(1, 1, 0, 0): (Fraction(2), Fraction(0))}
+    assert ref_line_restriction(make_pzw(), PointC2(1, 1)) == [two, two]
+    assert not is_on_harmonic_line(make_pzw(), PointC2(1, 1))
 
 
 def test_harmonic_line_membership():
     assert is_on_harmonic_line(make_pz4(), PointC2(0, 1))
     assert not is_on_harmonic_line(make_pz4(), PointC2(1, 0))
     assert not is_on_harmonic_line(make_pzw(), PointC2(1, 1))
+    with pytest.raises(ValueError, match="nonzero"):
+        is_on_harmonic_line(make_pzw(), PointC2(0, 0))
 
 
-# -- psh sampling check ------------------------------------------------------
-
-def _sphere_samples(n=50, seed=7):
-    rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(n):
-        v = rng.standard_normal(4)
-        v /= np.linalg.norm(v)
-        pts.append(PointC2(complex(v[0], v[1]), complex(v[2], v[3])))
-    return pts
-
-
-def test_psh_ball_passes():
-    ok, worst = psh_sample_check(make_ball(), _sphere_samples(), 1e-12)
-    assert ok and worst >= 1 - 1e-12
-
-
-def test_psh_pzw_passes():
-    # trace >= 0 and det = 0: positive semidefinite on the sphere
-    ok, worst = psh_sample_check(make_pzw(), _sphere_samples(), 1e-9)
-    assert ok and worst >= -1e-9
-
-
-def test_psh_closed_form_eigenvalue_matches_numpy():
-    # the smaller eigenvalue of the 2x2 Hermitian part, against eigvalsh
-    for P in (make_ball(), make_pzw(), make_pz4(), mono(2, 1, 0, 1, 1, 2) + mono(1, 2, 1, 0, 1, -2)):
-        for q in _sphere_samples(20, seed=3):
-            M = np.asarray(hessian_eval(P, q))
-            ref = np.linalg.eigvalsh(0.5 * (M + M.conj().T))[0]
-            assert psh_sample_check(P, [q])[1] == pytest.approx(ref, rel=1e-12, abs=1e-15)
-
-
-def test_psh_negative_example_fails():
-    ok, worst = psh_sample_check(mono(1, 1, 0, 0, -1), [PointC2(1, 0)], 1e-9)
-    assert not ok
-    assert worst == pytest.approx(-1.0, abs=1e-12)
+def test_vanishing_on_a_line_is_not_harmonicity():
+    # |z|^4 - |w|^4 vanishes on the line z = w, but its Hessian
+    # diag(4|z|^2, -4|w|^2) does not annihilate (1, 1) there
+    P = mono(2, 2, 0, 0) - mono(0, 0, 2, 2)
+    x = PointC2(1, 1)
+    assert all(poly_eval(P, x.scale(s)) == 0 for s in (0.5, 1.0, 3.0))
+    assert not is_on_harmonic_line(P, x)
+    assert not ref_on_harmonic_line(P, x)
 
 
 # -- serialization -----------------------------------------------------------
@@ -368,6 +344,10 @@ def ref_line_restriction(p, direction):
             for row in ref_hessian(p)]
 
 
+def ref_on_harmonic_line(p, x):
+    return not any(ref_line_restriction(p, x))
+
+
 def _hex(c: complex):
     return (c.real.hex(), c.imag.hex())
 
@@ -392,7 +372,7 @@ def test_non_dyadic_coefficients_match_reference():
     real = p * p.conjugate()
     x = PointC2(0.1 + 0.3j, -0.7 + 1 / 3)
     assert _hex(poly_eval(real, x)) == _hex(ref_eval(real.terms, x))
-    assert [c.terms for c in line_hessian_restriction(real, x)] == ref_line_restriction(real, x)
+    assert is_on_harmonic_line(real, x) == ref_on_harmonic_line(real, x)
 
 
 @given(polys, points)
@@ -411,8 +391,28 @@ def test_hessian_and_line_restriction_match_fraction_reference(p, pt):
     assert [_hex(v) for v in np.asarray(hessian_eval(real, pt)).ravel()] == \
         [_hex(ref_eval(e, pt)) for row in ref for e in row]
     if pt.z != 0 or pt.w != 0:
-        assert [c.terms for c in line_hessian_restriction(real, pt)] == \
-            ref_line_restriction(real, pt)
+        assert is_on_harmonic_line(real, pt) == ref_on_harmonic_line(real, pt)
+
+
+gaussian = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda ab: complex(*ab))
+
+
+@given(gaussian, gaussian, st.integers(0, 3), st.lists(coeff, min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_harmonic_line_of_a_square_matches_fraction_reference(a, b, k, cg):
+    # P = |l g|^2 with l = a z + b w is harmonic along the line l = 0,
+    # through (-b, a): a generated family of positives
+    if a == 0 and b == 0:
+        a = 1
+    line = mono(1, 0, 0, 0, *map(Fraction, (a.real, a.imag))) + \
+        mono(0, 0, 1, 0, *map(Fraction, (b.real, b.imag)))
+    g = WirtingerPoly([((j, 0, k - j, 0), c) for j, c in zip(range(k + 1), cg)])
+    f = line * g
+    P = f * f.conjugate()
+    on = PointC2(-b, a)
+    assert is_on_harmonic_line(P, on) and ref_on_harmonic_line(P, on)
+    off = PointC2(a.conjugate(), b.conjugate())      # l(off) = |a|^2 + |b|^2
+    assert is_on_harmonic_line(P, off) == ref_on_harmonic_line(P, off)
 
 
 def test_eval_overflow_is_numeric_error():
@@ -448,8 +448,6 @@ def test_integer_store_is_canonical(p, q, r, pt):
     real = p * p.conjugate()
     built = [p, p + q, p - q, p * q, -p, p.conjugate(), poly_diff(p, "zbar"),
              p.scale(Fraction(3, 7), Fraction(-1, 6)), p - p, levi_determinant(real + q + q.conjugate())]
-    if pt.z != 0 or pt.w != 0:
-        built += line_hessian_restriction(real, pt)
     for x in built:
         _assert_canonical(x)
     assert (p - p)._den == 1 and WirtingerPoly.zero()._den == 1
