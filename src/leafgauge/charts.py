@@ -14,6 +14,8 @@ One solver, _project, serves both the chart and the gauge: a Newton
 iteration on the leaf of q that re-bases at its last landed point, where
 the Jacobian is exact from a single field value, and applies each
 correction (ds1, ds2) as the unit-speed flow along it over time |ds|.
+The flow hands back the field value at the point where it lands, so a
+solve evaluates the field itself only once, at q.
 With a free scale factor t and a third row it solves the gauge equation
 (see gauge.py); with t = 1 it is the leaf projection.
 
@@ -31,7 +33,7 @@ from functools import cached_property
 from .errors import AssumptionError, DegenerateRootError, NumericError, ProjectionError
 from .fields import (NONVANISH_THRESHOLD, PointC2, VectorFieldC2, _dot, real_views,
                      transversality_check, vanish_scale)
-from .flows import FlowConfig, integrate_flow
+from .flows import FlowConfig, _flow
 
 __all__ = ["ChartConfig", "LeafChart", "build_chart", "leaf_coords", "in_chart_ball"]
 
@@ -173,11 +175,14 @@ def _project(chart: LeafChart, q: PointC2, m=None, t: float = 1.0):
     Every iteration re-bases at the last landed point p, where the flow
     times are zero, so one field value gives the exact Jacobian: against
     the rows e1, e2 (and m) its columns are t*X1(p), t*X2(p) (and p).  The
-    correction (ds1, ds2) is the unit-speed mixed flow of
+    field is evaluated once, at q; every later value is the one that the
+    flow landing at p handed back from its FSAL stage, with the same bits.
+    The correction (ds1, ds2) is the unit-speed mixed flow of
     (ds1*X1 + ds2*X2) / |ds| from p over time |ds|: the point of the
     unit-time flow of ds1*X1 + ds2*X2, with the steps sized by the
     displacement rather than by max_step.  The whole step is halved, at
-    most 8 tries, until the residual drops.
+    most 8 tries, until the residual drops.  A failure names q and the
+    last residual norm against its tolerance.
     """
     x0, x1, x2, x3 = chart.base4
     (a0, a1, a2, a3), (b0, b1, b2, b3) = chart.frame[0], chart.frame[1]
@@ -192,13 +197,16 @@ def _project(chart: LeafChart, q: PointC2, m=None, t: float = 1.0):
                 d0 * b0 + d1 * b1 + d2 * b2 + d3 * b3,
                 d0 * c0 + d1 * c1 + d2 * c2 + d3 * c3 if free else 0.0)
 
-    point, p = q, q.to_real4()
+    z, w = complex(q.z), complex(q.w)
+    p = (z.real, z.imag, w.real, w.imag)
     r = residual(p, t)
     rn = math.hypot(*r)
+    v = None
     for _ in range(NEWTON_MAX_ITER):
         if rn <= tol:
             return t, p
-        v = V.eval_complex(complex(p[0], p[1]), complex(p[2], p[3]))
+        if v is None:
+            v = V.eval_complex(z, w)
         u0, u1, u2, u3 = v[0].real, v[0].imag, v[1].real, v[1].imag
         J = ((t * (u0 * a0 + u1 * a1 + u2 * a2 + u3 * a3),
               t * (-u1 * a0 + u0 * a1 + -u3 * a2 + u2 * a3),
@@ -211,24 +219,29 @@ def _project(chart: LeafChart, q: PointC2, m=None, t: float = 1.0):
               p[0] * c0 + p[1] * c1 + p[2] * c2 + p[3] * c3) if free else (0.0, 0.0, 1.0))
         step = _newton_step(J, r)
         if step is None:
-            raise (DegenerateRootError if free else ProjectionError)(
-                "leaf projection failed: singular Newton system")
+            raise _failure(DegenerateRootError if free else ProjectionError,
+                           "singular Newton system", q, rn, tol)
         ds1, ds2, dt = step
         n = math.hypot(ds1, ds2)
         unit = (ds1 / n, ds2 / n) if n > 0.0 else (0.0, 0.0)
         lam = 1.0
         for _ in range(8):
-            trial = integrate_flow(V, unit, lam * n, point, cfg, v)
-            pt, tt = trial.to_real4(), t + lam * dt
+            zt, wt, vt = _flow(V, unit, lam * n, z, w, cfg, v)
+            pt, tt = (zt.real, zt.imag, wt.real, wt.imag), t + lam * dt
             rt = residual(pt, tt)
             rtn = math.hypot(*rt)
             if rtn < rn:
                 break
             lam /= 2
         else:
-            raise ProjectionError("leaf projection failed: no descent direction")
-        point, p, t, r, rn = trial, pt, tt, rt, rtn
-    raise ProjectionError("leaf projection failed: iteration budget exhausted")
+            raise _failure(ProjectionError, "no descent direction", q, rn, tol)
+        z, w, v, p, t, r, rn = zt, wt, vt, pt, tt, rt, rtn
+    raise _failure(ProjectionError, "iteration budget exhausted", q, rn, tol)
+
+
+def _failure(error, why: str, q: PointC2, rn: float, tol: float):
+    return error(f"leaf projection failed: {why} at q = {q.to_real4()!r}, "
+                 f"last residual {rn!r} against tolerance {tol!r}")
 
 
 def leaf_coords(chart: LeafChart, q: PointC2) -> tuple[float, float]:

@@ -288,7 +288,8 @@ def _artifact_drift(saved_gauge: dict, saved_entries: list | None,
                     rebuilt: dict) -> list[tuple]:
     """(key, saved value, rebuilt value) for every saved field that the
     rebuild does not reproduce: the gauge block, and each entry's name,
-    verdict and sample counts unless saved_entries is None."""
+    verdict, sample counts, tolerance and mode unless saved_entries is
+    None."""
     drift = []
     rg = rebuilt["gauge"]
     for key in sorted(set(saved_gauge) | set(rg)):
@@ -304,7 +305,8 @@ def _artifact_drift(saved_gauge: dict, saved_entries: list | None,
         else:
             for was, now in zip(saved_entries, ours):
                 drift += [(f"report.entries[{now['name']}].{k}", was.get(k), now[k])
-                          for k in ("name", "passed", "samples", "skipped")
+                          for k in ("name", "passed", "samples", "skipped", "tolerance",
+                                    "mode")
                           if was.get(k) != now[k]]
     return drift
 

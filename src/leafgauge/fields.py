@@ -118,9 +118,12 @@ _DOP853 = (
                                               0.7338466882816118, 0, 0, 0.022058823529411766)))))
 
 # Stage k = mix * V(z, w), after the nonvanishing monitor on V(z, w) = (r0, r1).
+# The squared norms are real parts of products with the conjugates ({z}b and
+# {w}b are those of the field code): each product's real part is re^2 + im^2
+# exactly, and the two are added as a pair.
 _STAGE = """\
-nv_sq = r0.real * r0.real + r0.imag * r0.imag + r1.real * r1.real + r1.imag * r1.imag
-r_sq = {z}.real * {z}.real + {z}.imag * {z}.imag + {w}.real * {w}.real + {w}.imag * {w}.imag
+nv_sq = (r0 * r0.conjugate() + r1 * r1.conjugate()).real
+r_sq = ({z} * {z}b + {w} * {w}b).real
 try:
     scale_sq = (r_sq if r_sq > 1.0 else 1.0) ** deg
 except OverflowError:
@@ -175,10 +178,12 @@ def _field_lines(shape: tuple, z: str = "z", w: str = "w") -> list[str]:
 def _weights(tableau) -> dict:
     """The nonzero weights of a Runge-Kutta pair by the names its step code
     reads: A{k}{j} for stage k, B{j} for the update, E{j} and F{j} for the
-    first and second error rows."""
+    first and second error rows.  They are bound as complex numbers: a
+    float times a complex is computed as (a + 0j) times it anyway, so the
+    products keep their bits and skip the float's failed dispatch."""
     rows, weights, errors = tableau
     named = [(f"A{k}", row) for k, row in enumerate(rows, 2)] + [("B", weights)]
-    return {f"{p}{j}": a for p, row in named + list(zip("EF", errors))
+    return {f"{p}{j}": complex(a) for p, row in named + list(zip("EF", errors))
             for j, a in enumerate(row, 1) if a}
 
 
@@ -211,8 +216,9 @@ def _step_defs(tableau, shape: tuple) -> dict:
             step += [f"err{i} {add}= (e{i}{v}.{part} / sc) ** 2" for i in range(len(errors))]
             add = "+"
     errs = ", ".join(f"err{i}" for i in range(len(errors)))
-    step.append(f"return zn, wn, k{fsal}z, k{fsal}w, {errs}")
-    first = _STAGE.format(z="z", w="w", k=1).split("\n") + ["return k1z, k1w"]
+    step.append(f"return zn, wn, r0, r1, k{fsal}z, k{fsal}w, {errs}")
+    first = ["zb = z.conjugate()", "wb = w.conjugate()",
+             *_STAGE.format(z="z", w="w", k=1).split("\n"), "return k1z, k1w"]
     return {"first(z, w, r0, r1, mix)": first, "step(z, w, h, mix, k1z, k1w, tol)": step}
 
 
@@ -260,12 +266,13 @@ def _compile_step(V: "VectorFieldC2", kind: str):
     """Straight-line code of one step of the Runge-Kutta pair _TABLEAUS[kind]
     on q' = mix * V(q): first(z, w, vz, vw, mix) -> (k1z, k1w) takes the
     first stage from a given field value, and step(z, w, h, mix, k1z, k1w,
-    tol) -> (zn, wn, kz, kw, err, ...) runs stages 2 to s + 1 with the field
-    inlined and returns the update, its FSAL stage and, per error row, the
-    sum of the squared scaled errors (h included) of the four real
-    components.  Every stage runs the nonvanishing monitor on its field
-    value.  The code is compiled once per shape of V; the coefficients, the
-    weights, deg and thr_sq are bound per field."""
+    tol) -> (zn, wn, vz, vw, kz, kw, err, ...) runs stages 2 to s + 1 with
+    the field inlined and returns the update, the field value V(zn, wn) of
+    its FSAL stage, that stage and, per error row, the sum of the squared
+    scaled errors (h included) of the four real components.  Every stage
+    runs the nonvanishing monitor on its field value.  The code is compiled
+    once per shape of V; the coefficients, the weights, deg and thr_sq are
+    bound per field."""
     ns = dict(_weights(_TABLEAUS[kind]), deg=V.degree,
               thr_sq=NONVANISH_THRESHOLD * NONVANISH_THRESHOLD,
               NumericError=NumericError, RankDropError=RankDropError)
@@ -296,7 +303,9 @@ class VectorFieldC2:
 
     def eval_complex(self, z: complex, w: complex) -> tuple[complex, complex]:
         """Float values of both components at (z, w), from the field's
-        compiled straight-line code; the only pointwise evaluator."""
+        compiled straight-line code.  The flow steps inline the same
+        statements, so the field value that a step hands back at its update
+        has the bits of this evaluation there."""
         return self._eval(z, w)
 
     @cached_property

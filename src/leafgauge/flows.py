@@ -21,6 +21,14 @@ expressions, the monitor and the error sums inlined, on the complex state
 binds its own coefficients to it.  This integrator sits under every
 chart projection and gauge evaluation, so only the step-size control is
 left here.
+
+One driver, _flow, runs on the complex state and hands back, with the end
+point, the field value there: the FSAL stage (first same as last: the last
+stage of a step, at its update, is the first of the next) has computed it
+with the bits of VectorFieldC2.eval_complex.  The leaf solver builds its
+next Jacobian from that value, and leaf_flow_map starts its second leg
+from it, so neither evaluates the field at a landed point.
+integrate_flow is the driver on points.
 """
 
 from __future__ import annotations
@@ -65,22 +73,33 @@ def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
                    v0: tuple[complex, complex] | None = None) -> PointC2:
     """Solve q' = a*X1(q) + b*X2(q) from q0 over the time interval [0, s].
     A caller that holds the field value V(q0) passes it as v0; it stands in
-    for the first evaluation and passes the same monitor.
+    for the first evaluation and passes the same monitor.  A zero-time flow
+    returns q0 itself.
 
     Raises NumericError on a non-finite time or coefficient,
     StepBudgetError when the step budget is exhausted, RankDropError when
     the field norm falls below the relative nonvanishing threshold along
     the trajectory, and NumericError when the trajectory blows up.
     """
+    z, w, _ = _flow(V, coeffs, s, q0.z, q0.w, cfg, v0)
+    return _end_point(q0, z, w)
+
+
+def _flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float, z: complex, w: complex,
+          cfg: FlowConfig | None, v0: tuple[complex, complex] | None) -> tuple:
+    """integrate_flow on the complex state (z, w): returns (z, w, v) at the
+    end point, where v is the field value there that the last step's FSAL
+    stage computed, with the bits of V.eval_complex at that point.  A
+    zero-time flow returns its z, w and v0 as given."""
     cfg = cfg or FlowConfig()
     a, b = coeffs
     if not (math.isfinite(s) and math.isfinite(a) and math.isfinite(b)):
         raise NumericError(f"flow time {s!r} or coefficients {coeffs!r} not finite")
     if s == 0.0 or (a == 0.0 and b == 0.0):
-        return q0
+        return z, w, v0
     mix = complex(a, b)
     first, step = V._dp5
-    z, w = complex(q0.z), complex(q0.w)
+    z, w = complex(z), complex(w)
     vz, vw = V.eval_complex(z, w) if v0 is None else v0
     k1z, k1w = first(z, w, vz, vw, mix)
     tol = cfg.tol
@@ -90,8 +109,9 @@ def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
     # Hairer-style initial step: a fraction of the solution scale over the
     # derivative scale, so the first attempt is rarely rejected.  A long flow
     # takes the DOP853 step, whose order lets the first attempt be larger.
-    d0 = math.sqrt(sum(v * v for v in (z.real, z.imag, w.real, w.imag)))
-    d1 = math.sqrt(sum(v * v for v in (k1z.real, k1z.imag, k1w.real, k1w.imag)))
+    d0 = math.sqrt(z.real * z.real + z.imag * z.imag + w.real * w.real + w.imag * w.imag)
+    d1 = math.sqrt(k1z.real * k1z.real + k1z.imag * k1z.imag
+                   + k1w.real * k1w.real + k1w.imag * k1w.imag)
     long = abs(s) * d1 >= LONG_FLOW * d0
     if long:
         step = V._dop853[1]
@@ -107,17 +127,17 @@ def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
         if direction * (t + h) > direction * s:
             h = s - t
         if long:
-            zn, wn, kz, kw, e5, e3 = step(z, w, h, mix, k1z, k1w, tol)
+            zn, wn, vzn, vwn, kz, kw, e5, e3 = step(z, w, h, mix, k1z, k1w, tol)
             # Hairer's combined estimate |h| E5^2 / sqrt((E5^2 + E3^2 / 100) n),
             # with h inside both sums
             err = e5 / math.sqrt((e5 + 0.01 * e3) * 4.0) if e5 else 0.0
         else:
-            zn, wn, kz, kw, err = step(z, w, h, mix, k1z, k1w, tol)
+            zn, wn, vzn, vwn, kz, kw, err = step(z, w, h, mix, k1z, k1w, tol)
             err = math.sqrt(err / 4.0)
 
         if err <= 1.0:
             t += h
-            z, w = zn, wn
+            z, w, vz, vw = zn, wn, vzn, vwn
             k1z, k1w = kz, kw  # FSAL
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** expo))
@@ -127,13 +147,21 @@ def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
         if abs(h) > cfg.max_step:
             h = direction * cfg.max_step
 
-    return PointC2(z, w)
+    return z, w, (vz, vw)
 
 
 def leaf_flow_map(V: VectorFieldC2, q: PointC2, s1: float, s2: float,
                   cfg: FlowConfig | None = None) -> PointC2:
-    """Flow along X1 for time s1, then along X2 for time s2 (fixed order)."""
-    return integrate_flow(V, (0.0, 1.0), s2, integrate_flow(V, (1.0, 0.0), s1, q, cfg), cfg)
+    """Flow along X1 for time s1, then along X2 for time s2 (fixed order).
+    The second leg starts from the field value that ends the first."""
+    z, w, v = _flow(V, (1.0, 0.0), s1, q.z, q.w, cfg, None)
+    z, w, _ = _flow(V, (0.0, 1.0), s2, z, w, cfg, v)
+    return _end_point(q, z, w)
+
+
+def _end_point(q0: PointC2, z: complex, w: complex) -> PointC2:
+    # idle flows hand back the components of q0 themselves, and q0 with them
+    return q0 if z is q0.z and w is q0.w else PointC2(z, w)
 
 
 def trace_leaf(V: VectorFieldC2, q: PointC2, grid, cfg: FlowConfig | None = None):

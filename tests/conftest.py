@@ -121,7 +121,10 @@ def field_evals(monkeypatch):
     """A one-element list counting field evaluations, a deterministic
     measure of solver work: each call of VectorFieldC2.eval_complex, six for
     each call of a field's generated DP5(4) step (its stages 2-7) and twelve
-    for each call of its DOP853 step (stages 2-13).  The class-level
+    for each call of its DOP853 step (stages 2-13).  A landed point's
+    field value comes from the FSAL stage of the step that landed there,
+    counted with that step, so the leaf solver and the second leg of
+    leaf_flow_map take it without an evaluation.  The class-level
     properties over the cached (first, step) pairs take precedence over the
     instance caches, so fields built earlier count too.  The verification
     suite runs in this process, so its work counts too."""

@@ -1,6 +1,7 @@
 """Leaf charts: frame construction, closed-form coordinates, invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,33 @@ def test_projection_error_on_iteration_budget(chart_pzw, monkeypatch):
     monkeypatch.setattr(charts, "NEWTON_MAX_ITER", 1)
     with pytest.raises(ProjectionError):
         leaf_coords(chart_pzw, PointC2(1.25, 0.8))
+
+
+def _budget_failure(chart, q) -> tuple[str, float, float]:
+    with pytest.raises(ProjectionError) as info:
+        leaf_coords(chart, q)
+    msg = str(info.value)
+    m = re.fullmatch(r"leaf projection failed: iteration budget exhausted at q = "
+                     r"(\(.*\)), last residual (\S+) against tolerance (\S+)", msg)
+    assert m, msg
+    assert m[1] == repr(q.to_real4())
+    return m[1], float(m[2]), float(m[3])
+
+
+def test_iteration_budget_message_names_the_point_and_residual(chart_pzw, monkeypatch):
+    # the message carries the query point as a real 4-vector and the last
+    # residual norm against the projection tolerance newton_tol * |x|
+    q = PointC2(1.25, 0.8)
+    monkeypatch.setattr(charts, "NEWTON_MAX_ITER", 0)
+    _, start, tol = _budget_failure(chart_pzw, q)
+    assert tol == chart_pzw.newton_tol * chart_pzw.base_norm
+    # with no iteration the last residual is that of q itself
+    d = [a - b for a, b in zip(q.to_real4(), chart_pzw.base4)]
+    want = math.hypot(*(sum(x * e for x, e in zip(d, row)) for row in chart_pzw.frame[:2]))
+    assert start == pytest.approx(want, rel=1e-14)
+    monkeypatch.setattr(charts, "NEWTON_MAX_ITER", 1)
+    _, after, _ = _budget_failure(chart_pzw, q)
+    assert tol < after < start
 
 
 def test_chart_config_validation():

@@ -263,6 +263,27 @@ def test_verify_detects_tampered_entries(tmp_path, capsys):
     assert main(["verify", _resaved(tmp_path, data), "--seed", "7"]) == 0
 
 
+def test_verify_detects_a_changed_tolerance_or_mode(tmp_path, capsys):
+    # a saved entry that passes under a looser tolerance, or reads its
+    # residual the other way, is not the rebuilt entry
+    _, data = _saved_pz4(tmp_path)
+    entry = next(e for e in data["report"]["entries"] if e["name"] == "gauge_root_consistency")
+    entry["tolerance"] = 1.0
+    capsys.readouterr()
+    assert main(["verify", _resaved(tmp_path, data)]) == 3
+    err = capsys.readouterr().err
+    assert "drift report.entries[gauge_root_consistency].tolerance:" in err
+    assert ".mode:" not in err
+    _, data = _saved_pz4(tmp_path)
+    entry = data["report"]["entries"][0]
+    entry["mode"] = {"min": "max", "max": "min"}[entry["mode"]]
+    capsys.readouterr()
+    assert main(["verify", _resaved(tmp_path, data)]) == 3
+    err = capsys.readouterr().err
+    assert f"drift report.entries[{entry['name']}].mode:" in err
+    assert ".tolerance:" not in err
+
+
 def test_verify_rejects_report_without_gauge(tmp_path):
     _, data = _saved_pz4(tmp_path)
     del data["gauge"]

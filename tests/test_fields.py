@@ -1,6 +1,7 @@
 """Vector fields: candidate derivation, selection, and the admissibility
 checks (annihilation, bracket, involutivity, transversality, homogeneity)."""
 
+import math
 import weakref
 from fractions import Fraction
 
@@ -481,7 +482,8 @@ def test_compiled_evaluator_handles_high_degree(code):
     else:
         # a degree-4000 monomial is always below the relative nonvanishing
         # threshold, so switch the step's monitor off; a zero step puts
-        # every stage at (z, w), and the FSAL stage with mix = 1 is V(z, w)
+        # every stage at (z, w), and the step hands back V(z, w) after the
+        # update (z, w)
         _, step = getattr(V, "_" + code)
         step.__globals__.update(deg=0, thr_sq=-1.0)
         got, zero = step(z, w, 0.0, 1 + 0j, 0j, 0j, 1e-12)[2:4]
@@ -522,6 +524,80 @@ def test_compiled_code_hygiene(code):
         consts = {c for c in fn.__code__.co_consts if not isinstance(c, str)}
         assert consts <= ({None, 0j} if code == "field" else {None, 0j, 1.0, 2})
         assert sorted(k for k in fn.__globals__ if not k.startswith("__")) == sorted(names)
+        # the weights are complex, so no float x complex product dispatches
+        # through float first
+        assert all(type(fn.__globals__[k]) is complex for k in names[2:-4])
+
+
+@pytest.mark.parametrize("kind, stages", [("dp5", 6), ("dop853", 12)])
+@pytest.mark.parametrize("make", [lambda: select_field(make_pzw(), PointC2(1, 1)),
+                                  make_field_v3], ids=["pzw", "field_v3"])
+def test_every_stage_runs_the_monitor_once(kind, stages, make):
+    # first monitors the value it is handed, and step each of its stages
+    # 2 to s + 1 right after the inlined field code of that stage
+    V = make()
+    defs = fields._step_defs(fields._TABLEAUS[kind], fields._bind((V.comp_z, V.comp_w), {}))
+    raises = {sig.split("(")[0]: [i for i, line in enumerate(body)
+                                  if "raise RankDropError" in line]
+              for sig, body in defs.items()}
+    assert len(raises["first"]) == 1
+    assert len(raises["step"]) == stages
+    fields_at = [i for i, line in enumerate(defs["step(z, w, h, mix, k1z, k1w, tol)"])
+                 if line == "r0 = 0j"]
+    assert len(fields_at) == stages
+    assert all(a < b for a, b in zip(fields_at, raises["step"]))
+    assert all(b < a for a, b in zip(fields_at[1:], raises["step"]))
+
+
+_THR_SQ = fields.NONVANISH_THRESHOLD ** 2
+
+
+def _fsum_verdict(V, z, w, v):
+    """True when v = V(z, w) is below the relative nonvanishing threshold,
+    from correctly rounded sums; None within 1e-12 of the threshold."""
+    nv = math.fsum(x * x for c in v for x in (c.real, c.imag))
+    r = math.fsum(x * x for c in (z, w) for x in (c.real, c.imag))
+    bound = _THR_SQ * max(1.0, r) ** V.degree
+    if abs(nv - bound) <= 1e-12 * bound:
+        return None
+    return nv <= bound
+
+
+def _monitor_raises(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except fields.RankDropError:
+        return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(make=st.sampled_from([make_field_v3, make_field_nonholo,
+                             lambda: select_field(make_pzw(), PointC2(1, 1))]),
+       parts=st.lists(st.floats(-3, 3), min_size=4, max_size=4),
+       offset=st.one_of(st.floats(-1e-6, 1e-6),
+                        st.integers(3, 14).map(lambda k: 10.0 ** -k),
+                        st.integers(3, 14).map(lambda k: -(10.0 ** -k))))
+def test_generated_monitor_matches_fsum_verdict(make, parts, offset):
+    # the field scaled by an exact factor that puts its squared norm at
+    # (1 + offset) times the threshold bound at (z, w); the generated
+    # monitor, on a handed-in value (first) and on the inlined field code
+    # of every stage of a zero step, gives the verdict of correctly
+    # rounded sums wherever that verdict is not within 1e-12 of the bound
+    V = make()
+    z, w = complex(parts[0], parts[1]), complex(parts[2], parts[3])
+    nv = math.fsum(abs(c) ** 2 for c in V.eval_complex(z, w))
+    assume(nv > 1e-200)
+    r = math.fsum(x * x for x in parts)
+    c = math.sqrt(_THR_SQ * max(1.0, r) ** V.degree * (1 + offset) / nv)
+    cV = VectorFieldC2(V.comp_z.scale(Fraction(c)), V.comp_w.scale(Fraction(c)), V.degree)
+    v = cV.eval_complex(z, w)
+    want = _fsum_verdict(cV, z, w, v)
+    assume(want is not None)
+    for kind in ("_dp5", "_dop853"):
+        first, step = getattr(cV, kind)
+        assert _monitor_raises(first, z, w, v[0], v[1], 1 + 0j) == want
+        assert _monitor_raises(step, z, w, 0.0, 1 + 0j, 0j, 0j, 1e-12) == want
 
 
 # -- the code cache: one compile per (kind, shape), coefficients per field --
@@ -592,11 +668,14 @@ def test_scaled_field_reuses_its_flow_steps(code_compiles):
     cV = VectorFieldC2(V.comp_z.scale(3, -1), V.comp_w.scale(3, -1), V.degree)
     steps = cV._dp5, cV._dop853
     assert code_compiles[0] == 2
-    # with h = 0 every stage sits at (z, w), so the FSAL stage is cV(z, w):
-    # each step reads the coefficients of cV, not those of V
+    # a step returns (zn, wn, vz, vw, kz, kw, err, ...): with h = 0 every
+    # stage sits at (z, w), so the field value handed back is cV(z, w) and,
+    # with mix = 1, so is the FSAL stage; each step reads the coefficients
+    # of cV, not those of V
     z, w = 0.7 + 0.2j, 0.4 - 0.9j
     for _, step in steps:
-        assert step(z, w, 0.0, 1 + 0j, 0j, 0j, 1e-12)[2:4] == cV.eval_complex(z, w)
+        out = step(z, w, 0.0, 1 + 0j, 0j, 0j, 1e-12)
+        assert out[2:4] == out[4:6] == cV.eval_complex(z, w)
     assert cV.eval_complex(z, w) != V.eval_complex(z, w)
 
 

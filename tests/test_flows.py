@@ -73,6 +73,74 @@ def test_leaf_flow_map_one_zero_time_is_one_flow():
                                                                          FLOW_TIGHT)
 
 
+def _hex(*values: complex) -> tuple[str, ...]:
+    return tuple(float.hex(x) for v in values for x in (v.real, v.imag))
+
+
+def _recording_steps(V):
+    """V with both generated steps wrapped so that each call records its
+    start point; a rejected step leaves the next call at the same start."""
+    starts = []
+    for name in ("_dp5", "_dop853"):
+        first, step = getattr(V, name)
+
+        def recorded(z, w, *rest, step=step):
+            starts.append(_hex(z, w))
+            return step(z, w, *rest)
+
+        V.__dict__[name] = (first, recorded)
+    return starts
+
+
+@pytest.mark.parametrize("make, coeffs, s, long", [
+    (make_field_v3, (1, 0), 2e-3, False),
+    (make_field_nonholo, (0.6, -0.8), -4e-3, False),
+    (make_field_v3, (0.3, 0.4), 2.0, True),
+    (make_field_nonholo, (0, 1), 0.7, True),
+    (lambda: derive_candidate_fields(make_pzw())[0], (1, 1), 0.5, True)])
+def test_flow_hands_back_the_field_value_at_its_end(make, coeffs, s, long):
+    # the value that the last FSAL stage computed is the compiled
+    # evaluation at the end point, bit for bit, on DP5(4) and DOP853 flows
+    V, q = make(), PointC2(0.9 + 0.2j, 1.1 - 0.3j)
+    k1 = abs(complex(*coeffs)) * math.hypot(*(abs(v) for v in V.eval_complex(q.z, q.w)))
+    assert (abs(s) * k1 >= LONG_FLOW * q.norm()) == long
+    z, w, v = flows._flow(V, coeffs, s, q.z, q.w, FLOW_TIGHT, None)
+    assert _hex(*v) == _hex(*V.eval_complex(z, w))
+    p = integrate_flow(V, coeffs, s, q, FLOW_TIGHT)
+    assert _hex(z, w) == _hex(p.z, p.w)
+
+
+def test_handed_back_value_survives_rejected_steps():
+    # this quadratic field's mixed flow rejects DOP853 steps; the value
+    # handed back is that of the last accepted step, the one that ends it
+    V, q = derive_candidate_fields(make_pzw())[0], PointC2(0.9 + 0.2j, 1.1 - 0.3j)
+    starts = _recording_steps(V)
+    z, w, v = flows._flow(V, (1, 1), 0.5, q.z, q.w, FLOW_TIGHT, None)
+    assert any(a == b for a, b in zip(starts, starts[1:]))
+    assert _hex(*v) == _hex(*V.eval_complex(z, w))
+
+
+@pytest.mark.parametrize("coeffs, s", [((1, 0), 0.0), ((0, 0), 0.3)])
+def test_idle_flow_hands_back_v0(coeffs, s):
+    V, q = make_field_v3(), PointC2(0.9 + 0.2j, 1.1 - 0.3j)
+    v0 = V.eval_complex(q.z, q.w)
+    z, w, v = flows._flow(V, coeffs, s, q.z, q.w, FLOW_TIGHT, v0)
+    assert z is q.z and w is q.w and v is v0
+
+
+@pytest.mark.parametrize("make", [make_field_v3, make_field_nonholo,
+                                  lambda: derive_candidate_fields(make_pzw())[0]])
+@pytest.mark.parametrize("s1, s2", [(0.3, -0.2), (-0.05, 0.004), (0.002, 0.6)])
+def test_leaf_flow_map_is_its_two_legs(make, s1, s2):
+    # the second leg starts from the field value that ends the first, in
+    # place of an evaluation there, and changes no bit
+    V, q = make(), PointC2(0.9 + 0.2j, 1.1 - 0.3j)
+    legs = integrate_flow(V, (0, 1), s2, integrate_flow(V, (1, 0), s1, q, FLOW_TIGHT),
+                          FLOW_TIGHT)
+    got = leaf_flow_map(make(), q, s1, s2, FLOW_TIGHT)
+    assert tuple(map(float.hex, got.to_real4())) == tuple(map(float.hex, legs.to_real4()))
+
+
 def test_leaf_flow_keeps_z_for_w_directed_field():
     V = VectorFieldC2(WirtingerPoly.zero(), mono(1, 1, 0, 0, 4), 2)
     q = PointC2(1, 0.3)

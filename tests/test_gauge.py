@@ -241,8 +241,10 @@ def test_concurrent_evaluation_matches_serial(gauge_pzw_n4):
 
 def test_work_count_ceilings(gauge_pzw_n4, field_evals):
     # deterministic work per cold evaluation over the chart ball, counted
-    # as field evaluations (mean 53.1, max 83 for gauge_eval; mean 51.2
-    # for leaf_coords); catches solver regressions without timing noise
+    # as field evaluations (mean 50.1, max 79 for gauge_eval; mean 48.3
+    # for leaf_coords; 53.1, 83 and 51.2 while the solver evaluated the
+    # field at every landed point); catches solver regressions without
+    # timing noise
     calls = field_evals
     G = gauge_pzw_n4
     points = sample_chart_ball(G.chart, 100, np.random.default_rng(0x5EED), shrink=0.8)
