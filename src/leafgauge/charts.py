@@ -31,8 +31,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .errors import AssumptionError, DegenerateRootError, NumericError, ProjectionError
-from .fields import (NONVANISH_THRESHOLD, PointC2, VectorFieldC2, _dot, real_views,
-                     transversality_check, vanish_scale)
+from .fields import NONVANISH_THRESHOLD, PointC2, VectorFieldC2, _dot, real_views, vanish_scale
 from .flows import FlowConfig, _flow
 
 __all__ = ["ChartConfig", "LeafChart", "build_chart", "leaf_coords", "in_chart_ball"]
@@ -117,15 +116,22 @@ def _orthonormal_frame(X1, X2) -> tuple[tuple[float, ...], ...]:
 def build_chart(V: VectorFieldC2, x: PointC2,
                 cfg: ChartConfig | None = None) -> LeafChart:
     """Construct a LeafChart at x, shrinking the radius on projection
-    failures (halved down to 1e-4, then construction fails)."""
+    failures (halved down to 1e-4, then construction fails).  Transversality
+    at x is decided here: |(n1.x, n2.x)| / |x| is the sine of the angle
+    between x and its leaf's complex tangent line, and at or below 1e-4 the
+    ray through x is numerically tangent to the leaf."""
     cfg = cfg or ChartConfig()
     X1, X2 = real_views(V, x)
-    if math.hypot(*X1) <= NONVANISH_THRESHOLD * vanish_scale(V, x):
+    speed = math.hypot(*X1)
+    if not math.isfinite(speed):
+        raise NumericError(f"field value at the chart base point {x} overflows a float")
+    if speed <= NONVANISH_THRESHOLD * vanish_scale(V, x):
         raise AssumptionError("field vanishes at the chart base point")
-    tr = transversality_check(V, x)
-    if not tr.passed:
-        raise AssumptionError("base point and field value are complex-linearly dependent")
     frame = _orthonormal_frame(X1, X2)
+    x4 = x.to_real4()
+    if math.hypot(_dot(frame[2], x4), _dot(frame[3], x4)) <= 1e-4 * x.norm():
+        raise AssumptionError(
+            "radial direction tangent to leaf: base point fails transversality numerically")
 
     rho = cfg.radius_scale
     while True:

@@ -24,13 +24,12 @@ from pathlib import Path
 
 from .errors import AssumptionError, FixtureError, LeafgaugeError, NumericError
 from .fields import PointC2, derive_candidate_fields, select_field
-from .fixtures import (Fixture, config_to_dict, fixture_to_dict, load_fixture, parse_fixture,
-                       point_from_real4, resolve_config)
+from .fixtures import (REPORT_SCHEMA, Fixture, config_to_dict, fixture_to_dict, gauge_degree,
+                       load_fixture, load_report, point_from_real4, resolve_config)
 from .flows import trace_leaf
 from .gauge import gauge_grid_rows
 from .pipeline import PipelineConfig, run_field_pipeline, run_pipeline, validate_hypotheses
 from .verify import check_rng, report_to_dict, report_to_text, sample_chart_ball
-from .wirtinger import as_int
 
 __all__ = ["main"]
 
@@ -38,8 +37,6 @@ EXIT_PASS = 0
 EXIT_ASSUMPTION = 2
 EXIT_NUMERIC = 3
 EXIT_BAD_INPUT = 4
-
-REPORT_SCHEMA = "leafgauge-report@1"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,31 +46,12 @@ class _Parser(argparse.ArgumentParser):
         raise FixtureError(message)
 
 
-def _parse_point(text: str) -> PointC2:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise FixtureError("--point expects four comma-separated reals")
-    try:
-        return point_from_real4(parts)
-    except ValueError as exc:
-        raise FixtureError(f"bad --point value: {exc}") from exc
-
-
 def _require_point(fx: Fixture, args) -> PointC2:
     if getattr(args, "point", None):
-        return _parse_point(args.point)
+        return point_from_real4(args.point.split(","))
     if fx.point is None:
         raise FixtureError("no base point: supply --point or a fixture point")
     return fx.point
-
-
-def _resolve_degree(fx: Fixture, args) -> int | None:
-    degree = getattr(args, "degree", None)
-    if degree is None:
-        degree = fx.degree
-    if degree is not None and degree < 1:
-        raise FixtureError("gauge degree must be a positive integer")
-    return degree
 
 
 def _config(fx: Fixture, args) -> PipelineConfig:
@@ -202,7 +180,7 @@ def cmd_build_gauge(args) -> int:
         raise FixtureError(f"bad --grid-n {args.grid_n}, expected at least 1")
     fx = load_fixture(args.fixture)
     point = _require_point(fx, args)
-    degree = _resolve_degree(fx, args)
+    degree = fx.degree if args.degree is None else gauge_degree(args.degree)
     cfg = _config(fx, args)
     gauge, report = _run_fixture_pipeline(fx, point, degree, cfg)
     payload = _report_payload(fx, point, gauge.degree, cfg, gauge, report)
@@ -224,29 +202,7 @@ def cmd_build_gauge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        data = json.loads(Path(args.report).read_text())
-    except OSError as exc:
-        raise FixtureError(f"cannot read report {args.report}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FixtureError(f"report is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or data.get("schema") != REPORT_SCHEMA:
-        raise FixtureError(f"report schema is not {REPORT_SCHEMA}")
-    desc = data.get("description")
-    if not isinstance(desc, dict) or "fixture" not in desc:
-        raise FixtureError("report carries no gauge description")
-    saved_gauge, saved_report = data.get("gauge"), data.get("report")
-    saved_entries = saved_report.get("entries") if isinstance(saved_report, dict) else None
-    if not (isinstance(saved_gauge, dict) and isinstance(saved_entries, list)
-            and all(isinstance(e, dict) for e in saved_entries)):
-        raise FixtureError("report carries no gauge block or entry list")
-    try:
-        fx = parse_fixture(desc["fixture"], name=desc["fixture"].get("name", "saved"))
-        point = point_from_real4(desc["point"])
-        degree = as_int(desc["degree"])
-        saved = dict(desc.get("config", {}))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FixtureError(f"malformed report description: {exc!r}") from exc
+    fx, point, degree, saved, saved_gauge, saved_entries = load_report(args.report)
     seed = args.seed if args.seed is not None else saved.get("seed")
     cfg = resolve_config(fx.config, **{**saved, "seed": seed})
     gauge, report = _run_fixture_pipeline(fx, point, degree, cfg)
@@ -276,7 +232,7 @@ def _close(saved, rebuilt) -> bool:
             return False
         try:
             a = [float(v) for v in a]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return False
         tol = _DRIFT_REL_TOL * max(math.hypot(*a), math.hypot(*b))
         if not all(abs(x - y) <= tol for x, y in zip(a, b)):

@@ -28,7 +28,6 @@ from .wirtinger import (
     homogeneity_degree,
     poly_diff,
     poly_eval,
-    poly_is_real,
 )
 
 __all__ = [
@@ -358,13 +357,12 @@ def vanish_scale(V: VectorFieldC2, q: PointC2) -> float:
 def derive_candidate_fields(P: WirtingerPoly):
     """The two candidate tangent fields of a Levi-degenerate polynomial:
     (-P_w_zbar, P_z_zbar) and (-P_w_wbar, P_z_wbar), each homogeneous of
-    degree deg(P) - 2."""
-    if not poly_is_real(P):
-        raise ValueError("candidate fields require a real-valued polynomial")
-    deg = homogeneity_degree(P)
-    if deg is None or deg < 2:
-        raise ValueError("polynomial must be homogeneous of degree >= 2")
+    degree deg(P) - 2.  Raises AssumptionError unless P is real and
+    homogeneous of degree >= 2."""
     H = complex_hessian(P)
+    deg = None if P.is_zero else homogeneity_degree(P)
+    if deg is None or deg < 2:
+        raise AssumptionError("candidate fields need a polynomial homogeneous of degree >= 2")
     m = deg - 2
     V1 = VectorFieldC2(-H.entries[0][1], H.entries[0][0], m)
     V2 = VectorFieldC2(-H.entries[1][1], H.entries[1][0], m)
@@ -385,9 +383,7 @@ def select_field(P: WirtingerPoly, x: PointC2) -> VectorFieldC2:
 
 def annihilation_check(P: WirtingerPoly, V: VectorFieldC2) -> bool:
     """Exact test that the complex Hessian of P annihilates V as a
-    polynomial identity."""
-    if not poly_is_real(P):
-        raise ValueError("annihilation check requires a real-valued polynomial")
+    polynomial identity.  Raises AssumptionError when P is not real."""
     r0, r1 = complex_hessian(P).matvec(V.comp_z, V.comp_w)
     return r0.is_zero and r1.is_zero
 

@@ -20,6 +20,10 @@ a value with a fractional part is malformed, never truncated.  tol_ode is
 the one flow tolerance, absolute and relative.
 A fixture carries a polynomial, an explicit field, or both (the field then
 takes precedence on the gauge-building path).
+
+Every input value of the command line is read here, once: fixtures, saved
+reports, base points and the gauge degree (a fixture's n, --degree, a
+report's degree).  Malformed input raises FixtureError.
 """
 
 from __future__ import annotations
@@ -44,7 +48,12 @@ __all__ = [
     "field_from_dict",
     "resolve_config",
     "point_from_real4",
+    "gauge_degree",
+    "load_report",
+    "REPORT_SCHEMA",
 ]
+
+REPORT_SCHEMA = "leafgauge-report@1"
 
 # The one table of config names: fixture key -> PipelineConfig field.
 # Reports save the run configuration under these keys.
@@ -82,10 +91,13 @@ def field_from_dict(data: dict) -> VectorFieldC2:
 
 
 def point_from_real4(values) -> PointC2:
-    """A base point from four real coordinates.  Raises FixtureError unless
-    they are finite and not all zero: the construction lives on C^2 minus
-    the origin."""
-    coords = [float(v) for v in values]
+    """A base point from four real coordinates (numbers, or the strings of
+    --point).  Raises FixtureError unless they are finite reals, not all
+    zero: the construction lives on C^2 minus the origin."""
+    try:
+        coords = [float(v) for v in values]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FixtureError(f"bad point {values!r}: {exc}") from exc
     if len(coords) != 4:
         raise FixtureError("point must have 4 real components")
     if not all(map(math.isfinite, coords)) or not any(coords):
@@ -93,9 +105,24 @@ def point_from_real4(values) -> PointC2:
     return PointC2.from_real4(coords)
 
 
-def parse_fixture(data: dict, name: str = "") -> Fixture:
+def gauge_degree(value) -> int:
+    """A gauge degree: a positive integer, which may be written as 4.0.
+    Raises FixtureError below 1, and ValueError, TypeError or OverflowError
+    (which its callers report as malformed input) for a non-integer."""
+    degree = as_int(value)
+    if degree < 1:
+        raise FixtureError("gauge degree must be a positive integer")
+    return degree
+
+
+def _object(data, what: str) -> dict:
     if not isinstance(data, dict):
-        raise FixtureError("fixture root must be a JSON object")
+        raise FixtureError(f"{what} must be a JSON object")
+    return data
+
+
+def parse_fixture(data: dict, name: str = "") -> Fixture:
+    _object(data, "fixture root")
     try:
         poly = None
         if "polynomial" in data:
@@ -104,13 +131,11 @@ def parse_fixture(data: dict, name: str = "") -> Fixture:
         if "field" in data:
             fld = field_from_dict(data["field"])
         point = point_from_real4(data["point"]) if "point" in data else None
-        degree = as_int(data["n"]) if "n" in data else None
-        config = dict(data.get("config", {}))
+        degree = gauge_degree(data["n"]) if "n" in data else None
+        config = dict(_object(data.get("config", {}), "fixture config"))
         unknown = set(config) - set(_CONFIG_KEYS)
         if unknown:
             raise FixtureError(f"unknown config keys: {sorted(unknown)}")
-    except FixtureError:
-        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FixtureError(f"malformed fixture: {exc}") from exc
     if poly is None and fld is None:
@@ -119,15 +144,39 @@ def parse_fixture(data: dict, name: str = "") -> Fixture:
                    point=point, degree=degree, config=config)
 
 
-def load_fixture(path) -> Fixture:
-    path = Path(path)
+def _read_json(path, what: str):
     try:
-        data = json.loads(path.read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
-        raise FixtureError(f"cannot read fixture {path}: {exc}") from exc
+        raise FixtureError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise FixtureError(f"fixture {path} is not valid JSON: {exc}") from exc
-    return parse_fixture(data, name=path.stem)
+        raise FixtureError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_fixture(path) -> Fixture:
+    return parse_fixture(_read_json(path, "fixture"), name=Path(path).stem)
+
+
+def load_report(path) -> tuple[Fixture, PointC2, int, dict, dict, list]:
+    """A saved report: the fixture, base point, gauge degree and run
+    configuration (under fixture keys) of its description, its gauge block
+    and its entry list."""
+    data = _read_json(path, "report")
+    if not isinstance(data, dict) or data.get("schema") != REPORT_SCHEMA:
+        raise FixtureError(f"report schema is not {REPORT_SCHEMA}")
+    desc = _object(data.get("description"), "report description")
+    try:
+        described = (parse_fixture(desc["fixture"], name="saved"),
+                     point_from_real4(desc["point"]), gauge_degree(desc["degree"]),
+                     dict(_object(desc.get("config", {}), "saved run configuration")))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FixtureError(f"malformed report description: {exc!r}") from exc
+    saved_gauge, saved_report = data.get("gauge"), data.get("report")
+    saved_entries = saved_report.get("entries") if isinstance(saved_report, dict) else None
+    if not (isinstance(saved_gauge, dict) and isinstance(saved_entries, list)
+            and all(isinstance(e, dict) for e in saved_entries)):
+        raise FixtureError("report carries no gauge block or entry list")
+    return (*described, saved_gauge, saved_entries)
 
 
 def fixture_to_dict(fx: Fixture) -> dict:
@@ -155,7 +204,7 @@ def _expand(key: str, value, kwargs: dict) -> None:
     kwargs[name] = as_int(value) if name in _INT_FIELDS else float(value)
 
 
-def resolve_config(fixture_config: dict, **overrides) -> PipelineConfig:
+def resolve_config(fixture_config: dict, /, **overrides) -> PipelineConfig:
     """Defaults <- fixture config <- keyword overrides under fixture keys
     (None means unset)."""
     kwargs: dict = {}

@@ -69,19 +69,16 @@ LONG_FLOW = 1e-2
 
 
 def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
-                   q0: PointC2, cfg: FlowConfig | None = None,
-                   v0: tuple[complex, complex] | None = None) -> PointC2:
+                   q0: PointC2, cfg: FlowConfig | None = None) -> PointC2:
     """Solve q' = a*X1(q) + b*X2(q) from q0 over the time interval [0, s].
-    A caller that holds the field value V(q0) passes it as v0; it stands in
-    for the first evaluation and passes the same monitor.  A zero-time flow
-    returns q0 itself.
+    A zero-time flow returns q0 itself.
 
     Raises NumericError on a non-finite time or coefficient,
     StepBudgetError when the step budget is exhausted, RankDropError when
     the field norm falls below the relative nonvanishing threshold along
     the trajectory, and NumericError when the trajectory blows up.
     """
-    z, w, _ = _flow(V, coeffs, s, q0.z, q0.w, cfg, v0)
+    z, w, _ = _flow(V, coeffs, s, q0.z, q0.w, cfg, None)
     return _end_point(q0, z, w)
 
 
@@ -90,7 +87,9 @@ def _flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float, z: complex, w
     """integrate_flow on the complex state (z, w): returns (z, w, v) at the
     end point, where v is the field value there that the last step's FSAL
     stage computed, with the bits of V.eval_complex at that point.  A
-    zero-time flow returns its z, w and v0 as given."""
+    caller that holds the field value V(z, w) passes it as v0; it stands in
+    for the first evaluation and passes the same monitor.  A zero-time flow
+    returns its z, w and v0 as given."""
     cfg = cfg or FlowConfig()
     a, b = coeffs
     if not (math.isfinite(s) and math.isfinite(a) and math.isfinite(b)):

@@ -47,15 +47,10 @@ def scaling_velocity(chart: LeafChart) -> tuple[float, float]:
     """d/dt leaf_coords(t*x) at t = 1 in closed form.  leaf(t*x) = t*leaf(x)
     and n1, n2 are normal to the leaf at x, so d = (n1.x, n2.x): the
     transversal part of x itself.  |d| / |x| is the sine of the angle
-    between x and the complex tangent line of its leaf; at or below 1e-4
-    the ray is numerically tangent to the leaf, which contradicts
-    transversality of the base point."""
+    between x and the complex tangent line of its leaf, which build_chart
+    has kept above 1e-4."""
     _, _, n1, n2 = chart.frame
-    d = (_dot(n1, chart.base4), _dot(n2, chart.base4))
-    if math.hypot(*d) <= 1e-4 * chart.base_norm:
-        raise AssumptionError(
-            "radial direction tangent to leaf: base point fails transversality numerically")
-    return d
+    return (_dot(n1, chart.base4), _dot(n2, chart.base4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +58,8 @@ class GaugeFunction:
     chart: LeafChart
     ray_velocity: tuple[float, float]   # scaling velocity at the base point
     degree: int                         # homogeneity degree of the gauge
-    bracket_halfwidth: float            # scale factor searched in (1-d, 1+d)
-    root_tol: float
+    bracket_halfwidth: float = 0.15     # scale factor searched in (1-d, 1+d)
+    root_tol: float = 1e-11
 
     @cached_property
     def _ray_normal(self) -> tuple[float, ...]:
@@ -76,15 +71,22 @@ class GaugeFunction:
         return tuple((d1 * a + d2 * b) / scale for a, b in zip(n1, n2))
 
 
-def build_gauge(chart: LeafChart, degree: int, bracket_halfwidth: float = 0.15,
-                root_tol: float = 1e-11, velocity_step: float = 1e-4) -> GaugeFunction:
+def _check_settings(bracket_halfwidth: float, root_tol: float) -> None:
+    """The range check of the gauge settings, for build_gauge and PipelineConfig."""
+    if not (0 < bracket_halfwidth < 1):
+        raise ValueError("bracket_halfwidth must lie in (0, 1)")
+    if not (math.isfinite(root_tol) and root_tol > 0):
+        raise ValueError("root_tol must be positive and finite")
+
+
+def build_gauge(chart: LeafChart, degree: int,
+                bracket_halfwidth: float = GaugeFunction.bracket_halfwidth,
+                root_tol: float = GaugeFunction.root_tol,
+                velocity_step: float = 1e-4) -> GaugeFunction:
     """velocity_step is unused (the ray velocity has a closed form); perfbench passes it."""
     if int(degree) != degree or degree < 1:
         raise ValueError("gauge degree must be a positive integer")
-    if not (0 < bracket_halfwidth < 1):
-        raise ValueError("bracket halfwidth must lie in (0, 1)")
-    if root_tol <= 0:
-        raise ValueError("root_tol must be positive")
+    _check_settings(bracket_halfwidth, root_tol)
     if not homogeneity_check_field(chart.field):
         # the scale-factor solve relies on leaf(t*q) = t*leaf(q)
         raise AssumptionError("gauge needs a field homogeneous of its declared degree")

@@ -25,13 +25,12 @@ from .fields import (
     field_eval,
     homogeneity_check_field,
     involutivity_check,
-    real_views,
     select_field,
     transversality_check,
     vanish_scale,
 )
 from .flows import FlowConfig, leaf_flow_map
-from .gauge import GaugeFunction, build_gauge
+from .gauge import GaugeFunction, _check_settings, build_gauge
 from .verify import (
     DEFAULT_SEED,
     CheckEntry,
@@ -70,16 +69,15 @@ INVOLUTIVITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Solver and sampling knobs for a full pipeline run.  The chart and
-    flow settings default to those of ChartConfig and FlowConfig, so
-    flow_cfg() and chart_cfg() of the defaults equal FlowConfig() and
-    ChartConfig().
+    """Solver and sampling knobs for a full pipeline run.  Each solver
+    setting takes its default and its range check from the layer that uses
+    it: ChartConfig, FlowConfig (both through chart_cfg()) or the gauge.
     """
 
     chart_radius: float = ChartConfig.radius_scale
     newton_tol: float = ChartConfig.newton_tol
-    bracket_halfwidth: float = 0.15
-    root_tol: float = 1e-11
+    bracket_halfwidth: float = GaugeFunction.bracket_halfwidth
+    root_tol: float = GaugeFunction.root_tol
     ode_tol: float = FlowConfig.tol
     max_step: float = FlowConfig.max_step
     n_samples: int = 50
@@ -87,16 +85,12 @@ class PipelineConfig:
     velocity_step: float = 1e-4     # unused; perfbench passes it to build_gauge
 
     def __post_init__(self):
+        self.chart_cfg()
+        _check_settings(self.bracket_halfwidth, self.root_tol)
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not all(math.isfinite(v) and v > 0
-                   for v in (self.newton_tol, self.root_tol, self.ode_tol, self.max_step,
-                             self.velocity_step)):
-            raise ValueError("tolerances and steps must be positive and finite")
-        if not (0 < self.chart_radius < 1 and 0 < self.bracket_halfwidth < 1):
-            raise ValueError("chart_radius and bracket_halfwidth must lie in (0, 1)")
 
     def flow_cfg(self) -> FlowConfig:
         return FlowConfig(tol=self.ode_tol, max_step=self.max_step)
@@ -156,7 +150,7 @@ def validate_hypotheses(P: WirtingerPoly, x: PointC2) -> HypothesisChecklist:
             scale = max(1.0, x.norm()) ** max((deg or 2) - 2, 0)
         except OverflowError:
             raise NumericError(f"Hessian scale at {x} overflows a float") from None
-        ok = norm > 1e-8 * scale
+        ok = norm > NONVANISH_THRESHOLD * scale
         checks.append(HypothesisCheck("hessian_nonzero_at_base", ok, f"norm {norm:.3e}"))
         on_line = is_on_harmonic_line(P, x)
         checks.append(HypothesisCheck("base_off_harmonic_lines", not on_line, ""))
@@ -189,9 +183,7 @@ def leaf_harmonicity_check(P: WirtingerPoly, V: VectorFieldC2, chart: LeafChart,
         levi = a.conjugate() * (h00 * a + h01 * b) + b.conjugate() * (h10 * a + h11 * b)
         worst_levi = max(worst_levi, abs(levi))
 
-        X1, _ = real_views(chart.field, q)
-        speed = max(math.hypot(*X1), 1e-12)
-        h = min(0.05, 0.05 * chart.base_norm / speed)
+        h = min(0.05, 0.05 * chart.base_norm / max(n, 1e-12))
         p0 = poly_eval(P, q).real
         scale = max(1.0, abs(p0))
         for c1, c2 in ((1.0, 0.0), (0.0, 1.0)):
@@ -214,10 +206,7 @@ def _assumption_entries(V: VectorFieldC2, x: PointC2,
     if not inv.passed:
         raise AssumptionError(
             f"involutivity failed: worst relative singular value {inv.residual:.3e}")
-    tr = transversality_check(V, x)
-    if not tr.passed:
-        raise AssumptionError("transversality failed at the base point")
-    tr_norm = tr.residual / (x.norm() * field_eval(V, x).norm())
+    tr_norm = transversality_check(V, x).residual / (x.norm() * field_eval(V, x).norm())
     return [
         check_entry("field_involutivity", inv.residual, INVOLUTIVITY_TOL, samples=len(samples)),
         check_entry("base_transversality", tr_norm, NONVANISH_THRESHOLD, mode="min", samples=1),

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 0x5EED
+T_GRID = (0.92, 0.96, 1.04, 1.08)     # scale factors of check_homogeneity
 
 # Stable per-check stream ids so adding checks never reshuffles samples.
 _STREAMS = {
@@ -313,9 +314,9 @@ def check_leaf_constancy(G: GaugeFunction, n_samples: int = 50,
     ]
 
 
-def check_homogeneity(G: GaugeFunction, t_grid=(0.92, 0.96, 1.04, 1.08),
-                      n_samples: int = 50, seed: int = DEFAULT_SEED) -> list[CheckEntry]:
-    """Relative error of g(t*q) against t**degree * g(q) over the grid."""
+def check_homogeneity(G: GaugeFunction, n_samples: int = 50,
+                      seed: int = DEFAULT_SEED) -> list[CheckEntry]:
+    """Relative error of g(t*q) against t**degree * g(q) for t in T_GRID."""
     chart = G.chart
     rng = check_rng(seed, "homogeneity")
     samples = sample_chart_ball(chart, n_samples, rng, shrink=0.6)
@@ -325,7 +326,7 @@ def check_homogeneity(G: GaugeFunction, t_grid=(0.92, 0.96, 1.04, 1.08),
         t_q = solve_scale(G, q)
         g_q = scale_power(t_q, -G.degree)
         any_used = False
-        for t in t_grid:
+        for t in T_GRID:
             tq = q.scale(t)
             if not in_chart_ball(chart, tq):
                 continue

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
-from .errors import NumericError
+from .errors import AssumptionError, NumericError
 
 __all__ = [
     "WirtingerPoly",
@@ -360,7 +360,7 @@ def _dbar(p: WirtingerPoly):
     except AttributeError:
         pass
     if not poly_is_real(p):
-        raise ValueError("complex Hessian requires a real-valued polynomial")
+        raise AssumptionError("complex Hessian requires a real-valued polynomial")
     p_zbar = poly_diff(p, "zbar")
     p_wbar = poly_diff(p, "wbar")
     p._derivs = (p_zbar, p_wbar), PolyMatrix2((
@@ -373,7 +373,8 @@ def _dbar(p: WirtingerPoly):
 def complex_hessian(p: WirtingerPoly) -> PolyMatrix2:
     """Matrix of mixed second derivatives
     [[p_z_zbar, p_w_zbar], [p_z_wbar, p_w_wbar]] for real-valued p, derived
-    once per polynomial and kept on it."""
+    once per polynomial and kept on it.  Raises AssumptionError when p is
+    not real: this is the realness check of every user of the Hessian."""
     return _dbar(p)[1]
 
 

@@ -9,6 +9,7 @@ import pytest
 from leafgauge import (
     AssumptionError,
     ChartConfig,
+    NumericError,
     PointC2,
     ProjectionError,
     VectorFieldC2,
@@ -19,7 +20,7 @@ from leafgauge import (
     leaf_coords,
 )
 from leafgauge import charts
-from conftest import chart_cfg, make_field_v3
+from conftest import chart_cfg, make_field_nonholo, make_field_v3
 
 
 def mono(a, b, c, d, re=1, im=0):
@@ -56,6 +57,27 @@ def test_radial_field_rejected():
     radial = VectorFieldC2(mono(1, 0, 0, 0), mono(0, 0, 1, 0), 1)
     with pytest.raises(AssumptionError):
         build_chart(radial, PointC2(1, 0), chart_cfg(0.1))
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+def test_tangency_is_decided_before_any_projection(scale, monkeypatch):
+    # the near-tangent points of test_tangency_guard_is_unit_free (sine
+    # 6e-5) fail at the frame, before a radius probe projects anything; at
+    # sine 2e-3 the eight probes run
+    calls = []
+    monkeypatch.setattr(charts, "_project", lambda chart, q: calls.append(q))
+    V = make_field_v3()
+    with pytest.raises(AssumptionError, match="tangent to leaf"):
+        build_chart(V, PointC2(scale, 3e-5 * scale), chart_cfg(0.05))
+    assert calls == []
+    build_chart(V, PointC2(scale, 1e-3 * scale), chart_cfg(0.05))
+    assert len(calls) == 8
+
+
+def test_non_finite_base_field_value_is_numeric():
+    # (-z zbar, zbar w) overflows a float at this finite point
+    with pytest.raises(NumericError, match="overflows a float"):
+        build_chart(make_field_nonholo(), PointC2(1e300, 1e300), chart_cfg(0.05))
 
 
 def test_coords_at_base_are_zero(chart_pz4, chart_pzw):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import copy
 import json
 import math
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafgauge.cli import _grid_times, main
 from leafgauge.fixtures import fixture_to_dict, load_fixture, parse_fixture
@@ -246,6 +249,15 @@ def test_verify_detects_tampered_gauge(tmp_path, capsys):
     for key in ("gauge.ray_velocity", "gauge.frame", "gauge.degree"):
         assert f"drift {key}:" in err
     assert "gauge.base" not in err
+
+
+def test_verify_reads_a_huge_integer_frame_entry_as_drift(tmp_path, capsys):
+    # an integer too large for a float raised OverflowError (exit 1)
+    _, data = _saved_pz4(tmp_path)
+    data["gauge"]["frame"][0][0] = 10 ** 400
+    capsys.readouterr()
+    assert main(["verify", _resaved(tmp_path, data), "--out", str(tmp_path / "again.json")]) == 3
+    assert "drift gauge.frame:" in capsys.readouterr().err
 
 
 def test_verify_detects_tampered_entries(tmp_path, capsys):
@@ -629,3 +641,117 @@ def test_unwritable_output_is_exit_4(args, tmp_path, capsys):
     capsys.readouterr()
     assert main([a.format(missing=tmp_path / "missing", report=report) for a in args]) == 4
     assert "cannot write" in capsys.readouterr().err
+
+
+# -- the input boundary ----------------------------------------------------------
+#
+# Each row once exited 1 with a traceback, or ran on a value that the
+# fixture reader now refuses.
+
+def _record(dz, dzbar, dw, dwbar):
+    return {"dz": dz, "dzbar": dzbar, "dw": dw, "dwbar": dwbar, "re": "1", "im": "0"}
+
+
+_BAD_POLYNOMIALS = {
+    "not-real": [_record(2, 1, 0, 0)],                            # z^2 zbar
+    "inhomogeneous": [_record(2, 2, 0, 0), _record(0, 0, 1, 1)],  # |z|^4 + |w|^2
+    "zero": [],
+}
+
+
+def _pairs(block: dict) -> list:
+    return [list(item) for item in block.items()]
+
+
+_BOUNDARY = [
+    pytest.param("verify", lambda d: d["description"].update(degree=0), 4,
+                 id="verify-degree-0"),
+    pytest.param("verify", lambda d: d["description"].update(degree=-2), 4,
+                 id="verify-degree-negative"),
+    pytest.param("verify", lambda d: d["description"].update(
+        fixture=_pairs(d["description"]["fixture"])), 4, id="verify-fixture-list"),
+    pytest.param("verify", lambda d: d["description"].update(
+        config=_pairs(d["description"]["config"])), 4, id="verify-config-pairs"),
+    pytest.param("verify", lambda d: d["description"]["config"].update(fixture_config=0.3), 4,
+                 id="verify-config-key-fixture_config"),
+    pytest.param("build-gauge", lambda d: d.update(config=_pairs(d["config"])), 4,
+                 id="build-config-pairs"),
+    pytest.param("check-poly", lambda d: d.update(n=0), 4, id="check-poly-n-0"),
+    *[pytest.param(command, lambda d, poly=poly: d.update(polynomial=poly), 2,
+                   id=f"{command}-{name}")
+      for command in ("derive-field", "trace-leaf")
+      for name, poly in _BAD_POLYNOMIALS.items()],
+]
+
+
+@pytest.mark.parametrize("command, edit, code", _BOUNDARY)
+def test_bad_input_gets_its_exit_code(command, edit, code, tmp_path, capsys):
+    # one line on stderr naming the fault, and no report on stdout or disk
+    out = tmp_path / "out.json"
+    if command == "verify":
+        _, data = _saved_pz4(tmp_path)
+        edit(data)
+        args = ["verify", _resaved(tmp_path, data), "--out", str(out)]
+    else:
+        args = [command, _edited_fixture(tmp_path, "pz4.json", edit)]
+        if command in ("build-gauge", "trace-leaf"):
+            args += ["--out", str(out)]
+    capsys.readouterr()
+    assert main(args) == code
+    captured = capsys.readouterr()
+    prefix = {2: "assumption violated: ", 4: "error: "}[code]
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _key_paths(node, path=()):
+    """The path of every object key in a JSON tree, through the first item
+    of each list (the 15 report entries have one shape)."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+    elif isinstance(node, list) and node:
+        yield from _key_paths(node[0], path + (0,))
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+_DROP = object()
+# one value of each JSON type (numbers small enough that no run grows)
+_SWAPS = [None, True, 0, -1.5, "x", [], {}]
+
+
+@pytest.fixture(scope="module")
+def saved_pz4_report(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "rep.json"
+    assert main(["build-gauge", fx("pz4.json"), "--samples", "5", "--out", str(path)]) == 0
+    return path, json.loads(path.read_text())
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_verify_survives_any_one_key_mutation(saved_pz4_report, data):
+    # drop one key of a saved report, or give it a value of another JSON
+    # type: verify answers with an exit code, never a traceback
+    path, report = saved_pz4_report
+    key = data.draw(st.sampled_from(list(_key_paths(report))))
+    mutated = copy.deepcopy(report)
+    parent = mutated
+    for part in key[:-1]:
+        parent = parent[part]
+    was = parent[key[-1]]
+    swap = data.draw(st.sampled_from([_DROP, *(v for v in _SWAPS
+                                               if _json_type(v) != _json_type(was))]))
+    if swap is _DROP:
+        del parent[key[-1]]
+    else:
+        parent[key[-1]] = swap
+    edited = path.with_name("edited.json")
+    edited.write_text(json.dumps(mutated))
+    assert main(["verify", str(edited), "--out", str(path.with_name("again.json"))]) in (0, 2, 3, 4)

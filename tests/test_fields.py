@@ -83,6 +83,23 @@ def test_candidates_ball():
     assert V1.degree == 0
 
 
+@pytest.mark.parametrize("P, match", [
+    (mono(2, 1, 0, 0), "real-valued"),                        # z^2 zbar
+    (mono(2, 2, 0, 0) + mono(0, 0, 1, 1), "homogeneous"),     # |z|^4 + |w|^2
+    (WirtingerPoly.zero(), "homogeneous"),
+    (mono(1, 0, 0, 0) + mono(0, 1, 0, 0), "homogeneous"),     # z + zbar, degree 1
+])
+def test_candidates_need_a_real_homogeneous_polynomial(P, match):
+    # a hypothesis on the input, as check-poly reports it, not a ValueError
+    with pytest.raises(AssumptionError, match=match):
+        derive_candidate_fields(P)
+
+
+def test_annihilation_needs_a_real_polynomial():
+    with pytest.raises(AssumptionError, match="real-valued"):
+        annihilation_check(mono(2, 1, 0, 0), make_field_v3())
+
+
 # -- selection -----------------------------------------------------------------
 
 def test_select_pz4_takes_first():

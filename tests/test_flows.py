@@ -221,7 +221,7 @@ def test_given_first_stage_is_monitored():
     # monitor as an evaluated one
     V = make_field_v3()
     with pytest.raises(RankDropError):
-        integrate_flow(V, (1, 0), 0.1, PointC2(1, 1), FLOW_TIGHT, (1e-9, -1e-9j))
+        flows._flow(V, (1, 0), 0.1, 1, 1, FLOW_TIGHT, (1e-9, -1e-9j))
 
 
 def test_single_step_work_count(field_evals):
@@ -231,7 +231,7 @@ def test_single_step_work_count(field_evals):
     V, q = make_field_v3(), PointC2(1, 1)
     integrate_flow(V, (1, 0), 1e-4, q, FLOW_TIGHT)
     assert field_evals[0] == 7
-    integrate_flow(V, (1, 0), 1e-4, q, FLOW_TIGHT, V._eval(q.z, q.w))
+    flows._flow(V, (1, 0), 1e-4, q.z, q.w, FLOW_TIGHT, V._eval(q.z, q.w))
     assert field_evals[0] == 7 + 6
 
 
@@ -277,7 +277,7 @@ def test_given_first_stage_is_monitored_on_long_flows():
     # steps too, so its later stages are monitored as well)
     V = make_field_v3()
     with pytest.raises(RankDropError):
-        integrate_flow(V, (1, 0), 1e8, PointC2(1, 1), FLOW_TIGHT, (1e-9, -1e-9j))
+        flows._flow(V, (1, 0), 1e8, 1, 1, FLOW_TIGHT, (1e-9, -1e-9j))
 
 
 @pytest.mark.parametrize("s, coeffs", [(math.inf, (1, 0)), (-math.inf, (1, 0)),
@@ -681,8 +681,10 @@ def test_flow_goldens_bit_for_bit(name):
             assert tuple(float.hex(v) for v in got.to_real4()) == want, (q4, coeffs, s)
             # the field value at q0, when the caller holds it, is the first
             # stage in place of an evaluation and changes no bit
-            given = integrate_flow(V, coeffs, s, q0, FLOW_TIGHT, V.eval_complex(q0.z, q0.w))
-            assert tuple(float.hex(v) for v in given.to_real4()) == want, (q4, coeffs, s)
+            z, w, _ = flows._flow(V, coeffs, s, q0.z, q0.w, FLOW_TIGHT,
+                                  V.eval_complex(q0.z, q0.w))
+            given = (z.real, z.imag, w.real, w.imag)
+            assert tuple(float.hex(v) for v in given) == want, (q4, coeffs, s)
 
 
 def test_long_flow_goldens_match_dp5_reference():

@@ -19,6 +19,7 @@ from leafgauge import (
     WirtingerPoly,
     annihilation_check,
     build_chart,
+    build_gauge,
     complex_hessian,
     gauge_eval,
     involutivity_check,
@@ -52,6 +53,30 @@ def test_solver_settings_have_one_home():
     assert counts == {"PipelineConfig": 9, "ChartConfig": 3, "FlowConfig": 2, "LeafChart": 6}
     assert list(inspect.signature(select_field).parameters) == ["P", "x"]
     assert list(inspect.signature(transversality_check).parameters) == ["V", "p"]
+
+
+# each solver setting of PipelineConfig and the layer that uses it
+_SOLVER_LAYERS = {
+    "chart_radius": lambda v, chart: ChartConfig(radius_scale=v),
+    "newton_tol": lambda v, chart: ChartConfig(newton_tol=v),
+    "ode_tol": lambda v, chart: FlowConfig(tol=v),
+    "max_step": lambda v, chart: FlowConfig(max_step=v),
+    "bracket_halfwidth": lambda v, chart: build_gauge(chart, 2, bracket_halfwidth=v),
+    "root_tol": lambda v, chart: build_gauge(chart, 2, root_tol=v),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(_SOLVER_LAYERS))
+def test_pipeline_and_solver_layers_reject_the_same_values(name, value, chart_pz4):
+    # one range check per setting: the pipeline config refuses what the
+    # layer refuses, and the layer takes the pipeline's default
+    layer = _SOLVER_LAYERS[name]
+    layer(getattr(PipelineConfig(), name), chart_pz4)
+    with pytest.raises(ValueError):
+        PipelineConfig(**{name: value})
+    with pytest.raises(ValueError):
+        layer(value, chart_pz4)
 
 
 def _verdicts(checklist):
@@ -200,7 +225,8 @@ def test_curved_leaf_geometry():
 
 def test_build_work_count_ceiling(field_evals):
     # deterministic work of one full build at the shipped field_v3 config
-    # (46.7k field evaluations; 49.8k before a landed point's value came
+    # (46.7k field evaluations, one fewer since build_chart stopped
+    # evaluating the field for a determinant; 49.8k before a landed point's value came
     # from the FSAL stage of the flow that landed there, 60k when the Euler
     # identity took a 4-axis gradient, 100k before long flows took the
     # DOP853 step, 362k when each Newton correction was flowed over unit
@@ -213,14 +239,14 @@ def test_build_work_count_ceiling(field_evals):
     assert report.overall_pass
     assert field_evals[0] <= 150_000
     # and exactly, so that work done out of sight (a forked worker) fails it
-    assert field_evals[0] == 46_746
+    assert field_evals[0] == 46_745
 
 
 @pytest.mark.parametrize("name", ["pzw", "pz4", "field_v3", "field_nonholo", "curved"])
 def test_base_transversality_is_the_ray_velocity_sine(name):
     # |det[x | V(x)]| / (|x| |V(x)|) and |(n1.x, n2.x)| / |x| are both the
     # sine of the angle between x and the complex line of V(x), so the
-    # entry's 1e-8 bound is implied by scaling_velocity's 1e-4 guard.  The
+    # entry's 1e-8 bound is implied by build_chart's 1e-4 guard.  The
     # shipped base points are normal to their leaves (sine 1); the curved
     # field's is not (sine 3 / sqrt(10))
     from leafgauge import scaling_velocity
