@@ -25,9 +25,10 @@ from .errors import AssumptionError, NumericError, RankDropError
 from .wirtinger import (
     WirtingerPoly,
     complex_hessian,
+    hessian_eval,
     homogeneity_degree,
+    levi_determinant,
     poly_diff,
-    poly_eval,
 )
 
 __all__ = [
@@ -372,20 +373,50 @@ def derive_candidate_fields(P: WirtingerPoly):
 def select_field(P: WirtingerPoly, x: PointC2) -> VectorFieldC2:
     """Pick the candidate field that does not vanish at x, preferring the
     first on ties.  Raises AssumptionError when both vanish (the Hessian of
-    P is zero at x).  The candidates are evaluated exactly, once each, so
-    neither binds its generated code here."""
-    for V in derive_candidate_fields(P):
-        if PointC2(poly_eval(V.comp_z, x), poly_eval(V.comp_w, x)).norm() > \
-                NONVANISH_THRESHOLD * vanish_scale(V, x):
+    P is zero at x).  The candidate values (-h01, h00) and (-h11, h10) are
+    read from hessian_eval(P, x), the value validate_hypotheses took at the
+    same x, so no candidate binds its generated code here."""
+    (h00, h01), (h10, h11) = hessian_eval(P, x)
+    for V, v in zip(derive_candidate_fields(P), (PointC2(-h01, h00), PointC2(-h11, h10))):
+        if v.norm() > NONVANISH_THRESHOLD * vanish_scale(V, x):
             return V
     raise AssumptionError("Hessian vanishes at base point")
 
 
 def annihilation_check(P: WirtingerPoly, V: VectorFieldC2) -> bool:
-    """Exact test that the complex Hessian of P annihilates V as a
-    polynomial identity.  Raises AssumptionError when P is not real."""
-    r0, r1 = complex_hessian(P).matvec(V.comp_z, V.comp_w)
+    """Exact test that the complex Hessian H of P annihilates V as a
+    polynomial identity.  For the candidate columns V1 = (-h01, h00) and
+    V2 = (-h11, h10) the ring gives H.V1 = (0, det H) and
+    H.V2 = (-det H, 0) term by term, so their verdict is that of
+    levi_determinant(P), formed once per P; any other V takes the exact
+    matrix-vector product.  Raises AssumptionError when P is not real."""
+    H = complex_hessian(P)
+    (h00, h01), (h10, h11) = H.entries
+    if (V.comp_w == h00 and V.comp_z == -h01) or (V.comp_w == h10 and V.comp_z == -h11):
+        return levi_determinant(P).is_zero
+    r0, r1 = H.matvec(V.comp_z, V.comp_w)
     return r0.is_zero and r1.is_zero
+
+
+def _project(V: VectorFieldC2, p: PointC2):
+    """The bracket split at p, from one field value: (X1, a, b, br, perp)
+    with X1 = view(V(p)), br = [X1, X2](p) (see lie_bracket_real), a = X1.br,
+    b = X2.br and perp the part of br off span{X1, X2} (all of br where
+    X1 = 0).  X2 = view(i V(p)) = (-x1, x0, -x3, x2) is orthogonal to X1
+    with its norm.  The dot products are written out, summed left to right,
+    so every residual keeps the bits of the 4-vector loops they replace."""
+    vz, vw = V.eval_complex(p.z, p.w)
+    cz, cw = 2j * vz.conjugate(), 2j * vw.conjugate()
+    z_zb, z_wb, w_zb, w_wb = V._jacobian(p.z, p.w)
+    bz, bw = z_zb * cz + z_wb * cw, w_zb * cz + w_wb * cw
+    x0, x1, x2, x3 = X1 = (vz.real, vz.imag, vw.real, vw.imag)
+    br = (bz.real, bz.imag, bw.real, bw.imag)
+    s2 = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 or 1.0
+    a = x0 * br[0] + x1 * br[1] + x2 * br[2] + x3 * br[3]
+    b = -x1 * br[0] + x0 * br[1] + -x3 * br[2] + x2 * br[3]
+    perp = (br[0] - (a * x0 + b * -x1) / s2, br[1] - (a * x1 + b * x0) / s2,
+            br[2] - (a * x2 + b * -x3) / s2, br[3] - (a * x3 + b * x2) / s2)
+    return X1, a, b, br, perp
 
 
 def lie_bracket_real(V: VectorFieldC2, p: PointC2) -> tuple[float, ...]:
@@ -396,24 +427,12 @@ def lie_bracket_real(V: VectorFieldC2, p: PointC2) -> tuple[float, ...]:
     X1(i V^k) - X2(V^k).  The holomorphic derivatives cancel, which leaves
     view(2i (V_zbar conj(V^z) + V_wbar conj(V^w))), from the compiled
     zbar- and wbar-derivatives of the field."""
-    vz, vw = V.eval_complex(p.z, p.w)
-    cz, cw = 2j * vz.conjugate(), 2j * vw.conjugate()
-    z_zb, z_wb, w_zb, w_wb = V._jacobian(p.z, p.w)
-    bz, bw = z_zb * cz + z_wb * cw, w_zb * cz + w_wb * cw
-    return (bz.real, bz.imag, bw.real, bw.imag)
-
-
-def _split_bracket(X1, X2, br):
-    """X1.br, X2.br and the component of br orthogonal to span{X1, X2},
-    for X2 orthogonal to X1 with the same norm (all of br where X1 = 0)."""
-    s2, a, b = _dot(X1, X1) or 1.0, _dot(X1, br), _dot(X2, br)
-    return a, b, tuple(c - (a * u + b * v) / s2 for c, u, v in zip(br, X1, X2))
+    return _project(V, p)[3]
 
 
 def bracket_span_residual(V: VectorFieldC2, p: PointC2) -> float:
     """Norm of the component of [X1, X2](p) orthogonal to span{X1, X2}."""
-    X1, X2 = real_views(V, p)
-    return math.hypot(*_split_bracket(X1, X2, lie_bracket_real(V, p))[2])
+    return math.hypot(*_project(V, p)[4])
 
 
 def involutivity_check(V: VectorFieldC2, samples: Sequence[PointC2],
@@ -429,13 +448,11 @@ def involutivity_check(V: VectorFieldC2, samples: Sequence[PointC2],
     NumericError when l_max overflows."""
     worst = 0.0
     for p in samples:
-        X1, X2 = real_views(V, p)
+        X1, a, b, br, perp = _project(V, p)
         s = math.hypot(*X1)
         if s <= NONVANISH_THRESHOLD * vanish_scale(V, p):
             raise RankDropError(f"distribution rank drop at {p}")
-        br = lie_bracket_real(V, p)
-        a, b, perp = _split_bracket(X1, X2, br)
-        s2, b2 = s * s, _dot(br, br)
+        s2, b2 = s * s, br[0] * br[0] + br[1] * br[1] + br[2] * br[2] + br[3] * br[3]
         lam = (s2 + b2) / 2 + math.hypot((s2 - b2) / 2, a, b)
         if not math.isfinite(lam):
             raise NumericError(f"involutivity: the Gram matrix at {p} overflows a float")

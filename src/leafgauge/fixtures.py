@@ -16,7 +16,8 @@ Schema:
 Coefficients are strings parsed as exact rationals so that fixtures
 round-trip through the exact polynomial representation without rounding.
 The integers (exponents, m, n, samples, seed) may be written as 4 or 4.0;
-a value with a fractional part is malformed, never truncated.  tol_ode is
+a value with a fractional part is malformed, never truncated, and so is a
+JSON true or false wherever a number belongs.  tol_ode is
 the one flow tolerance, absolute and relative.
 A fixture carries a polynomial, an explicit field, or both (the field then
 takes precedence on the gauge-building path).
@@ -95,7 +96,7 @@ def point_from_real4(values) -> PointC2:
     --point).  Raises FixtureError unless they are finite reals, not all
     zero: the construction lives on C^2 minus the origin."""
     try:
-        coords = [float(v) for v in values]
+        coords = [_as_float(v) for v in values]
     except (TypeError, ValueError, OverflowError) as exc:
         raise FixtureError(f"bad point {values!r}: {exc}") from exc
     if len(coords) != 4:
@@ -201,7 +202,14 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
 
 def _expand(key: str, value, kwargs: dict) -> None:
     name = _CONFIG_KEYS[key]    # KeyError: an unknown key
-    kwargs[name] = as_int(value) if name in _INT_FIELDS else float(value)
+    kwargs[name] = as_int(value) if name in _INT_FIELDS else _as_float(value)
+
+
+def _as_float(value) -> float:
+    # float(True) is 1.0: a JSON true is no number
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
 
 
 def resolve_config(fixture_config: dict, /, **overrides) -> PipelineConfig:

@@ -59,9 +59,12 @@ def _coeff(re: Rational, im: Rational = 0) -> Coeff:
 
 def as_int(value) -> int:
     """value as an int.  Unlike int(), a value with a fractional part (2.5,
-    "2.5") raises ValueError instead of being truncated; 4.0 is 4."""
+    "2.5") raises ValueError instead of being truncated; 4.0 is 4.  A bool
+    (a JSON true) is no number and raises TypeError."""
     if type(value) is int:
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
     q = Fraction(value)  # exact for a float; OverflowError for an infinity
     if q.denominator != 1:
         raise ValueError(f"{value!r} is not an integer")
@@ -73,7 +76,9 @@ class WirtingerPoly:
     coefficients.  Instances are immutable; all arithmetic returns new
     polynomials in canonical form."""
 
-    __slots__ = ("_nums", "_den", "_derivs")
+    # _derivs, _levi and _at cache the Hessian's derivatives, its
+    # determinant and its value at the last point (see _dbar)
+    __slots__ = ("_nums", "_den", "_derivs", "_levi", "_at")
 
     def __init__(self, terms: Union[Mapping[Exponent, Coeff], Iterable] = ()):
         coeffs: dict[Exponent, Coeff] = {}
@@ -251,24 +256,33 @@ def _gpowers(re: int, im: int, n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _substitute(p: WirtingerPoly, q, key) -> tuple[dict, int]:
-    """Substitute the exact values of z, zbar, w, wbar at the float point q
-    into the terms of p and sum them by key(exponent).  Returns the sums as
-    Gaussian-integer numerators over one positive common denominator.
-
-    Each float is dyadic, so the point is lifted exactly to Gaussian
-    integers over 2**e, and a term of degree n gets the factor
-    2**(e*(top - n)) that brings it over the common 2**(e*top)."""
+def _lift(q, top: int) -> tuple[int, list]:
+    """The float point q lifted exactly: each float is dyadic, so z, zbar, w
+    and wbar times 2**e are Gaussian integers.  Returns e and their power
+    tables up to the power top."""
     z, w = _zw(q)
     ratios = [x.as_integer_ratio() for x in (z.real, z.imag, w.real, w.imag)]
     e = max(den for _, den in ratios).bit_length() - 1
     zr, zi, wr, wi = (num << (e - den.bit_length() + 1) for num, den in ratios)
-    nums, d = p._nums, p._den
-    top = max((sum(exp) for exp in nums), default=0)
-    pows = [_gpowers(zr, zi, top), _gpowers(zr, -zi, top),
-            _gpowers(wr, wi, top), _gpowers(wr, -wi, top)]
+    return e, [_gpowers(zr, zi, top), _gpowers(zr, -zi, top),
+               _gpowers(wr, wi, top), _gpowers(wr, -wi, top)]
+
+
+def _top(p: WirtingerPoly) -> int:
+    return max((sum(exp) for exp in p._nums), default=0)
+
+
+def _substitute(p: WirtingerPoly, lift, key) -> tuple[dict, int]:
+    """Substitute the lifted point (_lift) into the terms of p and sum them
+    by key(exponent).  Returns the sums as Gaussian-integer numerators over
+    one positive common denominator.
+
+    With the tables up to the power top, a term of degree n gets the factor
+    2**(e*(top - n)) that brings it over the common 2**(e*top)."""
+    e, pows = lift
+    top = len(pows[0]) - 1
     out: dict = {}
-    for exp, (re, im) in nums.items():
+    for exp, (re, im) in p._nums.items():
         for table, n in zip(pows, exp):
             if n:
                 a, b = table[n]
@@ -277,7 +291,17 @@ def _substitute(p: WirtingerPoly, q, key) -> tuple[dict, int]:
         k = key(exp)
         r0, i0 = out.get(k, (0, 0))
         out[k] = (r0 + (re << shift), i0 + (im << shift))
-    return out, d << (e * top)
+    return out, p._den << (e * top)
+
+
+def _value(p: WirtingerPoly, lift, q) -> complex:
+    # p at the lifted point q, rounded once; raises NumericError on overflow
+    sums, d = _substitute(p, lift, lambda exp: 0)
+    re, im = sums.get(0, (0, 0))
+    try:
+        return complex(re / d, im / d)
+    except OverflowError as exc:
+        raise NumericError(f"polynomial value at {_zw(q)} overflows a float") from exc
 
 
 def poly_eval(p: WirtingerPoly, q) -> complex:
@@ -289,12 +313,7 @@ def poly_eval(p: WirtingerPoly, q) -> complex:
     complex float in one correctly rounded integer division.  Raises
     NumericError when a part of the value overflows a float.
     """
-    sums, d = _substitute(p, q, lambda exp: 0)
-    re, im = sums.get(0, (0, 0))
-    try:
-        return complex(re / d, im / d)
-    except OverflowError as exc:
-        raise NumericError(f"polynomial value at {_zw(q)} overflows a float") from exc
+    return _value(p, _lift(q, _top(p)), q)
 
 
 def poly_diff(p: WirtingerPoly, var: str) -> WirtingerPoly:
@@ -341,11 +360,6 @@ class PolyMatrix2:
         e = self.entries
         return e[0][0] * e[1][1] - e[0][1] * e[1][0]
 
-    def eval_at(self, q) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        e = self.entries
-        return ((poly_eval(e[0][0], q), poly_eval(e[0][1], q)),
-                (poly_eval(e[1][0], q), poly_eval(e[1][1], q)))
-
     def matvec(self, vz: WirtingerPoly, vw: WirtingerPoly):
         e = self.entries
         return (e[0][0] * vz + e[0][1] * vw,
@@ -380,14 +394,31 @@ def complex_hessian(p: WirtingerPoly) -> PolyMatrix2:
 
 def hessian_eval(p: WirtingerPoly, q) -> tuple[tuple[complex, complex],
                                                 tuple[complex, complex]]:
-    """Numeric 2x2 complex Hessian of p at q, as its rows."""
-    return complex_hessian(p).eval_at(q)
+    """Numeric 2x2 complex Hessian of p at q, as its rows, each entry its
+    exact value rounded once (the bits of poly_eval).  The point is lifted
+    once for all four entries, and the value at the last point is kept on p
+    beside its derivatives: the base-point checks and the field selection
+    read one evaluation.  Raises AssumptionError when p is not real."""
+    rows = complex_hessian(p).entries
+    key = _zw(q)
+    at = getattr(p, "_at", None)
+    if at is None or at[0] != key:
+        lift = _lift(q, max(_top(e) for row in rows for e in row))
+        p._at = key, tuple(tuple(_value(e, lift, q) for e in row) for row in rows)
+    return p._at[1]
 
 
 def levi_determinant(p: WirtingerPoly) -> WirtingerPoly:
-    """det of the complex Hessian, as an exact polynomial.  Identical
-    vanishing is the exact test `levi_determinant(p).is_zero`."""
-    return complex_hessian(p).det()
+    """det of the complex Hessian, as an exact polynomial, formed once per
+    polynomial (two exact products) and kept on it.  Identical vanishing is
+    the exact test `levi_determinant(p).is_zero`; by H.V1 = (0, det H) and
+    H.V2 = (-det H, 0) it is also the annihilation verdict of both candidate
+    fields.  Raises AssumptionError when p is not real."""
+    try:
+        return p._levi
+    except AttributeError:
+        p._levi = complex_hessian(p).det()
+    return p._levi
 
 
 def is_on_harmonic_line(p: WirtingerPoly, x) -> bool:
@@ -402,8 +433,10 @@ def is_on_harmonic_line(p: WirtingerPoly, x) -> bool:
     z, w = _zw(x)
     if z == 0 and w == 0:
         raise ValueError("direction must be nonzero")
-    for f in _dbar(p)[0]:
-        sums, _ = _substitute(f, x, lambda e: (e[0] + e[2], e[1] + e[3]))
+    firsts = _dbar(p)[0]
+    lift = _lift(x, max(map(_top, firsts)))
+    for f in firsts:
+        sums, _ = _substitute(f, lift, lambda e: (e[0] + e[2], e[1] + e[3]))
         if any(j and (re or im) for (j, _), (re, im) in sums.items()):
             return False
     return True

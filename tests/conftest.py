@@ -173,6 +173,24 @@ def poly_diffs(monkeypatch):
 
 
 @pytest.fixture
+def poly_products(monkeypatch):
+    """A one-element list counting exact polynomial products
+    (WirtingerPoly.__mul__ calls, scale included), the work of Levi
+    determinants and annihilation tests, with the verification suite in
+    this process."""
+    serial(monkeypatch)
+    calls = [0]
+    mul = WirtingerPoly.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(WirtingerPoly, "__mul__", counted)
+    return calls
+
+
+@pytest.fixture
 def code_generations(monkeypatch):
     """A one-element list counting instantiations of generated code
     (fields._exec calls: a field, its Jacobian or one of its flow steps), with

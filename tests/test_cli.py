@@ -677,6 +677,20 @@ _BOUNDARY = [
     pytest.param("build-gauge", lambda d: d.update(config=_pairs(d["config"])), 4,
                  id="build-config-pairs"),
     pytest.param("check-poly", lambda d: d.update(n=0), 4, id="check-poly-n-0"),
+    # a JSON boolean is no number: float(True) is 1.0 and Fraction(True) is 1
+    pytest.param("build-gauge", lambda d: d.update(n=True), 4, id="build-n-true"),
+    pytest.param("build-gauge", lambda d: d["config"].update(samples=True), 4,
+                 id="build-config-samples-true"),
+    pytest.param("build-gauge", lambda d: d["config"].update(tol_root=True), 4,
+                 id="build-config-float-true"),
+    pytest.param("build-gauge", lambda d: d.update(point=[True, 0, 0, 0]), 4,
+                 id="build-point-true"),
+    pytest.param("check-poly", lambda d: d["polynomial"][0].update(dw=False), 4,
+                 id="check-poly-exponent-false"),
+    pytest.param("verify", lambda d: d["description"].update(degree=True), 4,
+                 id="verify-degree-true"),
+    pytest.param("verify", lambda d: d["description"]["config"].update(tol_root=True), 4,
+                 id="verify-config-float-true"),
     *[pytest.param(command, lambda d, poly=poly: d.update(polynomial=poly), 2,
                    id=f"{command}-{name}")
       for command in ("derive-field", "trace-leaf")

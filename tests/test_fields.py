@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from leafgauge import (
@@ -18,6 +18,7 @@ from leafgauge import (
     WirtingerPoly,
     annihilation_check,
     bracket_span_residual,
+    complex_hessian,
     derive_candidate_fields,
     field_eval,
     homogeneity_check_field,
@@ -162,13 +163,32 @@ def real_homogeneous_polys(draw):
     return P
 
 
-@given(real_homogeneous_polys())
+def _matvec_verdict(P, V):
+    # the full exact product H.V, formed here term by term
+    (h00, h01), (h10, h11) = complex_hessian(P).entries
+    return (h00 * V.comp_z + h01 * V.comp_w).is_zero and \
+        (h10 * V.comp_z + h11 * V.comp_w).is_zero
+
+
+@given(real_homogeneous_polys(), small, small)
+@example(make_ball(), Fraction(1), Fraction(0))
 @settings(max_examples=60, deadline=None)
-def test_annihilation_of_a_candidate_is_the_levi_verdict(P):
+def test_annihilation_of_a_candidate_is_the_levi_verdict(P, re, im):
     # H.V1 = (0, det H) and H.V2 = (-det H, 0) term by term, so a
-    # candidate annihilates the Hessian exactly when det H is zero
-    for V in derive_candidate_fields(P):
-        assert annihilation_check(P, V) == levi_determinant(P).is_zero
+    # candidate annihilates the Hessian exactly when det H is zero.  Every
+    # verdict is also that of the full product: for the candidates, for
+    # their multiples, a combination and a swap, which are no candidates.
+    # The ball is Levi-nondegenerate: each of its verdicts is False
+    V1, V2 = derive_candidate_fields(P)
+    swapped = VectorFieldC2(V1.comp_w, V1.comp_z, V1.degree)
+    others = [VectorFieldC2(V.comp_z.scale(2), V.comp_w.scale(2), V.degree) for V in (V1, V2)]
+    others += [VectorFieldC2(V1.comp_z + V2.comp_z.scale(re, im),
+                             V1.comp_w + V2.comp_w.scale(re, im), V1.degree), swapped]
+    verdicts = [annihilation_check(P, V) for V in (V1, V2, *others)]
+    assert verdicts[:2] == [levi_determinant(P).is_zero] * 2
+    assert verdicts == [_matvec_verdict(P, V) for V in (V1, V2, *others)]
+    if P == make_ball():
+        assert verdicts == [False] * 6
 
 
 # -- Lie bracket ---------------------------------------------------------------

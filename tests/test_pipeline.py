@@ -225,8 +225,10 @@ def test_curved_leaf_geometry():
 
 def test_build_work_count_ceiling(field_evals):
     # deterministic work of one full build at the shipped field_v3 config
-    # (46.7k field evaluations, one fewer since build_chart stopped
-    # evaluating the field for a determinant; 49.8k before a landed point's value came
+    # (46,725 field evaluations: 20 fewer since each of the 20 involutivity
+    # samples takes one field value for its views and its bracket, not two;
+    # one fewer before that since build_chart stopped evaluating the field
+    # for a determinant; 49.8k before a landed point's value came
     # from the FSAL stage of the flow that landed there, 60k when the Euler
     # identity took a 4-axis gradient, 100k before long flows took the
     # DOP853 step, 362k when each Newton correction was flowed over unit
@@ -239,7 +241,7 @@ def test_build_work_count_ceiling(field_evals):
     assert report.overall_pass
     assert field_evals[0] <= 150_000
     # and exactly, so that work done out of sight (a forked worker) fails it
-    assert field_evals[0] == 46_745
+    assert field_evals[0] == 46_725
 
 
 @pytest.mark.parametrize("name", ["pzw", "pz4", "field_v3", "field_nonholo", "curved"])
@@ -357,3 +359,236 @@ def test_admit_ball_control_derives_one_hessian(poly_diffs):
     verdict = _admit(make_ball(), PointC2(1, 1))
     assert verdict == ("homogeneous_even_degree", "levi_determinant_zero")
     assert poly_diffs[0] == 6           # 18 with one Hessian per user
+
+
+@pytest.mark.parametrize("make, x", [(make_pzw, PointC2(1, 1)), (make_pz4, PointC2(1, 0))],
+                         ids=["pzw", "pz4"])
+def test_admit_decides_each_fact_once(make, x, poly_products, code_generations, field_evals,
+                                      monkeypatch):
+    from leafgauge import wirtinger
+
+    P = make()
+    counts = {"_lift": 0, "_substitute": 0}
+    for name in counts:
+        def counted(*args, name=name, run=getattr(wirtinger, name)):
+            counts[name] += 1
+            return run(*args)
+        monkeypatch.setattr(wirtinger, name, counted)
+    assert _admit(P, x) == (True, True, True)
+    # the Levi determinant's two products, once; the annihilation verdict
+    # of the selected candidate is that determinant's (6 with a matvec)
+    assert poly_products[0] == 2
+    # x lifted once for the four Hessian entries, which validate_hypotheses
+    # and select_field share, and once for the harmonic-line test: five
+    # substitution passes (seven with one lift per entry and candidate
+    # values evaluated apart)
+    assert counts == {"_lift": 2, "_substitute": 5}
+    # the selected field's code and its Jacobian's; one field value for each
+    # of the four involutivity samples and one for transversality
+    assert code_generations[0] == 2
+    assert field_evals[0] == 4 + 1
+
+
+# -- bits of the admissibility residuals ---------------------------------------
+#
+# float.hex of the involutivity, bracket-span and transversality residuals
+# and of the Hessian values, taken before the Hessian shared one lift of the
+# point and involutivity one field value per sample.
+
+BIT_GOLDENS = {
+    'pzw': {
+        'involutivity': [
+            '0x1.d2c36d9a58cc9p-55', '0x1.ca8345c2cebe4p-61', '0x1.4960938c5daa5p-54',
+            '0x1.c0288056d1853p-55', '0x1.f30985b39e07bp-55', '0x1.4960938c5daa5p-54',
+        ],
+        'span': [
+            '0x1.1e3779b97f4a8p-52', '0x1.0000000000000p-56', '0x1.6bcd594fa2a9ap-52',
+            '0x1.6fa6ea162d0f0p-52', '0x1.8154be2773526p-52',
+        ],
+        'transversality': '0x1.0000000000000p+1',
+        'hessian': [
+            '0x1.0000000000000p+0', '0x0.0p+0', '0x1.0000000000000p+0', '0x0.0p+0',
+            '0x1.0000000000000p+0', '0x0.0p+0', '0x1.0000000000000p+0', '0x0.0p+0',
+            '0x1.965e59f512d14p-1', '0x0.0p+0', '0x1.9671b082c3b99p-1', '0x1.63a7b752a3828p-2',
+            '0x1.9671b082c3b99p-1', '-0x1.63a7b752a3828p-2', '0x1.e456593ecb361p-1', '0x0.0p+0',
+        ],
+    },
+    'pz4': {
+        'involutivity': [
+            '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+        ],
+        'span': [
+            '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+        ],
+        'transversality': '0x1.0000000000000p+2',
+        'hessian': [
+            '0x1.0000000000000p+2', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+            '0x0.0p+0', '0x0.0p+0', '0x1.e00ef3c7dc95bp+1', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+            '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+        ],
+    },
+    'field_v3': {
+        'involutivity': [
+            '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+        ],
+        'span': [
+            '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+        ],
+        'transversality': '0x1.0000000000000p+1',
+    },
+    'field_nonholo': {
+        'involutivity': [
+            '0x1.505058337bf2dp-54', '0x1.4391a28cb2fcfp-54', '0x1.2d4e294cf6f2fp-54',
+            '0x1.20b98b47a531cp-55', '0x1.a295e0938dfb8p-55', '0x1.505058337bf2dp-54',
+        ],
+        'span': [
+            '0x1.01fe03f61bad0p-51', '0x1.208fdc11f4c7ep-51', '0x1.6a7af7d7fc881p-53',
+            '0x1.07e0f66afed07p-52', '0x1.1e3779b97f4a8p-52',
+        ],
+        'transversality': '0x1.0000000000000p+1',
+    },
+    'field_bad': {
+        'involutivity': [
+            '0x1.f64971c6a6c64p-2', '0x1.ffc19d0113af7p-2', '0x1.f898826b376e6p-2',
+            '0x1.fdca299a88a9cp-2', '0x1.fecb679a1230ap-2', '0x1.ffc19d0113af7p-2',
+        ],
+        'span': [
+            '0x1.f1adc3ed98d29p+0', '0x1.ffa275f41a877p+0', '0x1.f509e4a197782p+0',
+            '0x1.fcb29660cd83ap+0', '0x1.fe321a85ad9d4p+0',
+        ],
+        'transversality': '0x1.0000000000000p+0',
+    },
+    'k2m2': {
+        'involutivity': [
+            '0x1.a724a6e93ca56p-55', '0x1.607738037d5d6p-54', '0x1.9e1476aa958bbp-54',
+            '0x1.fa1d3c7b22ee6p-54', '0x1.487e4e76ca6b9p-55', '0x1.fa1d3c7b22ee6p-54',
+        ],
+        'span': [
+            '0x1.3988e1409212ep-54', '0x1.784156eb25d05p-52', '0x1.1f5c433b96876p-53',
+            '0x1.16f8334644df9p-52', '0x1.07e0f66afed07p-55',
+        ],
+        'transversality': '0x1.09ca12a506e50p+0',
+        'hessian': [
+            '0x1.5b05b05b05b05p-2', '0x0.0p+0', '0x1.61d950c83fb73p-1', '0x1.3e02468acf135p-1',
+            '0x1.61d950c83fb73p-1', '-0x1.3e02468acf135p-1', '0x1.461d950c83fb7p+1', '0x0.0p+0',
+            '0x1.3caaa8c48b5fcp-2', '0x0.0p+0', '0x1.efe5bb149ec1dp-2', '0x1.5421043660f83p-1',
+            '0x1.efe5bb149ec1dp-2', '-0x1.5421043660f83p-1', '0x1.17bc7a6920a23p+1', '0x0.0p+0',
+        ],
+    },
+    'k2m3': {
+        'involutivity': [
+            '0x1.8594ab4f8569dp-54', '0x1.3854d5ef34c36p-55', '0x1.a88f6245aaf0ap-55',
+            '0x1.20d8dd1109a8dp-54', '0x1.28ca88b459ffcp-54', '0x1.8594ab4f8569dp-54',
+        ],
+        'span': [
+            '0x1.752e50db3a3a2p-48', '0x1.7bfa9c41ab040p-48', '0x1.07e0f66afed07p-49',
+            '0x1.80e1135efb311p-48', '0x1.27757ebaf9368p-49',
+        ],
+        'transversality': '0x1.eaea93e28c450p+2',
+        'hessian': [
+            '0x1.703fb72ea61d9p+2', '0x0.0p+0', '0x1.e72ea61d950c8p+1', '0x1.aa1907f6e5d4cp-2',
+            '0x1.e72ea61d950c8p+1', '-0x1.aa1907f6e5d4cp-2', '0x1.461d950c83fb7p+1', '0x0.0p+0',
+            '0x1.5ceb3592609a9p+2', '0x0.0p+0', '0x1.b8f79490376adp+1', '-0x1.b8a50e0e1414cp-3',
+            '0x1.b8f79490376adp+1', '0x1.b8a50e0e1414cp-3', '0x1.17bc7a6920a23p+1', '0x0.0p+0',
+        ],
+    },
+    'k3m3': {
+        'involutivity': [
+            '0x1.843211e210169p-55', '0x1.8c6bca204d12bp-55', '0x1.7b3f27fec9b6dp-54',
+            '0x1.06e3d870dcc53p-54', '0x1.f1e2ed80f2343p-53', '0x1.f1e2ed80f2343p-53',
+        ],
+        'span': [
+            '0x1.6000000000000p-48', '0x1.10966cfe294b6p-46', '0x1.49d93405be849p-49',
+            '0x1.bc8ee6b2865b9p-48', '0x1.4cf03d20e5ad0p-49',
+        ],
+        'transversality': '0x1.c1303d1321a06p+2',
+        'hessian': [
+            '0x1.c1437e33caa93p+1', '0x0.0p+0', '0x1.26b1c432ca57ap+2', '0x1.18bb52e0300f5p+1',
+            '0x1.26b1c432ca57ap+2', '-0x1.18bb52e0300f5p+1', '0x1.da51eb851eb85p+2', '0x0.0p+0',
+            '0x1.8471d84fa615ap+1', '0x0.0p+0', '0x1.906dfb2809657p+1', '0x1.ddb4588bf0205p+0',
+            '0x1.906dfb2809657p+1', '-0x1.ddb4588bf0205p+0', '0x1.17d39751b854fp+2', '0x0.0p+0',
+        ],
+    },
+    'k3m4': {
+        'involutivity': [
+            '0x1.1f0f45a19d09ap-56', '0x1.5e46f95b6d396p-58', '0x1.e1a7ccd0398e3p-57',
+            '0x1.872114349a19fp-57', '0x1.5be4803b48c48p-56', '0x1.5be4803b48c48p-56',
+        ],
+        'span': [
+            '0x1.21c5b70d9f824p-43', '0x1.2548eb9151e85p-42', '0x1.8000000000000p-46',
+            '0x1.8154be2773526p-43', '0x1.8a85c24f70659p-45',
+        ],
+        'transversality': '0x1.a59539f687feap+4',
+        'hessian': [
+            '0x1.7024fef8b0dfep+4', '0x0.0p+0', '0x1.8fb5c7cd898b3p+3', '-0x1.e771e5673f1b1p+1',
+            '0x1.8fb5c7cd898b3p+3', '0x1.e771e5673f1b1p+1', '0x1.da51eb851eb85p+2', '0x0.0p+0',
+            '0x1.42e34e4417137p+4', '0x0.0p+0', '0x1.e14b5d2c1b981p+2', '-0x1.683b0c1e5c39cp+2',
+            '0x1.e14b5d2c1b981p+2', '0x1.683b0c1e5c39cp+2', '0x1.17d39751b854fp+2', '0x0.0p+0',
+        ],
+    },
+    'k4m4': {
+        'involutivity': [
+            '0x1.b219caa1e9734p-57', '0x1.147cf729a8e95p-57', '0x1.ea034adec84fbp-57',
+            '0x1.78d0769d858b3p-57', '0x1.64912ee2f50a5p-53', '0x1.64912ee2f50a5p-53',
+        ],
+        'span': [
+            '0x1.6fa6ea162d0f0p-44', '0x1.5e8add236a58fp-40', '0x1.6a09e667f3bcdp-47',
+            '0x1.58a68a4a8d9f3p-43', '0x1.5b9be5d52a9dap-46',
+        ],
+        'transversality': '0x1.56e32f24ac0c8p+4',
+        'hessian': [
+            '0x1.c122e52529b4fp+3', '0x0.0p+0', '0x1.a4d0aac5b2561p+3', '0x1.bc0e20fb3a273p+0',
+            '0x1.a4d0aac5b2561p+3', '-0x1.bc0e20fb3a273p+0', '0x1.9123be3f3b971p+3', '0x0.0p+0',
+            '0x1.67770bf9fafebp+3', '0x0.0p+0', '0x1.8cfd4fdfe3b10p+2', '0x1.bdcbb617b6c6ap-1',
+            '0x1.8cfd4fdfe3b10p+2', '-0x1.bdcbb617b6c6ap-1', '0x1.bf11d032093ddp+1', '0x0.0p+0',
+        ],
+    },
+    'k4m5': {
+        'involutivity': [
+            '0x1.e4cc72626b370p-59', '0x1.162c2c5847148p-59', '0x1.2a3c08e004b71p-57',
+            '0x1.474cb649c1deep-59', '0x1.1b5bb67beb6b3p-58', '0x1.2a3c08e004b71p-57',
+        ],
+        'span': [
+            '0x1.35a374a9eec84p-41', '0x1.6b733bfd8c648p-38', '0x1.4000000000000p-44',
+            '0x1.2000000000000p-40', '0x1.3988e1409212ep-43',
+        ],
+        'transversality': '0x1.bc6dcaffaf20dp+5',
+        'hessian': [
+            '0x1.ca907824bcef4p+5', '0x0.0p+0', '0x1.4aa3a8f5fe366p+4', '-0x1.112d747a9cae1p+4',
+            '0x1.4aa3a8f5fe366p+4', '0x1.112d747a9cae1p+4', '0x1.9123be3f3b971p+3', '0x0.0p+0',
+            '0x1.8af96bcb881f2p+5', '0x0.0p+0', '0x1.447b881f0a804p+2', '-0x1.83a1db7e5185dp+3',
+            '0x1.447b881f0a804p+2', '0x1.83a1db7e5185dp+3', '0x1.bf11d032093ddp+1', '0x0.0p+0',
+        ],
+    },
+}
+
+
+def _bit_cases():
+    from leafgauge.fixtures import load_fixture
+    from conftest import FIXTURE_DIR
+
+    for name in ("pzw", "pz4", "field_v3", "field_nonholo", "field_bad"):
+        fx = load_fixture(FIXTURE_DIR / f"{name}.json")
+        yield name, fx.polynomial, fx.field, fx.point
+    for k, m in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5)):
+        yield f"k{k}m{m}", _square(k, m), None, X_SQUARE
+
+
+@pytest.mark.parametrize("name, P, V, x", list(_bit_cases()),
+                         ids=[case[0] for case in _bit_cases()])
+def test_admissibility_residuals_bit_for_bit(name, P, V, x):
+    from leafgauge import bracket_span_residual, hessian_eval
+    from leafgauge.verify import check_rng, sample_ball
+
+    h = float.hex
+    if V is None:
+        V = select_field(P, x)
+    samples = sample_ball(x.to_real4(), 0.3 * x.norm(), 5, check_rng(7, "involutivity"))
+    got = {"involutivity": [h(involutivity_check(V, [p]).residual) for p in samples]
+           + [h(involutivity_check(V, samples).residual)],
+           "span": [h(bracket_span_residual(V, p)) for p in samples],
+           "transversality": h(transversality_check(V, x).residual)}
+    if P is not None:
+        got["hessian"] = [h(part) for q in (x, samples[0]) for row in hessian_eval(P, q)
+                          for v in row for part in (v.real, v.imag)]
+    assert got == BIT_GOLDENS[name]
