@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .errors import AssumptionError, DegenerateRootError, NumericError, ProjectionError
-from .fields import NONVANISH_THRESHOLD, PointC2, VectorFieldC2, _dot, real_views, vanish_scale
+from .fields import PointC2, VectorFieldC2, _dot, _base_views
 from .flows import FlowConfig, _flow
 
 __all__ = ["ChartConfig", "LeafChart", "build_chart", "leaf_coords", "in_chart_ball"]
@@ -94,10 +94,7 @@ def _unit(v) -> tuple[float, ...]:
 def _orthonormal_frame(X1, X2) -> tuple[tuple[float, ...], ...]:
     e1 = _unit(X1)
     d = _dot(X2, e1)
-    v = tuple(c - d * u for c, u in zip(X2, e1))
-    if math.hypot(*v) < 1e-12 * math.hypot(*X2):
-        raise AssumptionError("degenerate leaf tangent frame at base point")
-    e2 = _unit(v)
+    e2 = _unit(tuple(c - d * u for c, u in zip(X2, e1)))
     normals = []
     for k in range(4):
         cand = tuple(float(j == k) for j in range(4))
@@ -116,23 +113,12 @@ def _orthonormal_frame(X1, X2) -> tuple[tuple[float, ...], ...]:
 def build_chart(V: VectorFieldC2, x: PointC2,
                 cfg: ChartConfig | None = None) -> LeafChart:
     """Construct a LeafChart at x, shrinking the radius on projection
-    failures (halved down to 1e-4, then construction fails).  Transversality
-    at x is decided here: |(n1.x, n2.x)| / |x| is the sine of the angle
-    between x and its leaf's complex tangent line, and at or below 1e-4 the
-    ray through x is numerically tangent to the leaf."""
+    failures (halved down to 1e-4, then construction fails).  _base_views
+    decides the facts at x first: V is alive there, so the frame's X1 and
+    X2 = view(i V) are nonzero and orthogonal, and the ray through x is
+    transversal to the leaf (transversality_check)."""
     cfg = cfg or ChartConfig()
-    X1, X2 = real_views(V, x)
-    speed = math.hypot(*X1)
-    if not math.isfinite(speed):
-        raise NumericError(f"field value at the chart base point {x} overflows a float")
-    if speed <= NONVANISH_THRESHOLD * vanish_scale(V, x):
-        raise AssumptionError("field vanishes at the chart base point")
-    frame = _orthonormal_frame(X1, X2)
-    x4 = x.to_real4()
-    if math.hypot(_dot(frame[2], x4), _dot(frame[3], x4)) <= 1e-4 * x.norm():
-        raise AssumptionError(
-            "radial direction tangent to leaf: base point fails transversality numerically")
-
+    frame = _orthonormal_frame(*_base_views(V, x)[:2])
     rho = cfg.radius_scale
     while True:
         chart = LeafChart(field=V, base=x, frame=frame, radius_scale=rho,

@@ -48,7 +48,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _require_point(fx: Fixture, args) -> PointC2:
     if getattr(args, "point", None):
-        return point_from_real4(args.point.split(","))
+        try:
+            coords = [float(v) for v in args.point.split(",")]
+        except ValueError as exc:
+            raise FixtureError(f"bad point {args.point!r}: {exc}") from exc
+        return point_from_real4(coords)
     if fx.point is None:
         raise FixtureError("no base point: supply --point or a fixture point")
     return fx.point

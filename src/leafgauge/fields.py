@@ -37,6 +37,7 @@ __all__ = [
     "CheckResult",
     "field_eval",
     "real_views",
+    "vanishes",
     "derive_candidate_fields",
     "select_field",
     "annihilation_check",
@@ -47,7 +48,8 @@ __all__ = [
     "homogeneity_check_field",
 ]
 
-NONVANISH_THRESHOLD = 1e-8
+NONVANISH_THRESHOLD = 1e-8   # of vanishes, relative to max(1, |q|)^m
+TANGENCY_SINE = 1e-4         # of transversality_check, a sine: no units
 
 
 @dataclass(frozen=True)
@@ -117,10 +119,10 @@ _DOP853 = (
      tuple(b - c for b, c in zip(_DOP853_B, (0.2440944881889764, 0, 0, 0, 0, 0, 0, 0,
                                               0.7338466882816118, 0, 0, 0.022058823529411766)))))
 
-# Stage k = mix * V(z, w), after the nonvanishing monitor on V(z, w) = (r0, r1).
-# The squared norms are real parts of products with the conjugates ({z}b and
-# {w}b are those of the field code): each product's real part is re^2 + im^2
-# exactly, and the two are added as a pair.
+# Stage k = mix * V(z, w), after the nonvanishing monitor on V(z, w) = (r0, r1),
+# vanishes in squared form.  The squared norms are real parts of products with
+# the conjugates ({z}b and {w}b are those of the field code): each product's
+# real part is re^2 + im^2 exactly, and the two are added as a pair.
 _STAGE = """\
 nv_sq = (r0 * r0.conjugate() + r1 * r1.conjugate()).real
 r_sq = ({z} * {z}b + {w} * {w}b).real
@@ -345,14 +347,20 @@ def real_views(V: VectorFieldC2, q: PointC2) -> tuple[tuple[float, ...], tuple[f
     return (vz.real, vz.imag, vw.real, vw.imag), (-vz.imag, vz.real, -vw.imag, vw.real)
 
 
-def vanish_scale(V: VectorFieldC2, q: PointC2) -> float:
-    """Natural magnitude scale of a degree-m field near q, used to make the
-    nonvanishing threshold relative.  Raises NumericError when it overflows
-    a float."""
+def _vanish_bound(q: PointC2, m: int) -> float:
+    """NONVANISH_THRESHOLD * max(1, |q|)^m, the threshold of vanishes for a
+    value of a degree-m map at q.  Raises NumericError on overflow."""
     try:
-        return max(1.0, q.norm()) ** V.degree
+        return NONVANISH_THRESHOLD * max(1.0, q.norm()) ** m
     except OverflowError:
-        raise NumericError(f"field scale at {q} overflows a float") from None
+        raise NumericError(f"nonvanishing scale at {q} overflows a float") from None
+
+
+def vanishes(norm: float, q: PointC2, m: int) -> bool:
+    """The nonvanishing rule: a value of this norm of a degree-m map at q
+    vanishes at or below _vanish_bound(q, m).  The per-stage monitor of the
+    generated flow steps (_STAGE) is its squared form."""
+    return norm <= _vanish_bound(q, m)
 
 
 def derive_candidate_fields(P: WirtingerPoly):
@@ -370,17 +378,24 @@ def derive_candidate_fields(P: WirtingerPoly):
     return V1, V2
 
 
-def select_field(P: WirtingerPoly, x: PointC2) -> VectorFieldC2:
-    """Pick the candidate field that does not vanish at x, preferring the
-    first on ties.  Raises AssumptionError when both vanish (the Hessian of
-    P is zero at x).  The candidate values (-h01, h00) and (-h11, h10) are
-    read from hessian_eval(P, x), the value validate_hypotheses took at the
-    same x, so no candidate binds its generated code here."""
+def _live_candidate(P: WirtingerPoly, x: PointC2, m: int) -> tuple[int | None, str]:
+    """The index of the first candidate value (-h01, h00), (-h11, h10) of
+    hessian_eval(P, x) alive as a degree-m field's (vanishes), else None;
+    and the larger candidate norm against its threshold, as text."""
     (h00, h01), (h10, h11) = hessian_eval(P, x)
-    for V, v in zip(derive_candidate_fields(P), (PointC2(-h01, h00), PointC2(-h11, h10))):
-        if v.norm() > NONVANISH_THRESHOLD * vanish_scale(V, x):
-            return V
-    raise AssumptionError("Hessian vanishes at base point")
+    norms = (PointC2(-h01, h00).norm(), PointC2(-h11, h10).norm())
+    k = next((k for k, norm in enumerate(norms) if not vanishes(norm, x, m)), None)
+    return k, f"larger candidate norm {max(norms):.3e}, threshold {_vanish_bound(x, m):.3e}"
+
+
+def select_field(P: WirtingerPoly, x: PointC2) -> VectorFieldC2:
+    """The first candidate field alive at x by _live_candidate, the test of
+    validate_hypotheses; AssumptionError when the Hessian vanishes there."""
+    candidates = derive_candidate_fields(P)
+    k, detail = _live_candidate(P, x, candidates[0].degree)
+    if k is None:
+        raise AssumptionError(f"Hessian vanishes at base point: {detail}")
+    return candidates[k]
 
 
 def annihilation_check(P: WirtingerPoly, V: VectorFieldC2) -> bool:
@@ -445,31 +460,49 @@ def involutivity_check(V: VectorFieldC2, samples: Sequence[PointC2],
     off span{X1, X2}, M^T M has the eigenvalue s^2 and the roots of
     l^2 - (s^2 + |br|^2) l + s^2 |br_perp|^2, which bracket it.  So the
     ratio is sqrt(l_min / l_max) = s |br_perp| / l_max.  Raises
-    NumericError when l_max overflows."""
+    NumericError when l_max or a ratio is not finite."""
     worst = 0.0
     for p in samples:
         X1, a, b, br, perp = _project(V, p)
         s = math.hypot(*X1)
-        if s <= NONVANISH_THRESHOLD * vanish_scale(V, p):
+        if vanishes(s, p, V.degree):
             raise RankDropError(f"distribution rank drop at {p}")
         s2, b2 = s * s, br[0] * br[0] + br[1] * br[1] + br[2] * br[2] + br[3] * br[3]
         lam = (s2 + b2) / 2 + math.hypot((s2 - b2) / 2, a, b)
-        if not math.isfinite(lam):
+        ratio = s * math.hypot(*perp) / lam
+        if not (math.isfinite(lam) and math.isfinite(ratio)):
             raise NumericError(f"involutivity: the Gram matrix at {p} overflows a float")
-        worst = max(worst, s * math.hypot(*perp) / lam)
+        worst = max(worst, ratio)
     return CheckResult(worst <= tol, worst)
 
 
 def transversality_check(V: VectorFieldC2, p: PointC2) -> CheckResult:
-    """|det[p | V(p)]| against the relative nonvanishing threshold; failure
-    means p and V(p) are (numerically) complex-linearly dependent.  Raises
-    NumericError when the determinant or its bound is not finite."""
+    """|det[p | V(p)]|, failing when the sine det / (|p| |V(p)|) of the angle
+    between p and the complex line of V(p) is at most TANGENCY_SINE: the ray
+    through p is then tangent to the leaf.  NumericError on overflow."""
     v = field_eval(V, p)
     det = abs(p.z * v.w - p.w * v.z)
-    bound = NONVANISH_THRESHOLD * p.norm() * v.norm()
+    bound = TANGENCY_SINE * p.norm() * v.norm()
     if not (math.isfinite(det) and math.isfinite(bound)):
         raise NumericError(f"transversality: determinant at {p} overflows a float")
     return CheckResult(det > bound, det)
+
+
+def _base_views(V: VectorFieldC2, x: PointC2):
+    """real_views(V, x) and the sine of the angle between x and the complex
+    line of V(x), once V is alive at x (vanishes) and the ray through x is
+    transversal (transversality_check); a refusal names its number and bound."""
+    X1, X2 = real_views(V, x)
+    speed = math.hypot(*X1)    # not finite: transversality_check raises NumericError
+    if vanishes(speed, x, V.degree):
+        raise AssumptionError(f"field vanishes at the base point: |V(x)| = {speed:.3e} "
+                              f"against threshold {_vanish_bound(x, V.degree):.3e}")
+    tr = transversality_check(V, x)
+    sine = tr.residual / (x.norm() * speed)
+    if not tr.passed:
+        raise AssumptionError("radial direction tangent to leaf: base point fails transversality "
+                              f"numerically, sine {sine:.3e} against {TANGENCY_SINE:g}")
+    return X1, X2, sine
 
 
 def homogeneity_check_field(V: VectorFieldC2) -> bool:

@@ -17,7 +17,7 @@ Coefficients are strings parsed as exact rationals so that fixtures
 round-trip through the exact polynomial representation without rounding.
 The integers (exponents, m, n, samples, seed) may be written as 4 or 4.0;
 a value with a fractional part is malformed, never truncated, and so is a
-JSON true or false wherever a number belongs.  tol_ode is
+JSON true, false or string wherever a number belongs.  tol_ode is
 the one flow tolerance, absolute and relative.
 A fixture carries a polynomial, an explicit field, or both (the field then
 takes precedence on the gauge-building path).
@@ -92,9 +92,9 @@ def field_from_dict(data: dict) -> VectorFieldC2:
 
 
 def point_from_real4(values) -> PointC2:
-    """A base point from four real coordinates (numbers, or the strings of
-    --point).  Raises FixtureError unless they are finite reals, not all
-    zero: the construction lives on C^2 minus the origin."""
+    """A base point from four real coordinates.  Raises FixtureError unless
+    they are finite real numbers, not all zero: the construction lives on
+    C^2 minus the origin."""
     try:
         coords = [_as_float(v) for v in values]
     except (TypeError, ValueError, OverflowError) as exc:
@@ -206,8 +206,8 @@ def _expand(key: str, value, kwargs: dict) -> None:
 
 
 def _as_float(value) -> float:
-    # float(True) is 1.0: a JSON true is no number
-    if isinstance(value, bool):
+    # float(True) is 1.0 and float("1") is 1.0: a JSON true or string is no number
+    if isinstance(value, (bool, str)):
         raise TypeError(f"{value!r} is not a number")
     return float(value)
 

@@ -46,9 +46,10 @@ __all__ = [
 def scaling_velocity(chart: LeafChart) -> tuple[float, float]:
     """d/dt leaf_coords(t*x) at t = 1 in closed form.  leaf(t*x) = t*leaf(x)
     and n1, n2 are normal to the leaf at x, so d = (n1.x, n2.x): the
-    transversal part of x itself.  |d| / |x| is the sine of the angle
-    between x and the complex tangent line of its leaf, which build_chart
-    has kept above 1e-4."""
+    transversal part of x itself, and the only code that forms it.  |d| / |x|
+    is the sine of the angle between x and the complex tangent line of its
+    leaf, which build_chart has kept above fields.TANGENCY_SINE by
+    transversality_check."""
     _, _, n1, n2 = chart.frame
     return (_dot(n1, chart.base4), _dot(n2, chart.base4))
 

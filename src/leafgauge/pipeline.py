@@ -8,26 +8,28 @@ and runs the full check suite plus a leaf-harmonicity spot check of P.
 
 The field path skips the polynomial-specific hypotheses and instead
 checks the field assumptions directly (exact homogeneity with positive
-degree, nonvanishing, involutivity, transversality).
+degree, nonvanishing, transversality, involutivity).
+
+Each fact at the base point has one rule, in fields: vanishes decides
+nonvanishing, the candidate test of select_field the Hessian, and
+transversality_check tangency; both paths and build_chart call them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .charts import ChartConfig, LeafChart, build_chart
-from .errors import AssumptionError, NumericError
+from .errors import AssumptionError
 from .fields import (
-    NONVANISH_THRESHOLD,
     PointC2,
     VectorFieldC2,
+    _base_views,
     field_eval,
     homogeneity_check_field,
     involutivity_check,
+    _live_candidate,
     select_field,
-    transversality_check,
-    vanish_scale,
 )
 from .flows import FlowConfig, leaf_flow_map
 from .gauge import GaugeFunction, _check_settings, build_gauge
@@ -65,6 +67,7 @@ __all__ = [
 # sample points and tolerance of the involutivity check
 N_INVOLUTIVITY = 20
 INVOLUTIVITY_TOL = 1e-8
+BASE_TRANSVERSALITY_TOL = 1e-8  # implied by build_chart's transversality_check
 
 
 @dataclass(frozen=True)
@@ -123,8 +126,9 @@ class HypothesisChecklist:
 def validate_hypotheses(P: WirtingerPoly, x: PointC2) -> HypothesisChecklist:
     """Verdicts for the five admissibility hypotheses on (P, x): P real
     valued, homogeneous of even degree 2k with k >= 2, Hessian of P nonzero
-    at x, x off every line through 0 along which P is harmonic, and Levi
-    determinant identically zero."""
+    at x (select_field's test: a candidate value alive), x off every line
+    through 0 along which P is harmonic, and Levi determinant identically
+    zero."""
     checks = []
 
     real = poly_is_real(P)
@@ -143,15 +147,8 @@ def validate_hypotheses(P: WirtingerPoly, x: PointC2) -> HypothesisChecklist:
                                       f"degree {deg}, k={deg // 2}"))
 
     if real:
-        (h00, h01), (h10, h11) = hessian_eval(P, x)
-        norm = math.hypot(h00.real, h00.imag, h01.real, h01.imag,
-                          h10.real, h10.imag, h11.real, h11.imag)
-        try:
-            scale = max(1.0, x.norm()) ** max((deg or 2) - 2, 0)
-        except OverflowError:
-            raise NumericError(f"Hessian scale at {x} overflows a float") from None
-        ok = norm > NONVANISH_THRESHOLD * scale
-        checks.append(HypothesisCheck("hessian_nonzero_at_base", ok, f"norm {norm:.3e}"))
+        k, detail = _live_candidate(P, x, max((deg or 2) - 2, 0))
+        checks.append(HypothesisCheck("hessian_nonzero_at_base", k is not None, detail))
         on_line = is_on_harmonic_line(P, x)
         checks.append(HypothesisCheck("base_off_harmonic_lines", not on_line, ""))
         levi_zero = levi_determinant(P).is_zero
@@ -200,16 +197,17 @@ def leaf_harmonicity_check(P: WirtingerPoly, V: VectorFieldC2, chart: LeafChart,
 
 def _assumption_entries(V: VectorFieldC2, x: PointC2,
                         cfg: PipelineConfig) -> list[CheckEntry]:
+    # the facts at x first: involutivity samples the ball around x
+    sine = _base_views(V, x)[2]
     samples = sample_ball(x.to_real4(), cfg.chart_radius * x.norm(), N_INVOLUTIVITY,
                           check_rng(cfg.seed, "involutivity"))
     inv = involutivity_check(V, samples, INVOLUTIVITY_TOL)
     if not inv.passed:
         raise AssumptionError(
             f"involutivity failed: worst relative singular value {inv.residual:.3e}")
-    tr_norm = transversality_check(V, x).residual / (x.norm() * field_eval(V, x).norm())
     return [
         check_entry("field_involutivity", inv.residual, INVOLUTIVITY_TOL, samples=len(samples)),
-        check_entry("base_transversality", tr_norm, NONVANISH_THRESHOLD, mode="min", samples=1),
+        check_entry("base_transversality", sine, BASE_TRANSVERSALITY_TOL, mode="min", samples=1),
     ]
 
 
@@ -254,6 +252,4 @@ def run_field_pipeline(V: VectorFieldC2, x: PointC2, degree: int,
         raise AssumptionError("field components are not homogeneous of the declared degree")
     if V.degree < 1:
         raise AssumptionError("field homogeneity degree must be a positive integer")
-    if field_eval(V, x).norm() <= NONVANISH_THRESHOLD * vanish_scale(V, x):
-        raise AssumptionError("field vanishes at the base point")
     return _build_and_verify(V, x, degree, cfg, lambda chart: [])

@@ -18,6 +18,7 @@ from leafgauge import (
     check_chart,
     in_chart_ball,
     leaf_coords,
+    transversality_check,
 )
 from leafgauge import charts
 from conftest import chart_cfg, make_field_nonholo, make_field_v3
@@ -67,11 +68,28 @@ def test_tangency_is_decided_before_any_projection(scale, monkeypatch):
     calls = []
     monkeypatch.setattr(charts, "_project", lambda chart, q: calls.append(q))
     V = make_field_v3()
-    with pytest.raises(AssumptionError, match="tangent to leaf"):
+    with pytest.raises(AssumptionError, match="tangent to leaf: .* sine 6.000e-05 against 0.0001"):
         build_chart(V, PointC2(scale, 3e-5 * scale), chart_cfg(0.05))
     assert calls == []
     build_chart(V, PointC2(scale, 1e-3 * scale), chart_cfg(0.05))
     assert len(calls) == 8
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+@pytest.mark.parametrize("sine", [6e-9, 1e-8, 1e-6, 6e-5, 1e-4, 1.01e-4, 2e-4, 2e-3])
+def test_transversality_verdict_is_the_builds(sine, scale, monkeypatch):
+    # field_v3 = (-z, w) meets the ray through (s, t s) at the sine
+    # 2t / (1 + t^2); transversality_check and build_chart decide alike
+    monkeypatch.setattr(charts, "_probe", lambda chart: None)
+    V, x = make_field_v3(), PointC2(scale, sine / 2 * scale)
+    try:
+        build_chart(V, x, chart_cfg(0.05))
+        tangent = False
+    except AssumptionError as exc:
+        assert "tangent to leaf" in str(exc)
+        tangent = True
+    assert transversality_check(V, x).passed is not tangent
+    assert tangent is (sine <= 1e-4)
 
 
 def test_non_finite_base_field_value_is_numeric():

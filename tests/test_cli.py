@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leafgauge import (AssumptionError, PointC2, WirtingerPoly, poly_to_records, select_field,
+                       validate_hypotheses)
 from leafgauge.cli import _grid_times, main
 from leafgauge.fixtures import fixture_to_dict, load_fixture, parse_fixture
 from conftest import FIXTURE_DIR
@@ -519,6 +522,40 @@ def test_build_writes_once(tmp_path):
     assert proc.stdout.startswith("check ")
 
 
+@pytest.mark.parametrize("name", ["pzw.json", "field_nonholo.json"])
+def test_involutivity_overflow_is_exit_3(name, capsys):
+    # the rank test overflows from about 1e44 x on: exit 3, where the
+    # ratio inf once failed the involutivity hypothesis with exit 2
+    assert main(["build-gauge", fx(name), "--point", "1e50,0,1e50,0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: involutivity") and "overflows a float" in err
+
+
+@pytest.mark.parametrize("c, code", [(Fraction(1, 10 ** 9), 2), (Fraction(3, 2 * 10 ** 9), 2),
+                                     (Fraction(1), 0)])
+def test_hessian_verdict_is_the_builds(c, code, tmp_path, capsys):
+    # c |z + w|^4 at (1, 0): the four Hessian entries are 4c, so each
+    # candidate value has norm 4 sqrt(2) c and the four entries together 8c;
+    # at c = 3/2 10^-9 check-poly passed on the 8c while the build refused
+    # the candidates (exit 2, "Hessian vanishes")
+    f = WirtingerPoly.monomial(1, 0, 0, 0) + WirtingerPoly.monomial(0, 0, 1, 0)
+    P = f * f.conjugate() * f * f.conjugate() * WirtingerPoly.constant(c)
+    x = PointC2(1, 0)
+    verdict = {ch.name: ch.passed for ch in validate_hypotheses(P, x).checks}
+    try:
+        select_field(P, x)
+        selected = True
+    except AssumptionError:
+        selected = False
+    assert verdict["hessian_nonzero_at_base"] is selected is (code == 0)
+    path = tmp_path / "zw4.json"
+    path.write_text(json.dumps({"polynomial": poly_to_records(P), "point": [1, 0, 0, 0], "n": 4}))
+    assert main(["check-poly", str(path)]) == code
+    norm = 4 * math.sqrt(2) * c
+    assert (f"hessian_nonzero_at_base: {'PASS' if code == 0 else 'FAIL'} (larger candidate "
+            f"norm {norm:.3e}, threshold 1.000e-08)") in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("point, code", [("1,0,3e-5,0", 2), ("0.01,0,3e-7,0", 2),
                                          ("100,0,3e-3,0", 2), ("100,0,1e-4,0", 2),
                                          ("1,0,1e-3,0", 3)])
@@ -663,6 +700,9 @@ def _pairs(block: dict) -> list:
     return [list(item) for item in block.items()]
 
 
+_V3_FIELD = json.loads(Path(fx("field_v3.json")).read_text())["field"]
+
+
 _BOUNDARY = [
     pytest.param("verify", lambda d: d["description"].update(degree=0), 4,
                  id="verify-degree-0"),
@@ -691,6 +731,26 @@ _BOUNDARY = [
                  id="verify-degree-true"),
     pytest.param("verify", lambda d: d["description"]["config"].update(tol_root=True), 4,
                  id="verify-config-float-true"),
+    # a JSON string is no number either: float("1") is 1.0 and Fraction("4") is 4
+    pytest.param("build-gauge", lambda d: d.update(n="4"), 4, id="build-n-string"),
+    pytest.param("build-gauge", lambda d: d["config"].update(samples="5"), 4,
+                 id="build-config-samples-string"),
+    pytest.param("build-gauge", lambda d: d["config"].update(seed="7"), 4,
+                 id="build-config-seed-string"),
+    pytest.param("build-gauge", lambda d: d["config"].update(tol_root="1e-11"), 4,
+                 id="build-config-float-string"),
+    pytest.param("build-gauge", lambda d: d.update(point=["1", "0", "0", "0"]), 4,
+                 id="build-point-string"),
+    pytest.param("check-poly", lambda d: d["polynomial"][0].update(dz="2"), 4,
+                 id="check-poly-exponent-string"),
+    pytest.param("build-gauge", lambda d: d.update(field={**_V3_FIELD, "m": "1"}), 4,
+                 id="build-field-m-string"),
+    pytest.param("verify", lambda d: d["description"].update(degree="4"), 4,
+                 id="verify-degree-string"),
+    pytest.param("verify", lambda d: d["description"]["config"].update(samples="10"), 4,
+                 id="verify-config-samples-string"),
+    pytest.param("verify", lambda d: d["description"]["config"].update(tol_root="1e-11"), 4,
+                 id="verify-config-float-string"),
     *[pytest.param(command, lambda d, poly=poly: d.update(polynomial=poly), 2,
                    id=f"{command}-{name}")
       for command in ("derive-field", "trace-leaf")

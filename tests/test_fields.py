@@ -114,7 +114,8 @@ def test_select_pzw_tie_break_prefers_first():
 
 
 def test_select_fails_where_hessian_vanishes():
-    with pytest.raises(AssumptionError, match="Hessian vanishes"):
+    with pytest.raises(AssumptionError, match="Hessian vanishes at base point: larger candidate "
+                                              "norm 0.000e[+]00, threshold 1.000e-08"):
         select_field(make_pz4(), PointC2(0, 1))
 
 
@@ -335,6 +336,15 @@ def test_closed_form_singular_values_stay_at_noise_on_involutive_fields():
             ratio, _ = _svd_ratio_and_residual(V, p)
             assert involutivity_check(V, [p]).residual <= 1e-14
             assert ratio <= 1e-14
+
+
+@pytest.mark.parametrize("make", [lambda: derive_candidate_fields(make_pzw())[0],
+                                  make_field_nonholo], ids=["pzw", "field_nonholo"])
+def test_involutivity_overflow_is_numeric_error(make):
+    # the rank test overflows at 1e44 (1, 1): a numeric failure, not a
+    # failed rank test with the ratio inf
+    with pytest.raises(NumericError, match="overflows a float"):
+        involutivity_check(make(), [PointC2(1e44, 1e44)])
 
 
 # -- transversality ---------------------------------------------------------------

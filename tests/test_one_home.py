@@ -1,0 +1,48 @@
+"""One home per base-point rule: the nonvanishing threshold and the tangency
+bound are read in leafgauge.fields only, each by the one function that
+applies it, so a copy of either rule in another place fails here."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import leafgauge
+
+SOURCES = sorted(Path(leafgauge.__file__).parent.glob("*.py"))
+
+# rule constant -> the functions of fields.py that read it; _compile_step
+# binds the threshold for the per-stage monitor, the squared form of vanishes
+HOMES = {
+    "NONVANISH_THRESHOLD": {"_vanish_bound", "_compile_step"},
+    "TANGENCY_SINE": {"transversality_check", "_base_views"},
+}
+
+
+def _reads(path: Path):
+    """(constant, enclosing top-level function or None) for every read or
+    import of a rule constant in the module at path."""
+    for top in ast.parse(path.read_text()).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            names = []
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            yield from ((name, owner) for name in names if name in HOMES)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "fields.py"],
+                         ids=lambda p: p.name)
+def test_rule_constants_are_read_only_in_fields(path):
+    assert list(_reads(path)) == []
+
+
+def test_each_rule_constant_has_its_functions():
+    reads = {}
+    for name, owner in _reads(Path(leafgauge.__file__).parent / "fields.py"):
+        reads.setdefault(name, set()).add(owner)
+    assert reads == HOMES
