@@ -41,7 +41,6 @@ from .gauge import (
 from .pipeline import (
     HypothesisChecklist,
     PipelineConfig,
-    leaf_harmonicity_check,
     run_field_pipeline,
     run_pipeline,
     validate_hypotheses,

@@ -118,7 +118,7 @@ def build_chart(V: VectorFieldC2, x: PointC2,
     X2 = view(i V) are nonzero and orthogonal, and the ray through x is
     transversal to the leaf (transversality_check)."""
     cfg = cfg or ChartConfig()
-    frame = _orthonormal_frame(*_base_views(V, x)[:2])
+    frame = _orthonormal_frame(*_base_views(V, x))
     rho = cfg.radius_scale
     while True:
         chart = LeafChart(field=V, base=x, frame=frame, radius_scale=rho,

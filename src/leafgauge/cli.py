@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _require_point(fx: Fixture, args) -> PointC2:
-    if getattr(args, "point", None):
+    if args.point is not None:
         try:
             coords = [float(v) for v in args.point.split(",")]
         except ValueError as exc:
@@ -249,7 +249,8 @@ def _artifact_drift(saved_gauge: dict, saved_entries: list | None,
     """(key, saved value, rebuilt value) for every saved field that the
     rebuild does not reproduce: the gauge block, and each entry's name,
     verdict, sample counts, tolerance and mode unless saved_entries is
-    None."""
+    None.  Entry lists of different lengths give one triple: the names
+    only the saved list has and those only the rebuilt list has."""
     drift = []
     rg = rebuilt["gauge"]
     for key in sorted(set(saved_gauge) | set(rg)):
@@ -261,7 +262,13 @@ def _artifact_drift(saved_gauge: dict, saved_entries: list | None,
     if saved_entries is not None:
         ours = rebuilt["report"]["entries"]
         if len(saved_entries) != len(ours):
-            drift.append(("report.entries", len(saved_entries), len(ours)))
+            saved_only, rebuilt_only = [e.get("name") for e in saved_entries], []
+            for name in (e["name"] for e in ours):
+                if name in saved_only:
+                    saved_only.remove(name)
+                else:
+                    rebuilt_only.append(name)
+            drift.append(("report.entries", saved_only, rebuilt_only))
         else:
             for was, now in zip(saved_entries, ours):
                 drift += [(f"report.entries[{now['name']}].{k}", was.get(k), now[k])

@@ -489,20 +489,20 @@ def transversality_check(V: VectorFieldC2, p: PointC2) -> CheckResult:
 
 
 def _base_views(V: VectorFieldC2, x: PointC2):
-    """real_views(V, x) and the sine of the angle between x and the complex
-    line of V(x), once V is alive at x (vanishes) and the ray through x is
-    transversal (transversality_check); a refusal names its number and bound."""
+    """real_views(V, x), once V is alive at x (vanishes) and the ray through
+    x is transversal (transversality_check); a refusal names its number and
+    bound."""
     X1, X2 = real_views(V, x)
     speed = math.hypot(*X1)    # not finite: transversality_check raises NumericError
     if vanishes(speed, x, V.degree):
         raise AssumptionError(f"field vanishes at the base point: |V(x)| = {speed:.3e} "
                               f"against threshold {_vanish_bound(x, V.degree):.3e}")
     tr = transversality_check(V, x)
-    sine = tr.residual / (x.norm() * speed)
     if not tr.passed:
+        sine = tr.residual / (x.norm() * speed)
         raise AssumptionError("radial direction tangent to leaf: base point fails transversality "
                               f"numerically, sine {sine:.3e} against {TANGENCY_SINE:g}")
-    return X1, X2, sine
+    return X1, X2
 
 
 def homogeneity_check_field(V: VectorFieldC2) -> bool:

@@ -2,9 +2,12 @@
 to a verified gauge function.
 
 The polynomial path validates the hypotheses on (P, x), derives the
-tangent candidate fields, selects the one alive at x, re-verifies
-involutivity and transversality numerically, builds the chart and gauge,
-and runs the full check suite plus a leaf-harmonicity spot check of P.
+tangent candidate fields, selects the one alive at x, refuses a ray
+through x tangent to its leaf, re-verifies involutivity numerically,
+builds the chart and gauge, and runs the standard check suite.  The report
+checks the gauge, not P: P is only harmonic along the leaves (Bedford &
+Kalka), and P + Re(h), h holomorphic, has the same complex Hessian, so the
+same field, gauge and report.
 
 The field path skips the polynomial-specific hypotheses and instead
 checks the field assumptions directly (exact homogeneity with positive
@@ -19,19 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charts import ChartConfig, LeafChart, build_chart
+from .charts import ChartConfig, build_chart
 from .errors import AssumptionError
 from .fields import (
     PointC2,
     VectorFieldC2,
     _base_views,
-    field_eval,
     homogeneity_check_field,
     involutivity_check,
     _live_candidate,
     select_field,
 )
-from .flows import FlowConfig, leaf_flow_map
+from .flows import FlowConfig
 from .gauge import GaugeFunction, _check_settings, build_gauge
 from .verify import (
     DEFAULT_SEED,
@@ -42,15 +44,12 @@ from .verify import (
     check_rng,
     run_standard_suite,
     sample_ball,
-    sample_chart_ball,
 )
 from .wirtinger import (
     WirtingerPoly,
-    hessian_eval,
     homogeneity_degree,
     is_on_harmonic_line,
     levi_determinant,
-    poly_eval,
     poly_is_real,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "HypothesisCheck",
     "HypothesisChecklist",
     "validate_hypotheses",
-    "leaf_harmonicity_check",
     "run_pipeline",
     "run_field_pipeline",
 ]
@@ -67,7 +65,6 @@ __all__ = [
 # sample points and tolerance of the involutivity check
 N_INVOLUTIVITY = 20
 INVOLUTIVITY_TOL = 1e-8
-BASE_TRANSVERSALITY_TOL = 1e-8  # implied by build_chart's transversality_check
 
 
 @dataclass(frozen=True)
@@ -161,64 +158,28 @@ def validate_hypotheses(P: WirtingerPoly, x: PointC2) -> HypothesisChecklist:
     return HypothesisChecklist(tuple(checks))
 
 
-def leaf_harmonicity_check(P: WirtingerPoly, V: VectorFieldC2, chart: LeafChart,
-                           n_samples: int = 50,
-                           seed: int = DEFAULT_SEED) -> list[CheckEntry]:
-    """Numeric double check that P is harmonic along the constructed
-    leaves: the Levi form of P in the (unit) field direction vanishes at
-    samples, and second differences of P along both leaf flow directions
-    stay at noise level."""
-    rng = check_rng(seed, "leaf_harmonicity")
-    samples = sample_chart_ball(chart, n_samples, rng, shrink=0.8)
-    worst_levi = 0.0
-    worst_second = 0.0
-    for q in samples:
-        (h00, h01), (h10, h11) = hessian_eval(P, q)
-        v = field_eval(V, q)
-        n = v.norm()
-        a, b = v.z / n, v.w / n
-        levi = a.conjugate() * (h00 * a + h01 * b) + b.conjugate() * (h10 * a + h11 * b)
-        worst_levi = max(worst_levi, abs(levi))
-
-        h = min(0.05, 0.05 * chart.base_norm / max(n, 1e-12))
-        p0 = poly_eval(P, q).real
-        scale = max(1.0, abs(p0))
-        for c1, c2 in ((1.0, 0.0), (0.0, 1.0)):
-            up = poly_eval(P, leaf_flow_map(chart.field, q, c1 * h, c2 * h,
-                                            chart.flow_cfg)).real
-            dn = poly_eval(P, leaf_flow_map(chart.field, q, -c1 * h, -c2 * h,
-                                            chart.flow_cfg)).real
-            worst_second = max(worst_second, abs(up - 2 * p0 + dn) / (h * h * scale))
-    return [
-        check_entry("leaf_levi_form", worst_levi, 1e-9, samples=len(samples)),
-        check_entry("leaf_second_difference", worst_second, 1e-6, samples=len(samples)),
-    ]
-
-
 def _assumption_entries(V: VectorFieldC2, x: PointC2,
                         cfg: PipelineConfig) -> list[CheckEntry]:
-    # the facts at x first: involutivity samples the ball around x
-    sine = _base_views(V, x)[2]
+    # refuse a dead field or a tangent ray at x before involutivity samples
+    # the ball around it
+    _base_views(V, x)
     samples = sample_ball(x.to_real4(), cfg.chart_radius * x.norm(), N_INVOLUTIVITY,
                           check_rng(cfg.seed, "involutivity"))
     inv = involutivity_check(V, samples, INVOLUTIVITY_TOL)
     if not inv.passed:
         raise AssumptionError(
             f"involutivity failed: worst relative singular value {inv.residual:.3e}")
-    return [
-        check_entry("field_involutivity", inv.residual, INVOLUTIVITY_TOL, samples=len(samples)),
-        check_entry("base_transversality", sine, BASE_TRANSVERSALITY_TOL, mode="min", samples=1),
-    ]
+    return [check_entry("field_involutivity", inv.residual, INVOLUTIVITY_TOL,
+                        samples=len(samples))]
 
 
 def _build_and_verify(V: VectorFieldC2, x: PointC2, degree: int,
-                      cfg: PipelineConfig, extra_entries) -> tuple[GaugeFunction, VerificationReport]:
+                      cfg: PipelineConfig) -> tuple[GaugeFunction, VerificationReport]:
     entries = _assumption_entries(V, x, cfg)
     chart = build_chart(V, x, cfg.chart_cfg())
     G = build_gauge(chart, degree, bracket_halfwidth=cfg.bracket_halfwidth,
                     root_tol=cfg.root_tol)
-    entries += run_standard_suite(G, cfg.n_samples, cfg.seed,
-                                  extra=[lambda: extra_entries(chart)])
+    entries += run_standard_suite(G, cfg.n_samples, cfg.seed)
     return G, assemble_report(entries)
 
 
@@ -236,11 +197,7 @@ def run_pipeline(P: WirtingerPoly, x: PointC2, degree: int | None = None,
     V = select_field(P, x)
     if degree is None:
         degree = homogeneity_degree(P)
-
-    def extra(chart: LeafChart):
-        return leaf_harmonicity_check(P, V, chart, cfg.n_samples, cfg.seed)
-
-    return _build_and_verify(V, x, degree, cfg, extra)
+    return _build_and_verify(V, x, degree, cfg)
 
 
 def run_field_pipeline(V: VectorFieldC2, x: PointC2, degree: int,
@@ -252,4 +209,4 @@ def run_field_pipeline(V: VectorFieldC2, x: PointC2, degree: int,
         raise AssumptionError("field components are not homogeneous of the declared degree")
     if V.degree < 1:
         raise AssumptionError("field homogeneity degree must be a positive integer")
-    return _build_and_verify(V, x, degree, cfg, lambda chart: [])
+    return _build_and_verify(V, x, degree, cfg)

@@ -51,14 +51,14 @@ __all__ = [
 DEFAULT_SEED = 0x5EED
 T_GRID = (0.92, 0.96, 1.04, 1.08)     # scale factors of check_homogeneity
 
-# Stable per-check stream ids so adding checks never reshuffles samples.
+# Stable per-check stream ids so adding or removing checks never reshuffles
+# samples; 6 belonged to a removed check and is not reused.
 _STREAMS = {
     "chart": 1,
     "leaf_constancy": 2,
     "homogeneity": 3,
     "ray_consistency": 4,
     "scaling_laws": 5,
-    "leaf_harmonicity": 6,
     "involutivity": 7,
     "grid": 99,              # build-gauge --grid-out sample points
 }
@@ -480,15 +480,15 @@ def run_checks(tasks) -> list[CheckEntry]:
 
 
 def run_standard_suite(G: GaugeFunction, n_samples: int = 50,
-                       seed: int = DEFAULT_SEED, extra=()) -> list[CheckEntry]:
-    """All chart and gauge checks with shared sampling parameters, then the
-    `extra` thunks; leaf constancy and the scaling laws, about half of the
-    work, are the ones a forked worker runs (see run_checks)."""
+                       seed: int = DEFAULT_SEED) -> list[CheckEntry]:
+    """All chart and gauge checks with shared sampling parameters, the one
+    suite of both pipeline paths; leaf constancy and the scaling laws,
+    about half of the work, are the ones a forked worker runs (see
+    run_checks)."""
     return run_checks([
         (lambda: check_chart(G.chart, n_samples, seed), False),
         (lambda: check_leaf_constancy(G, n_samples, seed), True),
         (lambda: check_homogeneity(G, n_samples=n_samples, seed=seed), False),
         (lambda: check_ray_consistency(G.chart, n_samples, seed), False),
         (lambda: check_scaling_laws(G, n_samples, seed), True),
-        *((thunk, False) for thunk in extra),
     ])

@@ -299,6 +299,28 @@ def test_verify_detects_a_changed_tolerance_or_mode(tmp_path, capsys):
     assert ".tolerance:" not in err
 
 
+def test_verify_names_the_entries_a_rebuild_lacks(tmp_path, capsys):
+    # a pzw report saved while the build also wrote the base-point sine and
+    # two spot checks of P along the leaves: the rebuild has none of them
+    report_path = tmp_path / "rep.json"
+    assert main(["build-gauge", fx("pzw.json"), "--samples", "10",
+                 "--out", str(report_path)]) == 0
+    data = json.loads(report_path.read_text())
+    old = [("base_transversality", 1.0, 1e-8, "min", 1),
+           ("leaf_levi_form", 2.4e-16, 1e-9, "max", 10),
+           ("leaf_second_difference", 3.8e-13, 1e-6, "max", 10)]
+    data["report"]["entries"] = sorted(
+        data["report"]["entries"] + [{"name": n, "residual": r, "tolerance": t, "passed": True,
+                                      "mode": m, "samples": k, "skipped": 0}
+                                     for n, r, t, m, k in old],
+        key=lambda e: e["name"])
+    capsys.readouterr()
+    assert main(["verify", _resaved(tmp_path, data), "--out", str(tmp_path / "again.json")]) == 3
+    err = capsys.readouterr().err
+    assert err == ("drift report.entries: saved ['base_transversality', 'leaf_levi_form', "
+                   "'leaf_second_difference'], rebuilt []\n")
+
+
 def test_verify_rejects_report_without_gauge(tmp_path):
     _, data = _saved_pz4(tmp_path)
     del data["gauge"]
@@ -360,6 +382,15 @@ def test_point_and_degree_overrides(tmp_path):
 
 def test_bad_point_is_exit_4():
     assert main(["build-gauge", fx("field_v3.json"), "--point", "1,0,1"]) == 4
+
+
+@pytest.mark.parametrize("command, name", [("check-poly", "pzw.json"), ("trace-leaf", "pzw.json"),
+                                           ("build-gauge", "pz4.json")])
+def test_empty_point_is_exit_4(command, name, capsys):
+    # an empty --point was read as none given, and the command ran on the
+    # fixture's own point with exit 0
+    assert main([command, fx(name), "--point", ""]) == 4
+    assert capsys.readouterr().err.startswith("error: bad point ''")
 
 
 @pytest.mark.parametrize("command", ["check-poly", "build-gauge"])
@@ -610,6 +641,27 @@ def test_integral_floats_and_large_ints_are_integers(tmp_path):
     assert main(["verify", str(b), "--out", str(a)]) == 0
 
 
+@pytest.mark.parametrize("name, a, b", [("pz4.json", 2, 2), ("pzw.json", 3, 1)],
+                         ids=["pz4+Re(z2w2)", "pzw+Re(z3w)"])
+def test_pluriharmonic_term_keeps_the_report(name, a, b, tmp_path):
+    # P + Re(z^a w^b) has P's complex Hessian, so the same hypotheses, field,
+    # leaves and gauge; P is harmonic along the leaves, not constant, and a
+    # report that bounded P's second differences along them exited 3 here
+    def add_re_h(d):
+        d["polynomial"] += [{"dz": a, "dzbar": 0, "dw": b, "dwbar": 0, "re": "1/2", "im": "0"},
+                            {"dz": 0, "dzbar": a, "dw": 0, "dwbar": b, "re": "1/2", "im": "0"}]
+
+    path = _edited_fixture(tmp_path, name, add_re_h)
+    assert main(["check-poly", path]) == 0
+    base, shifted = tmp_path / "base.json", tmp_path / "shifted.json"
+    assert main(["build-gauge", fx(name), "--out", str(base)]) == 0
+    assert main(["build-gauge", path, "--out", str(shifted)]) == 0
+    want, got = json.loads(base.read_text()), json.loads(shifted.read_text())
+    assert len(got["description"].pop("fixture")["polynomial"]) == 3
+    del want["description"]["fixture"]
+    assert got == want
+
+
 @pytest.mark.parametrize("degree, code", [(4.0, 0), (2.5, 4)])
 def test_verify_saved_degree_must_be_integral(degree, code, tmp_path):
     report = tmp_path / "rep.json"
@@ -781,7 +833,7 @@ def test_bad_input_gets_its_exit_code(command, edit, code, tmp_path, capsys):
 
 def _key_paths(node, path=()):
     """The path of every object key in a JSON tree, through the first item
-    of each list (the 15 report entries have one shape)."""
+    of each list (the 12 report entries have one shape)."""
     if isinstance(node, dict):
         for key, value in node.items():
             yield path + (key,)

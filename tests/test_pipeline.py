@@ -1,4 +1,4 @@
-"""End-to-end pipelines: hypothesis gate, leaf harmonicity, full runs."""
+"""End-to-end pipelines: hypothesis gate, full runs, work counts."""
 
 import dataclasses
 import inspect
@@ -24,7 +24,6 @@ from leafgauge import (
     derive_candidate_fields,
     gauge_eval,
     involutivity_check,
-    leaf_harmonicity_check,
     run_field_pipeline,
     run_pipeline,
     select_field,
@@ -32,7 +31,6 @@ from leafgauge import (
     validate_hypotheses,
 )
 from conftest import (
-    chart_cfg,
     make_ball,
     make_field_bad,
     make_field_v3,
@@ -107,41 +105,6 @@ def test_hypotheses_pz4_on_harmonic_line():
     assert v["real_valued"] and v["homogeneous_even_degree"] and v["levi_determinant_zero"]
 
 
-def test_leaf_harmonicity_pzw(chart_pzw):
-    from leafgauge import select_field
-    P = make_pzw()
-    entries = leaf_harmonicity_check(P, select_field(P, PointC2(1, 1)), chart_pzw,
-                                     n_samples=20, seed=0x5EED)
-    by_name = {e.name: e for e in entries}
-    assert by_name["leaf_levi_form"].passed
-    assert by_name["leaf_levi_form"].residual <= 1e-9
-    assert by_name["leaf_second_difference"].passed
-
-
-def test_leaf_harmonicity_pz4(chart_pz4):
-    # the Hessian annihilates the selected field symbolically, so the Levi
-    # residual is pure rounding
-    from leafgauge import select_field
-    P = make_pz4()
-    entries = leaf_harmonicity_check(P, select_field(P, PointC2(1, 0)), chart_pz4,
-                                     n_samples=15, seed=0x5EED)
-    by_name = {e.name: e for e in entries}
-    assert by_name["leaf_levi_form"].residual <= 1e-12
-    assert by_name["leaf_second_difference"].passed
-
-
-def test_leaf_harmonicity_fails_for_ball():
-    # constant field (0, 1) on the ball potential: the Levi form in the
-    # field direction is identically 1
-    P = make_ball()
-    V = VectorFieldC2(WirtingerPoly.zero(), WirtingerPoly.constant(1), 0)
-    chart = build_chart(V, PointC2(1, 0), chart_cfg(0.1))
-    entries = leaf_harmonicity_check(P, V, chart, n_samples=10, seed=0x5EED)
-    levi = next(e for e in entries if e.name == "leaf_levi_form")
-    assert not levi.passed
-    assert levi.residual == pytest.approx(1.0, abs=1e-9)
-
-
 def test_run_pipeline_pzw():
     G, report = run_pipeline(make_pzw(), PointC2(1, 1), 4, CFG)
     assert report.overall_pass
@@ -164,9 +127,10 @@ def test_run_pipeline_ball_aborts():
 def test_run_field_pipeline_v3():
     G, report = run_field_pipeline(make_field_v3(), PointC2(1, 1), 2, CFG)
     assert report.overall_pass
-    # report includes the assumption entries
+    # report includes the involutivity entry; the base-point sine, which
+    # build_chart's 1e-4 guard decides before any entry, has none
     names = {e.name for e in report.entries}
-    assert "field_involutivity" in names and "base_transversality" in names
+    assert "field_involutivity" in names and "base_transversality" not in names
 
 
 def test_run_field_pipeline_rejects_inhomogeneous():
@@ -275,16 +239,26 @@ def test_build_work_count_ceiling(field_evals):
     assert field_evals[0] == 46_725
 
 
+@pytest.mark.parametrize("name, evals", [("pzw", 62_415), ("pz4", 21_011)])
+def test_polynomial_build_work_counts(name, evals, field_evals):
+    # the polynomial path's build work at its shipped config, exactly: 2,650
+    # fewer than when each build also spot-checked P along the leaves (50
+    # samples, each a field value and four two-leg flows); a build now runs
+    # the field path's suite and no work on P beyond the hypotheses
+    _, report = _fixture_build(name, 0x5EED)
+    assert report.overall_pass
+    assert field_evals[0] == evals
+
+
 @pytest.mark.parametrize("name", ["pzw", "pz4", "field_v3", "field_nonholo", "curved"])
 def test_base_transversality_is_the_ray_velocity_sine(name):
     # |det[x | V(x)]| / (|x| |V(x)|) and |(n1.x, n2.x)| / |x| are both the
-    # sine of the angle between x and the complex line of V(x), so the
-    # entry's 1e-8 bound is implied by build_chart's 1e-4 guard.  The
-    # shipped base points are normal to their leaves (sine 1); the curved
-    # field's is not (sine 3 / sqrt(10))
-    from leafgauge import scaling_velocity
+    # sine of the angle between x and the complex line of V(x), so the gauge
+    # block's ray_velocity records the base point's transversality margin.
+    # The shipped base points are normal to their leaves (sine 1); the
+    # curved field's is not (sine 3 / sqrt(10))
+    from leafgauge import field_eval, scaling_velocity
     from leafgauge.fixtures import load_fixture, resolve_config
-    from leafgauge.pipeline import _assumption_entries
     from conftest import FIXTURE_DIR, make_field_curved
 
     if name == "curved":
@@ -293,9 +267,9 @@ def test_base_transversality_is_the_ray_velocity_sine(name):
         fx = load_fixture(FIXTURE_DIR / f"{name}.json")
         x, cfg = fx.point, resolve_config(fx.config)
         V = fx.field if fx.field is not None else select_field(fx.polynomial, x)
-    entry = next(e for e in _assumption_entries(V, x, cfg) if e.name == "base_transversality")
+    det = transversality_check(V, x).residual
     sine = math.hypot(*scaling_velocity(build_chart(V, x, cfg.chart_cfg()))) / x.norm()
-    assert entry.residual == pytest.approx(sine, rel=1e-12, abs=0)
+    assert det / (x.norm() * field_eval(V, x).norm()) == pytest.approx(sine, rel=1e-12, abs=0)
 
 
 def _fixture_build(name: str, seed: int):
@@ -307,6 +281,27 @@ def _fixture_build(name: str, seed: int):
     if fx.field is not None:
         return run_field_pipeline(fx.field, fx.point, fx.degree, cfg)
     return run_pipeline(fx.polynomial, fx.point, fx.degree, cfg)
+
+
+@pytest.mark.parametrize("name", ["pzw", "pz4", "field_v3"])
+@pytest.mark.parametrize("eps, passes", [(0.0, True), (1e-7, False)])
+def test_flow_drift_fails_the_report(name, eps, passes, monkeypatch):
+    # every flow lands eps |s| |q| off its end point q along (conj w, -conj z)
+    # / |q|, off the leaf; the standard suite must catch the drift (from
+    # 3e-9 on pzw and field_v3, 3e-8 on pz4: gauge_root_consistency)
+    import leafgauge.charts as charts
+    import leafgauge.flows as flows
+
+    flow = flows._flow
+
+    def drifting(V, coeffs, s, z, w, cfg, v0):
+        z, w, v = flow(V, coeffs, s, z, w, cfg, v0)
+        return z + eps * abs(s) * w.conjugate(), w - eps * abs(s) * z.conjugate(), v
+
+    if eps:
+        monkeypatch.setattr(flows, "_flow", drifting)
+        monkeypatch.setattr(charts, "_flow", drifting)
+    assert _fixture_build(name, 0x5EED)[1].overall_pass is passes
 
 
 @pytest.mark.parametrize("name", ["pzw", "pz4", "field_v3", "field_nonholo"])
