@@ -1,9 +1,8 @@
 """Leaf charts: transversal coordinates that are constant along leaves.
 
-A chart at a base point x consists of an orthonormal frame of R^4 whose
-first two vectors e1, e2 span the leaf tangent space at x (the real span
-of the field views X1, X2) and whose last two n1, n2 span the Euclidean
-complement, used as an affine transversal plane through x.
+A chart at a base point x takes the orthonormal frame of R^4 of its
+record fields.BasePoint: e1, e2 span the leaf tangent space at x, and
+n1, n2 span the Euclidean complement, an affine transversal plane through x.
 
 leaf_coords(q) finds the point p where the leaf of q meets the
 transversal plane and reads off n1.(p - x), n2.(p - x).  Two points get
@@ -30,15 +29,11 @@ import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from .errors import AssumptionError, DegenerateRootError, NumericError, ProjectionError
-from .fields import PointC2, VectorFieldC2, _dot, _base_views
+from .errors import DegenerateRootError, NumericError, ProjectionError
+from .fields import BasePoint, PointC2, VectorFieldC2, base_point
 from .flows import FlowConfig, _flow
 
 __all__ = ["ChartConfig", "LeafChart", "build_chart", "leaf_coords", "in_chart_ball"]
-
-# Residuals of the standard basis against a 2-plane: at least two of the
-# four always have norm >= 0.1 (their squared norms sum to 2, each <= 1).
-_FRAME_SKIP_THRESHOLD = 0.1
 
 _MIN_RADIUS = 1e-4
 NEWTON_MAX_ITER = 40    # iteration budget of one projection or scale-factor solve
@@ -62,11 +57,14 @@ class ChartConfig:
 @dataclass(frozen=True, eq=False)
 class LeafChart:
     field: VectorFieldC2
-    base: PointC2
-    frame: tuple[tuple[float, ...], ...]  # rows e1, e2, n1, n2; orthonormal
+    point: BasePoint        # the facts at the base point x
     radius_scale: float
     newton_tol: float
     flow_cfg: FlowConfig
+
+    base = property(lambda self: self.point.x)
+    frame = property(lambda self: self.point.frame)   # rows e1, e2, n1, n2; orthonormal
+    ball_radius = property(lambda self: self.radius_scale * self.base_norm)
 
     @cached_property
     def base4(self) -> tuple[float, float, float, float]:
@@ -76,52 +74,25 @@ class LeafChart:
     def base_norm(self) -> float:
         return self.base.norm()
 
-    @property
-    def ball_radius(self) -> float:
-        return self.radius_scale * self.base_norm
-
 
 def in_chart_ball(chart: LeafChart, q: PointC2) -> bool:
     d = [a - b for a, b in zip(q.to_real4(), chart.base4)]
     return math.hypot(*d) <= chart.ball_radius * (1 + 1e-12)
 
 
-def _unit(v) -> tuple[float, ...]:
-    n = math.hypot(*v)
-    return tuple(c / n for c in v)
-
-
-def _orthonormal_frame(X1, X2) -> tuple[tuple[float, ...], ...]:
-    e1 = _unit(X1)
-    d = _dot(X2, e1)
-    e2 = _unit(tuple(c - d * u for c, u in zip(X2, e1)))
-    normals = []
-    for k in range(4):
-        cand = tuple(float(j == k) for j in range(4))
-        for u in (e1, e2, *normals):
-            d = _dot(cand, u)
-            cand = tuple(c - d * x for c, x in zip(cand, u))
-        if math.hypot(*cand) > _FRAME_SKIP_THRESHOLD:
-            normals.append(_unit(cand))
-        if len(normals) == 2:
-            break
-    if len(normals) != 2:
-        raise AssumptionError("could not complete transversal frame")
-    return (e1, e2, normals[0], normals[1])
-
-
 def build_chart(V: VectorFieldC2, x: PointC2,
                 cfg: ChartConfig | None = None) -> LeafChart:
-    """Construct a LeafChart at x, shrinking the radius on projection
-    failures (halved down to 1e-4, then construction fails).  _base_views
-    decides the facts at x first: V is alive there, so the frame's X1 and
-    X2 = view(i V) are nonzero and orthogonal, and the ray through x is
-    transversal to the leaf (transversality_check)."""
-    cfg = cfg or ChartConfig()
-    frame = _orthonormal_frame(*_base_views(V, x))
+    """Construct a LeafChart at x (_chart_at) on the facts base_point(V, x)
+    decides: V is alive at x and the ray through x is transversal."""
+    return _chart_at(V, base_point(V, x), cfg or ChartConfig())
+
+
+def _chart_at(V: VectorFieldC2, point: BasePoint, cfg: ChartConfig) -> LeafChart:
+    """The LeafChart of V at a decided base point, shrinking the radius on
+    projection failures (halved down to 1e-4, then construction fails)."""
     rho = cfg.radius_scale
     while True:
-        chart = LeafChart(field=V, base=x, frame=frame, radius_scale=rho,
+        chart = LeafChart(field=V, point=point, radius_scale=rho,
                           newton_tol=cfg.newton_tol, flow_cfg=cfg.flow)
         try:
             _probe(chart)
@@ -136,11 +107,9 @@ def build_chart(V: VectorFieldC2, x: PointC2,
 def _probe(chart: LeafChart) -> None:
     # Projection must succeed on the ball boundary in all frame directions.
     r = 0.9 * chart.ball_radius
-    for row in range(4):
+    for row in chart.frame:
         for sign in (1.0, -1.0):
-            probe = PointC2.from_real4([b + sign * r * f
-                                        for b, f in zip(chart.base4, chart.frame[row])])
-            _project(chart, probe)
+            _project(chart, PointC2.from_real4([b + sign * r * f for b, f in zip(chart.base4, row)]))
 
 
 def _newton_step(J, r):

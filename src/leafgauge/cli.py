@@ -128,10 +128,7 @@ def cmd_trace_leaf(args) -> int:
     fx = load_fixture(args.fixture)
     point = _require_point(fx, args)
     cfg = _config(fx, args)
-    if fx.field is not None:
-        V = fx.field
-    else:
-        V = select_field(fx.polynomial, point)
+    V = fx.field if fx.field is not None else select_field(fx.polynomial, point)
     grid = _grid_times(args.grid, args.span)
     points = trace_leaf(V, point, grid, cfg.flow_cfg())
     buf = io.StringIO()
@@ -155,6 +152,7 @@ def _run_fixture_pipeline(fx: Fixture, point: PointC2, degree: int | None,
 
 def _report_payload(fx: Fixture, point: PointC2, degree: int,
                     cfg: PipelineConfig, gauge, report) -> dict:
+    base = gauge.chart.point    # the base-point record: x, frame, ray velocity
     return {
         "schema": REPORT_SCHEMA,
         "description": {
@@ -164,10 +162,10 @@ def _report_payload(fx: Fixture, point: PointC2, degree: int,
             "config": config_to_dict(cfg),
         },
         "gauge": {
-            "base": list(gauge.chart.base.to_real4()),
-            "frame": [list(row) for row in gauge.chart.frame],
+            "base": list(base.x.to_real4()),
+            "frame": [list(row) for row in base.frame],
             "radius_scale": gauge.chart.radius_scale,
-            "ray_velocity": list(gauge.ray_velocity),
+            "ray_velocity": list(base.ray_velocity),
             "degree": gauge.degree,
             "bracket_halfwidth": gauge.bracket_halfwidth,
         },

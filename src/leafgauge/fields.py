@@ -6,7 +6,8 @@ complex line at each point where it does not vanish.  Its two real views
 X1 (of V) and X2 (of i*V) span a rank-2 real distribution; the checks in
 this module probe nonvanishing, involutivity of that distribution,
 transversality to the radial direction, and exact homogeneity of the
-components.
+components.  base_point decides the facts at a base point once, from one
+field value, into the BasePoint record that charts and gauges read.
 
 The candidate-field construction takes a real-valued polynomial with
 identically vanishing Levi determinant and returns the two columns of its
@@ -45,11 +46,13 @@ __all__ = [
     "bracket_span_residual",
     "involutivity_check",
     "transversality_check",
+    "BasePoint",
+    "base_point",
     "homogeneity_check_field",
 ]
 
 NONVANISH_THRESHOLD = 1e-8   # of vanishes, relative to max(1, |q|)^m
-TANGENCY_SINE = 1e-4         # of transversality_check, a sine: no units
+TANGENCY_SINE = 1e-4         # of _tangency, a sine: no units
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,9 @@ _DOP853 = (
 # Stage k = mix * V(z, w), after the nonvanishing monitor on V(z, w) = (r0, r1),
 # vanishes in squared form.  The squared norms are real parts of products with
 # the conjugates ({z}b and {w}b are those of the field code): each product's
-# real part is re^2 + im^2 exactly, and the two are added as a pair.
+# real part is re^2 + im^2 exactly, and the two are added as a pair.  An
+# infinite state raises no OverflowError (inf ** deg is inf) but fails the
+# monitor, where scale_sq * 2 == scale_sq (scale_sq >= 1) tells it apart.
 _STAGE = """\
 nv_sq = (r0 * r0.conjugate() + r1 * r1.conjugate()).real
 r_sq = ({z} * {z}b + {w} * {w}b).real
@@ -131,6 +136,8 @@ try:
 except OverflowError:
     raise NumericError("flow blew up: state norm overflowed") from None
 if nv_sq <= thr_sq * scale_sq:
+    if scale_sq * 2 == scale_sq:
+        raise NumericError("flow blew up: state norm overflowed")
     raise RankDropError("field norm below threshold along trajectory")
 k{k}z = mix * r0
 k{k}w = mix * r1"""
@@ -372,10 +379,7 @@ def derive_candidate_fields(P: WirtingerPoly):
     deg = None if P.is_zero else homogeneity_degree(P)
     if deg is None or deg < 2:
         raise AssumptionError("candidate fields need a polynomial homogeneous of degree >= 2")
-    m = deg - 2
-    V1 = VectorFieldC2(-H.entries[0][1], H.entries[0][0], m)
-    V2 = VectorFieldC2(-H.entries[1][1], H.entries[1][0], m)
-    return V1, V2
+    return tuple(VectorFieldC2(-h1, h0, deg - 2) for h0, h1 in H.entries)
 
 
 def _live_candidate(P: WirtingerPoly, x: PointC2, m: int) -> tuple[int | None, str]:
@@ -476,33 +480,86 @@ def involutivity_check(V: VectorFieldC2, samples: Sequence[PointC2],
     return CheckResult(worst <= tol, worst)
 
 
-def transversality_check(V: VectorFieldC2, p: PointC2) -> CheckResult:
-    """|det[p | V(p)]|, failing when the sine det / (|p| |V(p)|) of the angle
-    between p and the complex line of V(p) is at most TANGENCY_SINE: the ray
-    through p is then tangent to the leaf.  NumericError on overflow."""
-    v = field_eval(V, p)
+def _tangency(p: PointC2, v: PointC2) -> tuple[CheckResult, str]:
+    """The tangency rule at p for the field value v = V(p): the verdict of
+    transversality_check, and its sine det / (|p| |v|) against TANGENCY_SINE
+    as text (sine 0 where p or v is zero).  NumericError on overflow."""
     det = abs(p.z * v.w - p.w * v.z)
     bound = TANGENCY_SINE * p.norm() * v.norm()
     if not (math.isfinite(det) and math.isfinite(bound)):
         raise NumericError(f"transversality: determinant at {p} overflows a float")
-    return CheckResult(det > bound, det)
+    sine = det / (p.norm() * v.norm() or 1.0)
+    return CheckResult(det > bound, det), f"sine {sine:.3e} against {TANGENCY_SINE:g}"
 
 
-def _base_views(V: VectorFieldC2, x: PointC2):
-    """real_views(V, x), once V is alive at x (vanishes) and the ray through
-    x is transversal (transversality_check); a refusal names its number and
-    bound."""
-    X1, X2 = real_views(V, x)
-    speed = math.hypot(*X1)    # not finite: transversality_check raises NumericError
+def transversality_check(V: VectorFieldC2, p: PointC2) -> CheckResult:
+    """|det[p | V(p)]|, failing when the sine det / (|p| |V(p)|) of the angle
+    between p and the complex line of V(p) is at most TANGENCY_SINE: the ray
+    through p is then tangent to the leaf.  NumericError on overflow."""
+    return _tangency(p, field_eval(V, p))[0]
+
+
+def _unit(v) -> tuple[float, ...]:
+    n = math.hypot(*v)
+    return tuple(c / n for c in v)
+
+
+# Residuals of the standard basis against a 2-plane: at least two of the
+# four always have norm >= 0.1 (their squared norms sum to 2, each <= 1).
+_FRAME_SKIP_THRESHOLD = 0.1
+
+
+def _orthonormal_frame(X1, X2) -> tuple[tuple[float, ...], ...]:
+    e1 = _unit(X1)
+    d = _dot(X2, e1)
+    e2 = _unit(tuple(c - d * u for c, u in zip(X2, e1)))
+    normals = []
+    for k in range(4):
+        cand = tuple(float(j == k) for j in range(4))
+        for u in (e1, e2, *normals):
+            d = _dot(cand, u)
+            cand = tuple(c - d * x for c, x in zip(cand, u))
+        if math.hypot(*cand) > _FRAME_SKIP_THRESHOLD:
+            normals.append(_unit(cand))
+        if len(normals) == 2:
+            break
+    if len(normals) != 2:
+        raise AssumptionError("could not complete transversal frame")
+    return (e1, e2, normals[0], normals[1])
+
+
+@dataclass(frozen=True)
+class BasePoint:
+    """The facts of V at x: value = V(x), its views X1 and X2, speed = |V(x)|,
+    the tangency verdict, the orthonormal frame (rows e1, e2 spanning the
+    views, then n1, n2) and the ray velocity (n1.x, n2.x)."""
+
+    x: PointC2
+    value: PointC2
+    views: tuple[tuple[float, ...], tuple[float, ...]]
+    speed: float
+    tangency: CheckResult
+    frame: tuple[tuple[float, ...], ...]
+    ray_velocity: tuple[float, float]
+
+
+def base_point(V: VectorFieldC2, x: PointC2) -> BasePoint:
+    """The BasePoint of V at x, from one evaluation of V.  AssumptionError
+    when V vanishes at x or the ray through x is tangent to the leaf, naming
+    the number and its bound; NumericError when a value overflows."""
+    v = field_eval(V, x)
+    speed = v.norm()    # not finite: _tangency raises NumericError
     if vanishes(speed, x, V.degree):
         raise AssumptionError(f"field vanishes at the base point: |V(x)| = {speed:.3e} "
                               f"against threshold {_vanish_bound(x, V.degree):.3e}")
-    tr = transversality_check(V, x)
-    if not tr.passed:
-        sine = tr.residual / (x.norm() * speed)
+    tangency, sine = _tangency(x, v)
+    if not tangency.passed:
         raise AssumptionError("radial direction tangent to leaf: base point fails transversality "
-                              f"numerically, sine {sine:.3e} against {TANGENCY_SINE:g}")
-    return X1, X2
+                              f"numerically, {sine}")
+    views = (v.to_real4(), (-v.z.imag, v.z.real, -v.w.imag, v.w.real))
+    frame = _orthonormal_frame(*views)
+    n1x, n2x = (_dot(n, x.to_real4()) for n in frame[2:])
+    return BasePoint(x, v, views, speed, tangency, frame, (n1x, n2x))
 
 
 def homogeneity_check_field(V: VectorFieldC2) -> bool:

@@ -125,12 +125,8 @@ def _object(data, what: str) -> dict:
 def parse_fixture(data: dict, name: str = "") -> Fixture:
     _object(data, "fixture root")
     try:
-        poly = None
-        if "polynomial" in data:
-            poly = poly_from_records(data["polynomial"])
-        fld = None
-        if "field" in data:
-            fld = field_from_dict(data["field"])
+        poly = poly_from_records(data["polynomial"]) if "polynomial" in data else None
+        fld = field_from_dict(data["field"]) if "field" in data else None
         point = point_from_real4(data["point"]) if "point" in data else None
         degree = gauge_degree(data["n"]) if "n" in data else None
         config = dict(_object(data.get("config", {}), "fixture config"))

@@ -1,11 +1,8 @@
 """The homogeneous leaf-constant gauge function.
 
-Given a leaf chart, the scaling velocity d is the derivative at t = 1 of
-t -> leaf_coords(t * base): it measures how the leaf changes along the
-radial ray through the base point.  The field is homogeneous, so
-leaf(t*x) = t*leaf(x), and d has the closed form (n1.x, n2.x), the
-transversal part of the base point x; it cannot vanish when x is
-transversal to the field.
+The scaling velocity d, the derivative at t = 1 of t -> leaf_coords(t*x),
+measures how the leaf changes along the radial ray through the base
+point x; fields.base_point forms its closed form (n1.x, n2.x).
 
 The zero set of q -> <leaf_coords(q), d> is a union of leaves through the
 base leaf and is transverse to radial scaling, so for each nearby q there
@@ -29,7 +26,7 @@ from functools import cached_property
 
 from .charts import LeafChart, _project, leaf_coords
 from .errors import AssumptionError, NumericError, ProjectionError, RootSearchError
-from .fields import PointC2, _dot, homogeneity_check_field
+from .fields import PointC2, homogeneity_check_field
 
 __all__ = [
     "GaugeFunction",
@@ -45,13 +42,11 @@ __all__ = [
 
 def scaling_velocity(chart: LeafChart) -> tuple[float, float]:
     """d/dt leaf_coords(t*x) at t = 1 in closed form.  leaf(t*x) = t*leaf(x)
-    and n1, n2 are normal to the leaf at x, so d = (n1.x, n2.x): the
-    transversal part of x itself, and the only code that forms it.  |d| / |x|
+    and n1, n2 are normal to the leaf at x, so d = (n1.x, n2.x), the
+    transversal part of x, read from the chart's base-point record.  |d| / |x|
     is the sine of the angle between x and the complex tangent line of its
-    leaf, which build_chart has kept above fields.TANGENCY_SINE by
-    transversality_check."""
-    _, _, n1, n2 = chart.frame
-    return (_dot(n1, chart.base4), _dot(n2, chart.base4))
+    leaf, which fields.base_point has kept above fields.TANGENCY_SINE."""
+    return chart.point.ray_velocity
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +86,7 @@ def build_gauge(chart: LeafChart, degree: int,
     if not homogeneity_check_field(chart.field):
         # the scale-factor solve relies on leaf(t*q) = t*leaf(q)
         raise AssumptionError("gauge needs a field homogeneous of its declared degree")
-    d = scaling_velocity(chart)
-    return GaugeFunction(chart=chart, ray_velocity=d, degree=int(degree),
+    return GaugeFunction(chart=chart, ray_velocity=scaling_velocity(chart), degree=int(degree),
                          bracket_halfwidth=bracket_halfwidth, root_tol=root_tol)
 
 

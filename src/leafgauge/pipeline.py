@@ -15,19 +15,19 @@ degree, nonvanishing, transversality, involutivity).
 
 Each fact at the base point has one rule, in fields: vanishes decides
 nonvanishing, the candidate test of select_field the Hessian, and
-transversality_check tangency; both paths and build_chart call them.
+_tangency tangency; a build decides V's facts at x once, in base_point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charts import ChartConfig, build_chart
+from .charts import ChartConfig, _chart_at
 from .errors import AssumptionError
 from .fields import (
     PointC2,
     VectorFieldC2,
-    _base_views,
+    base_point,
     homogeneity_check_field,
     involutivity_check,
     _live_candidate,
@@ -37,7 +37,6 @@ from .flows import FlowConfig
 from .gauge import GaugeFunction, _check_settings, build_gauge
 from .verify import (
     DEFAULT_SEED,
-    CheckEntry,
     VerificationReport,
     assemble_report,
     check_entry,
@@ -146,41 +145,32 @@ def validate_hypotheses(P: WirtingerPoly, x: PointC2) -> HypothesisChecklist:
     if real:
         k, detail = _live_candidate(P, x, max((deg or 2) - 2, 0))
         checks.append(HypothesisCheck("hessian_nonzero_at_base", k is not None, detail))
-        on_line = is_on_harmonic_line(P, x)
-        checks.append(HypothesisCheck("base_off_harmonic_lines", not on_line, ""))
-        levi_zero = levi_determinant(P).is_zero
-        checks.append(HypothesisCheck("levi_determinant_zero", levi_zero, ""))
+        checks.append(HypothesisCheck("base_off_harmonic_lines",
+                                      not is_on_harmonic_line(P, x), ""))
+        checks.append(HypothesisCheck("levi_determinant_zero", levi_determinant(P).is_zero, ""))
     else:
-        checks.append(HypothesisCheck("hessian_nonzero_at_base", False, "P not real"))
-        checks.append(HypothesisCheck("base_off_harmonic_lines", False, "P not real"))
-        checks.append(HypothesisCheck("levi_determinant_zero", False, "P not real"))
+        checks += [HypothesisCheck(name, False, "P not real") for name in
+                   ("hessian_nonzero_at_base", "base_off_harmonic_lines", "levi_determinant_zero")]
 
     return HypothesisChecklist(tuple(checks))
 
 
-def _assumption_entries(V: VectorFieldC2, x: PointC2,
-                        cfg: PipelineConfig) -> list[CheckEntry]:
-    # refuse a dead field or a tangent ray at x before involutivity samples
-    # the ball around it
-    _base_views(V, x)
+def _build_and_verify(V: VectorFieldC2, x: PointC2, degree: int,
+                      cfg: PipelineConfig) -> tuple[GaugeFunction, VerificationReport]:
+    # decide the facts at x first: a dead field or a tangent ray is refused
+    # before involutivity samples the ball around x
+    point = base_point(V, x)
     samples = sample_ball(x.to_real4(), cfg.chart_radius * x.norm(), N_INVOLUTIVITY,
                           check_rng(cfg.seed, "involutivity"))
     inv = involutivity_check(V, samples, INVOLUTIVITY_TOL)
     if not inv.passed:
         raise AssumptionError(
             f"involutivity failed: worst relative singular value {inv.residual:.3e}")
-    return [check_entry("field_involutivity", inv.residual, INVOLUTIVITY_TOL,
-                        samples=len(samples))]
-
-
-def _build_and_verify(V: VectorFieldC2, x: PointC2, degree: int,
-                      cfg: PipelineConfig) -> tuple[GaugeFunction, VerificationReport]:
-    entries = _assumption_entries(V, x, cfg)
-    chart = build_chart(V, x, cfg.chart_cfg())
-    G = build_gauge(chart, degree, bracket_halfwidth=cfg.bracket_halfwidth,
-                    root_tol=cfg.root_tol)
-    entries += run_standard_suite(G, cfg.n_samples, cfg.seed)
-    return G, assemble_report(entries)
+    G = build_gauge(_chart_at(V, point, cfg.chart_cfg()), degree,
+                    bracket_halfwidth=cfg.bracket_halfwidth, root_tol=cfg.root_tol)
+    entries = [check_entry("field_involutivity", inv.residual, INVOLUTIVITY_TOL,
+                           samples=len(samples))]
+    return G, assemble_report(entries + run_standard_suite(G, cfg.n_samples, cfg.seed))
 
 
 def run_pipeline(P: WirtingerPoly, x: PointC2, degree: int | None = None,

@@ -20,9 +20,9 @@ import os
 import threading
 from dataclasses import dataclass
 
-from .charts import LeafChart, _unit, in_chart_ball, leaf_coords
+from .charts import LeafChart, in_chart_ball, leaf_coords
 from .errors import NumericError, RootSearchError
-from .fields import PointC2, _dot, real_views
+from .fields import PointC2, _dot, _unit, real_views
 from .flows import leaf_flow_map
 from .gauge import GaugeFunction, gauge_eval, radial_mismatch, scale_power, solve_scale
 from .rng import Stream
@@ -242,14 +242,12 @@ def check_chart(chart: LeafChart, n_samples: int = 50,
     e_const = check_entry("chart_u_leaf_constancy", worst_const, 1e-7,
                           samples=used, skipped=skipped)
 
-    step = 1e-4 * chart.base_norm
-    J = leaf_coords_jacobian(chart, chart.base, step)
+    J = leaf_coords_jacobian(chart, chart.base, 1e-4 * chart.base_norm)
     e_subm = check_entry("chart_submersion_sv", _min_singular_value(J), 1e-3,
                          mode="min", samples=1)
 
     worst_orth = 0.0
-    for X in real_views(chart.field, chart.base):
-        u = _unit(X)
+    for u in map(_unit, chart.point.views):
         worst_orth = max(worst_orth, math.hypot(_dot(J[0], u), _dot(J[1], u)))
     e_orth = check_entry("chart_leaf_orthogonality", worst_orth, 1e-6, samples=2)
 

@@ -194,10 +194,7 @@ class WirtingerPoly:
     def __str__(self) -> str:
         if not self._nums:
             return "0"
-        parts = []
-        for exp, cf in self.items():
-            parts.append(_term_str(exp, cf))
-        return " + ".join(parts)
+        return " + ".join(_term_str(exp, cf) for exp, cf in self.items())
 
     def __repr__(self) -> str:
         return f"WirtingerPoly({self!s})"

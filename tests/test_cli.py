@@ -241,6 +241,28 @@ def test_verify_untouched_round_trip(tmp_path, capsys):
     assert again.read_bytes() == report_path.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["pzw", "pz4", "field_v3", "field_nonholo"])
+def test_base_point_record_is_the_saved_gauge_block(name, tmp_path):
+    # base, frame and ray_velocity of a saved report are the base-point
+    # record of the fixture's (V, x), bit for bit at every seed: one field
+    # value and no flow code (no _dp5 or _dop853 built) recompute them
+    from leafgauge.fields import base_point
+
+    fixture = load_fixture(fx(f"{name}.json"))
+    x = fixture.point
+    V = fixture.field if fixture.field is not None else select_field(fixture.polynomial, x)
+    record = base_point(V, x)
+    assert "_dp5" not in vars(V) and "_dop853" not in vars(V)
+    want = {"base": list(x.to_real4()), "frame": [list(row) for row in record.frame],
+            "ray_velocity": list(record.ray_velocity)}
+    for seed in (1, 7, 0x5EED):
+        out = tmp_path / f"{seed}.json"
+        assert main(["build-gauge", fx(f"{name}.json"), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        gauge = json.loads(out.read_text())["gauge"]
+        assert json.dumps({key: gauge[key] for key in want}) == json.dumps(want)
+
+
 def test_verify_detects_tampered_gauge(tmp_path, capsys):
     _, data = _saved_pz4(tmp_path)
     data["gauge"]["ray_velocity"] = [5, 5]

@@ -298,6 +298,16 @@ def test_blow_up_is_numeric_error():
         integrate_flow(V, (1, 1), 1.0, PointC2(0.9 + 0.2j, 1.1 - 0.3j), FLOW_TIGHT)
 
 
+@pytest.mark.parametrize("coeffs", [(1, 0), (-1, 0)])
+def test_linear_blow_up_is_numeric_error(coeffs):
+    # on the linear (-z, w) the state reaches inf without an OverflowError
+    # (inf ** 1 is inf) and then fails the monitor, which names the blow-up
+    # rather than a vanishing field
+    with pytest.raises(NumericError, match="blew up") as exc:
+        integrate_flow(make_field_v3(), coeffs, 800.0, PointC2(1, 1), FlowConfig(max_step=1e6))
+    assert type(exc.value) is NumericError
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(tol=-1)

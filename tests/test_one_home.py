@@ -12,10 +12,11 @@ import leafgauge
 SOURCES = sorted(Path(leafgauge.__file__).parent.glob("*.py"))
 
 # rule constant -> the functions of fields.py that read it; _compile_step
-# binds the threshold for the per-stage monitor, the squared form of vanishes
+# binds the threshold for the per-stage monitor, the squared form of vanishes,
+# and _tangency gives transversality_check and base_point their verdict
 HOMES = {
     "NONVANISH_THRESHOLD": {"_vanish_bound", "_compile_step"},
-    "TANGENCY_SINE": {"transversality_check", "_base_views"},
+    "TANGENCY_SINE": {"_tangency"},
 }
 
 

@@ -49,7 +49,8 @@ def test_solver_settings_have_one_home():
     assert PipelineConfig().chart_cfg() == ChartConfig()
     counts = {cls.__name__: len(dataclasses.fields(cls))
               for cls in (PipelineConfig, ChartConfig, FlowConfig, LeafChart)}
-    assert counts == {"PipelineConfig": 9, "ChartConfig": 3, "FlowConfig": 2, "LeafChart": 6}
+    # LeafChart holds its base point and frame in one record (point)
+    assert counts == {"PipelineConfig": 9, "ChartConfig": 3, "FlowConfig": 2, "LeafChart": 5}
     assert list(inspect.signature(select_field).parameters) == ["P", "x"]
     assert list(inspect.signature(transversality_check).parameters) == ["V", "p"]
 
@@ -220,7 +221,9 @@ def test_curved_leaf_geometry():
 
 def test_build_work_count_ceiling(field_evals):
     # deterministic work of one full build at the shipped field_v3 config
-    # (46,725 field evaluations: 20 fewer since each of the 20 involutivity
+    # (46,721 field evaluations: 4 fewer since one base-point record holds
+    # V(x), where the pipeline, the chart and check_chart evaluated it 5
+    # times; 46,725 before that, 20 fewer since each of the 20 involutivity
     # samples takes one field value for its views and its bracket, not two;
     # one fewer before that since build_chart stopped evaluating the field
     # for a determinant; 49.8k before a landed point's value came
@@ -236,13 +239,15 @@ def test_build_work_count_ceiling(field_evals):
     assert report.overall_pass
     assert field_evals[0] <= 150_000
     # and exactly, so that work done out of sight (a forked worker) fails it
-    assert field_evals[0] == 46_725
+    assert field_evals[0] == 46_721
 
 
-@pytest.mark.parametrize("name, evals", [("pzw", 62_415), ("pz4", 21_011)])
+@pytest.mark.parametrize("name, evals", [("pzw", 62_411), ("pz4", 21_007)])
 def test_polynomial_build_work_counts(name, evals, field_evals):
-    # the polynomial path's build work at its shipped config, exactly: 2,650
-    # fewer than when each build also spot-checked P along the leaves (50
+    # the polynomial path's build work at its shipped config, exactly: 4
+    # fewer than 62,415 and 21,011, since V is evaluated at x once per build
+    # (base_point) instead of 5 times; 2,650
+    # fewer than that when each build also spot-checked P along the leaves (50
     # samples, each a field value and four two-leg flows); a build now runs
     # the field path's suite and no work on P beyond the hypotheses
     _, report = _fixture_build(name, 0x5EED)
@@ -270,6 +275,29 @@ def test_base_transversality_is_the_ray_velocity_sine(name):
     det = transversality_check(V, x).residual
     sine = math.hypot(*scaling_velocity(build_chart(V, x, cfg.chart_cfg()))) / x.norm()
     assert det / (x.norm() * field_eval(V, x).norm()) == pytest.approx(sine, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("name", ["pzw", "pz4", "field_v3", "field_nonholo"])
+def test_build_evaluates_the_field_at_x_once(name, monkeypatch):
+    # both paths decide the facts at x in one base-point record: the
+    # pipeline's refusals, the chart frame, the ray velocity and
+    # check_chart's orthogonality read one value of V there (5 before)
+    from leafgauge.fixtures import load_fixture
+    from conftest import FIXTURE_DIR, serial
+
+    serial(monkeypatch)
+    x = load_fixture(FIXTURE_DIR / f"{name}.json").point
+    at_x = [0]
+    evaluate = VectorFieldC2.eval_complex
+
+    def counted(self, z, w):
+        at_x[0] += (z, w) == (x.z, x.w)
+        return evaluate(self, z, w)
+
+    monkeypatch.setattr(VectorFieldC2, "eval_complex", counted)
+    _, report = _fixture_build(name, 0x5EED)
+    assert report.overall_pass
+    assert at_x[0] == 1
 
 
 def _fixture_build(name: str, seed: int):
