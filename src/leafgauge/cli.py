@@ -74,6 +74,15 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _write_csv(path: str | None, header: list[str], rows) -> None:
+    """Write header, then each row of floats as their reprs, as CSV."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(v) for v in row] for row in rows)
+    _write(path, buf.getvalue())
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -131,13 +140,8 @@ def cmd_trace_leaf(args) -> int:
     V = fx.field if fx.field is not None else select_field(fx.polynomial, point)
     grid = _grid_times(args.grid, args.span)
     points = trace_leaf(V, point, grid, cfg.flow_cfg())
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["s1", "s2", "re_z", "im_z", "re_w", "im_w"])
-    for (s1, s2), p in zip(grid, points):
-        writer.writerow([repr(s1), repr(s2), repr(p.z.real), repr(p.z.imag),
-                         repr(p.w.real), repr(p.w.imag)])
-    _write(args.out, buf.getvalue())
+    _write_csv(args.out, ["s1", "s2", "re_z", "im_z", "re_w", "im_w"],
+               ((s1, s2, *p.to_real4()) for (s1, s2), p in zip(grid, points)))
     return EXIT_PASS
 
 
@@ -191,12 +195,8 @@ def cmd_build_gauge(args) -> int:
     if args.grid_out:
         pts = sample_chart_ball(gauge.chart, args.grid_n, check_rng(cfg.seed, "grid"),
                                 shrink=0.7)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["re_z", "im_z", "re_w", "im_w", "scale", "gauge"])
-        for row in gauge_grid_rows(gauge, pts):
-            writer.writerow([repr(v) for v in row])
-        _write(args.grid_out, buf.getvalue())
+        _write_csv(args.grid_out, ["re_z", "im_z", "re_w", "im_w", "scale", "gauge"],
+                   gauge_grid_rows(gauge, pts))
     _emit_report(payload, args.out)
     if args.out:
         sys.stdout.write(report_to_text(report))

@@ -18,6 +18,7 @@ the Hessian and is tangent to the level foliation.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
@@ -80,24 +81,30 @@ class PointC2:
 # no exponent can push the compiler into its recursion limit.
 _CHUNK = 32
 
-# Runge-Kutta pairs as (rows of stages 2-s, weights, error rows): the weights
-# are also the row of the FSAL stage s + 1, the field at the update, and each
-# error row gives one estimate.  Zero weights are left out of the emitted sums.
+# A Runge-Kutta pair: the rows of stages 2-s, the weights (also the row of the
+# FSAL stage s + 1, at the update), the error rows (summed as err0, err1, ...),
+# the step's error norm over those sums, the step-size exponent and the
+# first-step factor.  Zero weights are left out of the emitted sums.
+_Tableau = namedtuple("_Tableau", "rows weights errors norm expo first_step")
 # Dormand-Prince 5(4) (Dormand & Prince 1980): one error row, the difference
-# of the 5th-order weights to the embedded 4th-order ones.
-_DP5 = (((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
-         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
-        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-        ((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),))
+# of the 5th-order weights to the embedded 4th-order ones; the RMS norm over
+# the four real components.
+_DP5 = _Tableau(
+    ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    ((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),),
+    "sqrt(err0 / 4.0)", -1 / 5, 0.01)
 # Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
 # sec. II.10), the decimals of Hairer's dop853.f rounded to doubles: the 5th-
 # order error row, then the difference of the 8th-order weights to the
-# embedded 3rd-order ones.
+# embedded 3rd-order ones.  Hairer's combined estimate is
+# |h| E5^2 / sqrt((E5^2 + E3^2 / 100) n), with h inside both sums.
 _DOP853_B = (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
              1.8915178993145003, -5.801203960010585, 0.3111643669578199,
              -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
-_DOP853 = (
+_DOP853 = _Tableau(
     ((0.05260015195876773,), (0.0197250569845379, 0.0591751709536137),
      (0.02958758547680685, 0.0, 0.08876275643042054),
      (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
@@ -120,7 +127,8 @@ _DOP853 = (
       1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
       -0.022355307863886294),
      tuple(b - c for b, c in zip(_DOP853_B, (0.2440944881889764, 0, 0, 0, 0, 0, 0, 0,
-                                              0.7338466882816118, 0, 0, 0.022058823529411766)))))
+                                              0.7338466882816118, 0, 0, 0.022058823529411766)))),
+    "err0 / sqrt((err0 + 0.01 * err1) * 4.0) if err0 else 0.0", -1 / 8, 1.0)
 
 # Stage k = mix * V(z, w), after the nonvanishing monitor on V(z, w) = (r0, r1),
 # vanishes in squared form.  The squared norms are real parts of products with
@@ -184,51 +192,32 @@ def _field_lines(shape: tuple, z: str = "z", w: str = "w") -> list[str]:
     return lines
 
 
-def _weights(tableau) -> dict:
-    """The nonzero weights of a Runge-Kutta pair by the names its step code
-    reads: A{k}{j} for stage k, B{j} for the update, E{j} and F{j} for the
-    first and second error rows.  They are bound as complex numbers: a
-    float times a complex is computed as (a + 0j) times it anyway, so the
-    products keep their bits and skip the float's failed dispatch."""
-    rows, weights, errors = tableau
-    named = [(f"A{k}", row) for k, row in enumerate(rows, 2)] + [("B", weights)]
-    return {f"{p}{j}": complex(a) for p, row in named + list(zip("EF", errors))
-            for j, a in enumerate(row, 1) if a}
+def _step_lines(tableau: _Tableau, shape: tuple) -> list[str]:
+    """The body of step(z, w, h, mix, k1z, k1w, tol) of the pair tableau on a
+    field of shape; stage s + 1 is at the update.  The weights are complex
+    literals: a float times a complex is computed as (a + 0j) times it, so
+    the products keep their bits and skip the float's failed dispatch."""
 
-
-def _step_defs(tableau, shape: tuple) -> dict:
-    """The functions first and step of one step of the pair tableau on a
-    field of the given shape, as {signature: body lines} (see _compile_step);
-    the weights are read as the globals that _weights names."""
-    rows, weights, errors = tableau
-
-    def combo(row, prefix: str, var: str) -> str:
-        return " + ".join(f"{prefix}{j} * k{j}{var}" for j, a in enumerate(row, 1) if a)
-
-    def stage(z: str, w: str, k: int) -> list[str]:
-        return _field_lines(shape, z, w) + _STAGE.format(z=z, w=w, k=k).split("\n")
+    def combo(row, var: str) -> str:
+        return " + ".join(f"{complex(a)!r} * k{j}{var}" for j, a in enumerate(row, 1) if a)
 
     step = []
-    for k, row in enumerate(rows, 2):
-        step += [f"z{k} = z + h * ({combo(row, f'A{k}', 'z')})",
-                 f"w{k} = w + h * ({combo(row, f'A{k}', 'w')})", *stage(f"z{k}", f"w{k}", k)]
-    fsal = len(rows) + 2
-    step += [f"zn = z + h * ({combo(weights, 'B', 'z')})",
-             f"wn = w + h * ({combo(weights, 'B', 'w')})", *stage("zn", "wn", fsal)]
-    for i, row in enumerate(errors):  # weights E1, E2, ... of the first row, F1, ... of the second
-        step += [f"e{i}{v} = h * ({combo(row, 'EF'[i], v)})" for v in "zw"]
+    for k, row in enumerate((*tableau.rows, tableau.weights), 2):
+        step += [f"z{k} = z + h * ({combo(row, 'z')})", f"w{k} = w + h * ({combo(row, 'w')})",
+                 *_field_lines(shape, f"z{k}", f"w{k}"),
+                 *_STAGE.format(z=f"z{k}", w=f"w{k}", k=k).split("\n")]
+    for i, row in enumerate(tableau.errors):
+        step += [f"e{i}{v} = h * ({combo(row, v)})" for v in "zw"]
     add = ""
     for v in "zw":
         for part in ("real", "imag"):
-            step += [f"y = abs({v}.{part})", f"yn = abs({v}n.{part})",
+            step += [f"y = abs({v}.{part})", f"yn = abs({v}{k}.{part})",
                      "sc = tol + tol * (yn if yn > y else y)"]
-            step += [f"err{i} {add}= (e{i}{v}.{part} / sc) ** 2" for i in range(len(errors))]
+            step += [f"err{i} {add}= (e{i}{v}.{part} / sc) ** 2"
+                     for i in range(len(tableau.errors))]
             add = "+"
-    errs = ", ".join(f"err{i}" for i in range(len(errors)))
-    step.append(f"return zn, wn, r0, r1, k{fsal}z, k{fsal}w, {errs}")
-    first = ["zb = z.conjugate()", "wb = w.conjugate()",
-             *_STAGE.format(z="z", w="w", k=1).split("\n"), "return k1z, k1w"]
-    return {"first(z, w, r0, r1, mix)": first, "step(z, w, h, mix, k1z, k1w, tol)": step}
+    step.append(f"return z{k}, w{k}, r0, r1, k{k}z, k{k}w, {tableau.norm}")
+    return step
 
 
 _TABLEAUS = {"dp5": _DP5, "dop853": _DOP853}
@@ -238,54 +227,40 @@ CODE_CACHE_SIZE = 256
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
 def _code(kind: str, shape: tuple):
-    """The compiled module code defining the functions of kind ("field",
-    "jacobian", or a key of _TABLEAUS for a flow step) for polynomials of
-    the given shape.  The source depends on nothing else, so each shape is
-    generated and compiled once per process; the cache holds only code
-    objects, and every field binds its own coefficients (_exec)."""
-    if kind in _TABLEAUS:
-        defs = _step_defs(_TABLEAUS[kind], shape)
+    """The compiled module code of the one function of kind for polynomials
+    of shape: f(z, w) -> their values ("field", "jacobian"), the step of a
+    key of _TABLEAUS, or first, the first stage from a given field value,
+    which reads no weight and no field term (shape ()).  The source depends
+    on nothing else, so each is compiled once per process; every field binds
+    its own coefficients (_exec)."""
+    if kind == "first":
+        sig, body = "first(z, w, r0, r1, mix)", [
+            "zb = z.conjugate()", "wb = w.conjugate()",
+            *_STAGE.format(z="z", w="w", k=1).split("\n"), "return k1z, k1w"]
+    elif kind in _TABLEAUS:
+        sig, body = "step(z, w, h, mix, k1z, k1w, tol)", _step_lines(_TABLEAUS[kind], shape)
     else:
-        defs = {"f(z, w)": _field_lines(shape)
-                + ["return " + ", ".join(f"r{k}" for k in range(len(shape)))]}
-    src = [line for sig, body in defs.items()
-           for line in (f"def {sig}:", *("    " + b for b in body))]
-    return compile("\n".join(src), f"<{kind}>", "exec")
+        sig, body = "f(z, w)", _field_lines(shape) + [
+            "return " + ", ".join(f"r{k}" for k in range(len(shape)))]
+    return compile("\n".join([f"def {sig}:", *("    " + b for b in body)]), f"<{kind}>", "exec")
 
 
-def _exec(kind: str, shape: tuple, ns: dict) -> tuple:
-    """Instantiate the functions of the code of kind for shape with the
-    globals ns, and take them out of ns so that the two form no reference
-    cycle.  The module code stores nothing but its functions, so its names
-    are theirs, in order."""
+def _exec(kind: str, shape: tuple, ns: dict):
+    """Instantiate the one function of the code of kind for shape with the
+    globals ns, and take it out of ns so that the two form no reference
+    cycle."""
     code = _code(kind, shape)
     exec(code, ns)
-    return tuple(ns.pop(name) for name in code.co_names)
+    return ns.pop(code.co_names[0])
 
 
-def _compile(polys: Sequence[WirtingerPoly], kind: str):
-    """Straight-line float code for (z, w) -> (p(z, w) for p in polys),
-    compiled once per shape and bound to the coefficients of polys; the same
-    statements are inlined into every stage of the generated flow steps."""
-    ns: dict = {}
-    return _exec(kind, _bind(polys, ns), ns)[0]
-
-
-def _compile_step(V: "VectorFieldC2", kind: str):
-    """Straight-line code of one step of the Runge-Kutta pair _TABLEAUS[kind]
-    on q' = mix * V(q): first(z, w, vz, vw, mix) -> (k1z, k1w) takes the
-    first stage from a given field value, and step(z, w, h, mix, k1z, k1w,
-    tol) -> (zn, wn, vz, vw, kz, kw, err, ...) runs stages 2 to s + 1 with
-    the field inlined and returns the update, the field value V(zn, wn) of
-    its FSAL stage, that stage and, per error row, the sum of the squared
-    scaled errors (h included) of the four real components.  Every stage
-    runs the nonvanishing monitor on its field value.  The code is compiled
-    once per shape of V; the coefficients, the weights, deg and thr_sq are
-    bound per field."""
-    ns = dict(_weights(_TABLEAUS[kind]), deg=V.degree,
-              thr_sq=NONVANISH_THRESHOLD * NONVANISH_THRESHOLD,
+def _namespace(V: "VectorFieldC2") -> tuple:
+    """(shape, globals) of the generated code of V, bound once per field and
+    shared by its value, first stage and steps: its coefficients (_bind) and
+    deg, thr_sq, sqrt and the two error classes of the monitor and norms."""
+    ns = dict(deg=V.degree, thr_sq=NONVANISH_THRESHOLD * NONVANISH_THRESHOLD, sqrt=math.sqrt,
               NumericError=NumericError, RankDropError=RankDropError)
-    return _exec(kind, _bind((V.comp_z, V.comp_w), ns), ns)
+    return _bind((V.comp_z, V.comp_w), ns), ns
 
 
 @dataclass(frozen=True)
@@ -296,6 +271,11 @@ class VectorFieldC2:
     Construction is permissive: the declared degree is not verified here,
     so that inhomogeneous negative-control fields can be represented and
     then rejected by homogeneity_check_field.
+
+    Bound at the first flow: _first(z, w, vz, vw, mix) -> (k1z, k1w) and
+    the steps _dp5 and _dop853, (z, w, h, mix, k1z, k1w, tol) -> (zn, wn,
+    vz, vw, kz, kw, err): the update, the field value of its FSAL stage,
+    that stage and the pair's error norm.  Every stage runs the monitor.
     """
 
     comp_z: WirtingerPoly
@@ -306,9 +286,11 @@ class VectorFieldC2:
         if int(self.degree) != self.degree or self.degree < 0:
             raise ValueError("degree must be a nonnegative integer")
 
+    _namespace = cached_property(_namespace)
+
     @cached_property
     def _eval(self):
-        return _compile((self.comp_z, self.comp_w), "field")
+        return _exec("field", *self._namespace)
 
     def eval_complex(self, z: complex, w: complex) -> tuple[complex, complex]:
         """Float values of both components at (z, w), from the field's
@@ -318,20 +300,24 @@ class VectorFieldC2:
         return self._eval(z, w)
 
     @cached_property
+    def _first(self):
+        return _exec("first", (), self._namespace[1])
+
+    @cached_property
     def _dp5(self):
-        # (first, step) of the DP5(4) flow; bound lazily, at the first flow
-        return _compile_step(self, "dp5")
+        return _exec("dp5", *self._namespace)
 
     @cached_property
     def _dop853(self):
-        # (first, step) of the DOP853 flow; bound at the first long flow
-        return _compile_step(self, "dop853")
+        return _exec("dop853", *self._namespace)
 
     @cached_property
     def _jacobian(self):
         # (z, w) -> the zbar- and wbar-derivatives of comp_z, then of comp_w
-        return _compile([poly_diff(c, var) for c in (self.comp_z, self.comp_w)
-                         for var in ("zbar", "wbar")], "jacobian")
+        ns: dict = {}
+        shape = _bind([poly_diff(c, var) for c in (self.comp_z, self.comp_w)
+                       for var in ("zbar", "wbar")], ns)
+        return _exec("jacobian", shape, ns)
 
 
 class CheckResult(NamedTuple):

@@ -202,8 +202,9 @@ def _expand(key: str, value, kwargs: dict) -> None:
 
 
 def _as_float(value) -> float:
-    # float(True) is 1.0 and float("1") is 1.0: a JSON true or string is no number
-    if isinstance(value, (bool, str)):
+    # float(True) is 1.0 and float("1") is 1.0: a JSON true, string or null is
+    # no number
+    if value is None or isinstance(value, (bool, str)):
         raise TypeError(f"{value!r} is not a number")
     return float(value)
 

@@ -15,12 +15,12 @@ one step-size control serves both.  The stepper is hand-rolled rather than
 delegated so that the step budget and the rank-drop monitor (field norm
 falling below the nonvanishing threshold) are first-class failures, and so
 that runs are bit-deterministic.  The steps are straight-line code
-(VectorFieldC2._dp5 and _dop853): the stage evaluations with the field
-expressions, the monitor and the error sums inlined, on the complex state
-(z, w).  Their code is compiled once per shape of field, and each field
-binds its own coefficients to it.  This integrator sits under every
-chart projection and gauge evaluation, so only the step-size control is
-left here.
+(VectorFieldC2._first, _dp5 and _dop853) on the complex state (z, w), with
+the field expressions, the monitor and the pair's error norm inlined; a
+field binds its coefficients to code compiled once per shape.  This
+integrator sits under every chart projection and gauge evaluation, so only
+the step-size control is left here, with each pair's exponent and
+first-step factor read from its record (fields._DP5, fields._DOP853).
 
 One driver, _flow, runs on the complex state and hands back, with the end
 point, the field value there: the FSAL stage (first same as last: the last
@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericError, StepBudgetError
-from .fields import PointC2, VectorFieldC2
+from .fields import _DOP853, _DP5, PointC2, VectorFieldC2
 
 __all__ = ["FlowConfig", "integrate_flow", "leaf_flow_map", "trace_leaf"]
 
@@ -97,10 +97,9 @@ def _flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float, z: complex, w
     if s == 0.0 or (a == 0.0 and b == 0.0):
         return z, w, v0
     mix = complex(a, b)
-    first, step = V._dp5
     z, w = complex(z), complex(w)
     vz, vw = V.eval_complex(z, w) if v0 is None else v0
-    k1z, k1w = first(z, w, vz, vw, mix)
+    k1z, k1w = V._first(z, w, vz, vw, mix)
     tol = cfg.tol
     direction = 1.0 if s > 0 else -1.0
     t = 0.0
@@ -111,12 +110,9 @@ def _flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float, z: complex, w
     d0 = math.sqrt(z.real * z.real + z.imag * z.imag + w.real * w.real + w.imag * w.imag)
     d1 = math.sqrt(k1z.real * k1z.real + k1z.imag * k1z.imag
                    + k1w.real * k1w.real + k1w.imag * k1w.imag)
-    long = abs(s) * d1 >= LONG_FLOW * d0
-    if long:
-        step = V._dop853[1]
-    h = min(abs(s), cfg.max_step, (1.0 if long else 0.01) * (d0 + tol) / (d1 + 1e-300))
+    tableau, step = (_DOP853, V._dop853) if abs(s) * d1 >= LONG_FLOW * d0 else (_DP5, V._dp5)
+    h = min(abs(s), cfg.max_step, tableau.first_step * (d0 + tol) / (d1 + 1e-300))
     h = direction * max(h, 1e-12 * abs(s))
-    expo = -1 / 8 if long else -1 / 5
 
     steps = 0
     while direction * (s - t) > 1e-16 * abs(s):
@@ -125,23 +121,16 @@ def _flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float, z: complex, w
         steps += 1
         if direction * (t + h) > direction * s:
             h = s - t
-        if long:
-            zn, wn, vzn, vwn, kz, kw, e5, e3 = step(z, w, h, mix, k1z, k1w, tol)
-            # Hairer's combined estimate |h| E5^2 / sqrt((E5^2 + E3^2 / 100) n),
-            # with h inside both sums
-            err = e5 / math.sqrt((e5 + 0.01 * e3) * 4.0) if e5 else 0.0
-        else:
-            zn, wn, vzn, vwn, kz, kw, err = step(z, w, h, mix, k1z, k1w, tol)
-            err = math.sqrt(err / 4.0)
+        zn, wn, vzn, vwn, kz, kw, err = step(z, w, h, mix, k1z, k1w, tol)
 
         if err <= 1.0:
             t += h
             z, w, vz, vw = zn, wn, vzn, vwn
             k1z, k1w = kz, kw  # FSAL
             factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** expo))
+                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** tableau.expo))
         else:
-            factor = max(_MIN_FACTOR, _SAFETY * err ** expo)
+            factor = max(_MIN_FACTOR, _SAFETY * err ** tableau.expo)
         h *= factor
         if abs(h) > cfg.max_step:
             h = direction * cfg.max_step

@@ -59,11 +59,11 @@ def _coeff(re: Rational, im: Rational = 0) -> Coeff:
 
 def as_int(value) -> int:
     """value as an int.  Unlike int(), a value with a fractional part (2.5)
-    raises ValueError instead of being truncated; 4.0 is 4.  A bool or a
-    str (a JSON true or "4") is no number and raises TypeError."""
+    raises ValueError instead of being truncated; 4.0 is 4.  A bool, a str
+    or None (a JSON true, "4" or null) is no number and raises TypeError."""
     if type(value) is int:
         return value
-    if isinstance(value, (bool, str)):
+    if value is None or isinstance(value, (bool, str)):
         raise TypeError(f"{value!r} is not an integer")
     q = Fraction(value)  # exact for a float; OverflowError for an infinity
     if q.denominator != 1:

@@ -125,8 +125,8 @@ def field_evals(monkeypatch):
     field value comes from the FSAL stage of the step that landed there,
     counted with that step, so the leaf solver and the second leg of
     leaf_flow_map take it without an evaluation.  The class-level
-    properties over the cached (first, step) pairs take precedence over the
-    instance caches, so fields built earlier count too.  The verification
+    properties over the cached steps take precedence over the instance
+    caches, so fields built earlier count too.  The verification
     suite runs in this process, so its work counts too."""
     serial(monkeypatch)
     calls = [0]
@@ -137,16 +137,16 @@ def field_evals(monkeypatch):
         return evaluate(self, z, w)
 
     def counting(cached, stages):
-        def pair(self):
-            first, step = cached.__get__(self, VectorFieldC2)
+        def counted_step(self):
+            step = cached.__get__(self, VectorFieldC2)
 
-            def counted_step(*args):
+            def counted(*args):
                 calls[0] += stages
                 return step(*args)
 
-            return first, counted_step
+            return counted
 
-        return property(pair)
+        return property(counted_step)
 
     monkeypatch.setattr(VectorFieldC2, "eval_complex", counted)
     monkeypatch.setattr(VectorFieldC2, "_dp5", counting(VectorFieldC2._dp5, 6))
@@ -193,7 +193,8 @@ def poly_products(monkeypatch):
 @pytest.fixture
 def code_generations(monkeypatch):
     """A one-element list counting instantiations of generated code
-    (fields._exec calls: a field, its Jacobian or one of its flow steps), with
+    (fields._exec calls: a field, its Jacobian, its first flow stage or one
+    of its flow steps), with
     the verification suite in this process.  The code itself is compiled once
     per shape; code_compiles counts that."""
     serial(monkeypatch)

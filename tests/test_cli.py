@@ -245,14 +245,14 @@ def test_verify_untouched_round_trip(tmp_path, capsys):
 def test_base_point_record_is_the_saved_gauge_block(name, tmp_path):
     # base, frame and ray_velocity of a saved report are the base-point
     # record of the fixture's (V, x), bit for bit at every seed: one field
-    # value and no flow code (no _dp5 or _dop853 built) recompute them
+    # value and no flow code (no _first, _dp5 or _dop853 built) recompute them
     from leafgauge.fields import base_point
 
     fixture = load_fixture(fx(f"{name}.json"))
     x = fixture.point
     V = fixture.field if fixture.field is not None else select_field(fixture.polynomial, x)
     record = base_point(V, x)
-    assert "_dp5" not in vars(V) and "_dop853" not in vars(V)
+    assert not {"_first", "_dp5", "_dop853"} & vars(V).keys()
     want = {"base": list(x.to_real4()), "frame": [list(row) for row in record.frame],
             "ray_velocity": list(record.ray_velocity)}
     for seed in (1, 7, 0x5EED):
@@ -825,6 +825,21 @@ _BOUNDARY = [
                  id="verify-config-samples-string"),
     pytest.param("verify", lambda d: d["description"]["config"].update(tol_root="1e-11"), 4,
                  id="verify-config-float-string"),
+    # a JSON null is no number either: it is refused like a bool or a
+    # string, and its message names the null
+    pytest.param("build-gauge", lambda d: d.update(n=None), 4, id="build-n-null"),
+    pytest.param("build-gauge", lambda d: d.update(field={**_V3_FIELD, "m": None}), 4,
+                 id="build-field-m-null"),
+    pytest.param("check-poly", lambda d: d["polynomial"][0].update(dw=None), 4,
+                 id="check-poly-exponent-null"),
+    pytest.param("build-gauge", lambda d: d["config"].update(samples=None), 4,
+                 id="build-config-samples-null"),
+    pytest.param("build-gauge", lambda d: d["config"].update(seed=None), 4,
+                 id="build-config-seed-null"),
+    pytest.param("build-gauge", lambda d: d["config"].update(chart_radius=None), 4,
+                 id="build-config-chart_radius-null"),
+    pytest.param("build-gauge", lambda d: d.update(point=[1.0, None, 0.0, 0.0]), 4,
+                 id="build-point-null"),
     *[pytest.param(command, lambda d, poly=poly: d.update(polynomial=poly), 2,
                    id=f"{command}-{name}")
       for command in ("derive-field", "trace-leaf")
@@ -851,6 +866,11 @@ def test_bad_input_gets_its_exit_code(command, edit, code, tmp_path, capsys):
     assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
     assert captured.out == ""
     assert not out.exists()
+    if command != "verify" and "null" in Path(args[1]).read_text():
+        # a null is named as such, not by how int(), float() or Fraction()
+        # failed on it
+        err = captured.err
+        assert "None is not a" in err and "NoneType" not in err and "Rational" not in err, err
 
 
 def _key_paths(node, path=()):

@@ -1,6 +1,7 @@
 """Vector fields: candidate derivation, selection, and the admissibility
 checks (annihilation, bracket, involutivity, transversality, homogeneity)."""
 
+import dis
 import math
 import weakref
 from fractions import Fraction
@@ -531,7 +532,7 @@ def test_compiled_evaluator_handles_high_degree(code):
         # threshold, so switch the step's monitor off; a zero step puts
         # every stage at (z, w), and the step hands back V(z, w) after the
         # update (z, w)
-        _, step = getattr(V, "_" + code)
+        step = getattr(V, "_" + code)
         step.__globals__.update(deg=0, thr_sq=-1.0)
         got, zero = step(z, w, 0.0, 1 + 0j, 0j, 0j, 1e-12)[2:4]
     want = (1 - 1j) * z ** 1500 * z.conjugate() ** 1000 * w ** 900 * w.conjugate() ** 600
@@ -539,41 +540,45 @@ def test_compiled_evaluator_handles_high_degree(code):
     assert abs(got - want) <= 1e-11 * abs(want)
 
 
-def _tableau_names(tableau):
-    rows, weights, errors = tableau
-    return ([f"A{k}{j}" for k, row in enumerate(rows, 2) for j, a in enumerate(row, 1) if a]
-            + [f"B{j}" for j, b in enumerate(weights, 1) if b]
-            + [f"{p}{j}" for p, row in zip("EF", errors) for j, e in enumerate(row, 1) if e])
+def _tableau_weights(tableau):
+    return {complex(a) for row in (*tableau.rows, tableau.weights, *tableau.errors)
+            for a in row if a}
 
 
-@pytest.mark.parametrize("code", ["field", "dp5", "dop853"])
+# the non-complex constants each kind may hold besides its messages: the
+# field sums none; first and the steps the monitor's 1.0 and the exponent 2
+# of their squared sums; each step its error norm's floats
+_CONSTS = {"field": {None}, "first": {None, 1.0, 2}, "dp5": {None, 1.0, 2, 4.0},
+           "dop853": {None, 1.0, 2, 0.01, 4.0, 0.0}}
+
+
+@pytest.mark.parametrize("code", ["field", "first", "dp5", "dop853"])
 def test_compiled_code_hygiene(code):
     V = make_field_nonholo()
-    fns = (V._eval,) if code == "field" else getattr(V, "_" + code)
-    names = ["c0", "c1"]
-    if code == "dp5":
-        names += ["A21", "A31", "A32", "A41", "A42", "A43", "A51", "A52", "A53", "A54",
-                  "A61", "A62", "A63", "A64", "A65", "B1", "B3", "B4", "B5", "B6",
-                  "E1", "E3", "E4", "E5", "E6", "E7"]
-        assert names[2:] == _tableau_names(fields._DP5)
-    elif code == "dop853":
-        # 11 stage rows, 8 weights and 8 per error row, all distinct names
-        names += _tableau_names(fields._DOP853)
-        assert len(set(names)) == len(names) == 2 + 50 + 8 + 8 + 8
-    if code != "field":
-        names += ["NumericError", "RankDropError", "deg", "thr_sq"]
-    for fn in fns:
-        # the function is not held by its own namespace (no reference cycle)
-        assert fn not in fn.__globals__.values()
-        # coefficients and tableau weights are bound as names, never baked
-        # into the code; the step keeps only its monitor's 1.0, the
-        # exponent 2 of its error norm and its two messages
-        consts = {c for c in fn.__code__.co_consts if not isinstance(c, str)}
-        assert consts <= ({None, 0j} if code == "field" else {None, 0j, 1.0, 2})
-        assert sorted(k for k in fn.__globals__ if not k.startswith("__")) == sorted(names)
-        # the weights are complex, so no float x complex product dispatches
-        # through float first
-        assert all(type(fn.__globals__[k]) is complex for k in names[2:-4])
+    fn = getattr(V, "_eval" if code == "field" else "_" + code)
+    # the field's value, first stage and both steps share one namespace:
+    # its coefficients and the names that the monitor and the error norms
+    # read; no weight is bound by name
+    assert fn.__globals__ is V._namespace[1]
+    assert sorted(k for k in fn.__globals__ if not k.startswith("__")) == sorted(
+        ["c0", "c1", "NumericError", "RankDropError", "deg", "sqrt", "thr_sq"])
+    # the function is not held by its own namespace (no reference cycle)
+    assert fn not in fn.__globals__.values()
+    # coefficients are never baked into the code; besides the 0j of the
+    # field sums and the constants of _CONSTS, a step holds every nonzero
+    # weight of its tableau and nothing else, each as a complex literal, so
+    # no float x complex product dispatches through float first
+    consts = [c for c in fn.__code__.co_consts if not isinstance(c, str)]
+    weights = {c for c in consts if type(c) is complex} - {0j}
+    assert {c for c in consts if type(c) is not complex} <= _CONSTS[code]
+    if code in ("field", "first"):
+        assert weights == set()
+    else:
+        tableau = getattr(fields, "_" + code.upper())
+        assert weights == _tableau_weights(tableau)
+        # 11 stage rows of DOP853, 8 weights and 8 per error row, with 69
+        # distinct values; 26 distinct weights of DP5(4)
+        assert len(weights) == {"dp5": 26, "dop853": 69}[code]
 
 
 @pytest.mark.parametrize("kind, stages", [("dp5", 6), ("dop853", 12)])
@@ -583,17 +588,14 @@ def test_every_stage_runs_the_monitor_once(kind, stages, make):
     # first monitors the value it is handed, and step each of its stages
     # 2 to s + 1 right after the inlined field code of that stage
     V = make()
-    defs = fields._step_defs(fields._TABLEAUS[kind], fields._bind((V.comp_z, V.comp_w), {}))
-    raises = {sig.split("(")[0]: [i for i, line in enumerate(body)
-                                  if "raise RankDropError" in line]
-              for sig, body in defs.items()}
-    assert len(raises["first"]) == 1
-    assert len(raises["step"]) == stages
-    fields_at = [i for i, line in enumerate(defs["step(z, w, h, mix, k1z, k1w, tol)"])
-                 if line == "r0 = 0j"]
+    step = fields._step_lines(fields._TABLEAUS[kind], fields._bind((V.comp_z, V.comp_w), {}))
+    assert [i.argval for i in dis.get_instructions(V._first)].count("RankDropError") == 1
+    raises = [i for i, line in enumerate(step) if "raise RankDropError" in line]
+    assert len(raises) == stages
+    fields_at = [i for i, line in enumerate(step) if line == "r0 = 0j"]
     assert len(fields_at) == stages
-    assert all(a < b for a, b in zip(fields_at, raises["step"]))
-    assert all(b < a for a, b in zip(fields_at[1:], raises["step"]))
+    assert all(a < b for a, b in zip(fields_at, raises))
+    assert all(b < a for a, b in zip(fields_at[1:], raises))
 
 
 _THR_SQ = fields.NONVANISH_THRESHOLD ** 2
@@ -641,9 +643,8 @@ def test_generated_monitor_matches_fsum_verdict(make, parts, offset):
     v = cV.eval_complex(z, w)
     want = _fsum_verdict(cV, z, w, v)
     assume(want is not None)
-    for kind in ("_dp5", "_dop853"):
-        first, step = getattr(cV, kind)
-        assert _monitor_raises(first, z, w, v[0], v[1], 1 + 0j) == want
+    assert _monitor_raises(cV._first, z, w, v[0], v[1], 1 + 0j) == want
+    for step in (cV._dp5, cV._dop853):
         assert _monitor_raises(step, z, w, 0.0, 1 + 0j, 0j, 0j, 1e-12) == want
 
 
@@ -701,11 +702,36 @@ def test_code_cache_is_bounded():
 
 def test_cache_holds_no_field(code_compiles):
     V, _ = _twin_fields()
-    V.eval_complex(1, 1), V._jacobian(1, 1), V._dp5, V._dop853
-    assert code_compiles[0] == 4
+    V.eval_complex(1, 1), V._jacobian(1, 1), V._first, V._dp5, V._dop853
+    assert code_compiles[0] == 5
     ref = weakref.ref(V)
     del V
     assert ref() is None
+
+
+def test_a_field_binds_its_coefficients_once(code_compiles, monkeypatch):
+    # the value, the first stage and both steps of a field read one
+    # namespace, bound once; its Jacobian binds its own polynomials
+    binds = [0]
+    bind = fields._bind
+
+    def counted(polys, ns):
+        binds[0] += 1
+        return bind(polys, ns)
+
+    monkeypatch.setattr(fields, "_bind", counted)
+    V = make_field_nonholo()
+    V.eval_complex(1, 1), V._first, V._dp5, V._dop853
+    assert binds[0] == 1
+    V._jacobian(1, 1)
+    assert binds[0] == 2
+    # a new shape costs four compiles: its value, its Jacobian and its two
+    # steps; the code of first reads no field term and serves every shape
+    assert code_compiles[0] == 5
+    W = make_field_v3()
+    W.eval_complex(1, 1), W._jacobian(1, 1), W._first, W._dp5, W._dop853
+    assert code_compiles[0] == 5 + 4
+    assert binds[0] == 4
 
 
 def test_scaled_field_reuses_its_flow_steps(code_compiles):
@@ -715,12 +741,12 @@ def test_scaled_field_reuses_its_flow_steps(code_compiles):
     cV = VectorFieldC2(V.comp_z.scale(3, -1), V.comp_w.scale(3, -1), V.degree)
     steps = cV._dp5, cV._dop853
     assert code_compiles[0] == 2
-    # a step returns (zn, wn, vz, vw, kz, kw, err, ...): with h = 0 every
+    # a step returns (zn, wn, vz, vw, kz, kw, err): with h = 0 every
     # stage sits at (z, w), so the field value handed back is cV(z, w) and,
     # with mix = 1, so is the FSAL stage; each step reads the coefficients
     # of cV, not those of V
     z, w = 0.7 + 0.2j, 0.4 - 0.9j
-    for _, step in steps:
+    for step in steps:
         out = step(z, w, 0.0, 1 + 0j, 0j, 0j, 1e-12)
         assert out[2:4] == out[4:6] == cV.eval_complex(z, w)
     assert cV.eval_complex(z, w) != V.eval_complex(z, w)
@@ -736,7 +762,8 @@ _DOP853_C = (0.0, (12 - 2 * _R6) / 135, (6 - _R6) / 45, (6 - _R6) / 30, (6 + _R6
 def test_tableau_order_conditions(tableau, order):
     # rows sum to the nodes, and the weights integrate c^(k-1) exactly for
     # k up to the order (the nodes of DP5(4) are the row sums themselves)
-    rows, weights, errors = getattr(fields, tableau)
+    pair = getattr(fields, tableau)
+    rows, weights, errors = pair.rows, pair.weights, pair.errors
     c = [0.0] + [sum(row) for row in rows]
     if tableau == "_DOP853":
         assert len(c) == len(weights) == 12
@@ -752,7 +779,7 @@ def test_tableau_order_conditions(tableau, order):
 
 def test_dop853_coefficients_match_scipy():
     coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
-    rows, weights, (e5, e3) = fields._DOP853
+    rows, weights, (e5, e3) = fields._DOP853.rows, fields._DOP853.weights, fields._DOP853.errors
     for k, row in enumerate(rows, 1):
         assert list(row) == list(coeffs.A[k, :len(row)])
         assert not coeffs.A[k, len(row):].any()

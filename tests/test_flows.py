@@ -82,13 +82,13 @@ def _recording_steps(V):
     start point; a rejected step leaves the next call at the same start."""
     starts = []
     for name in ("_dp5", "_dop853"):
-        first, step = getattr(V, name)
+        step = getattr(V, name)
 
         def recorded(z, w, *rest, step=step):
             starts.append(_hex(z, w))
             return step(z, w, *rest)
 
-        V.__dict__[name] = (first, recorded)
+        V.__dict__[name] = recorded
     return starts
 
 
@@ -239,24 +239,25 @@ def test_long_flow_selection_boundary(field_evals, code_generations, code_compil
     # on (-z, w) a unit-coefficient flow has first-stage displacement
     # |s| |q0|: just below LONG_FLOW |q0| it takes one DP5(4) step (7
     # evaluations), from there on DOP853 steps (the first stage, then 12
-    # per step).  Two DP5(4) steps also cost 13, so each case also counts
-    # the code a fresh field instantiates: its evaluator and DP5(4) step,
-    # plus the DOP853 step on the long branch.  All five fields have one
-    # shape, so each of the three is compiled once
+    # per step).  Two DP5(4) steps also cost 13, so each case also names
+    # the step that a fresh field built: a flow instantiates the field's
+    # evaluator, its first stage and one step.  All five fields have one
+    # shape, so each of the four is compiled once
     q = PointC2(0.9 + 0.2j, 1.1 - 0.3j)
 
     def cost(s):
-        before = field_evals[0], code_generations[0]
-        integrate_flow(make_field_v3(), (1, 0), s, q, FLOW_TIGHT)
-        return field_evals[0] - before[0], code_generations[0] - before[1]
+        V, before = make_field_v3(), (field_evals[0], code_generations[0])
+        integrate_flow(V, (1, 0), s, q, FLOW_TIGHT)
+        built = [name for name in ("_dp5", "_dop853") if name in vars(V)]
+        return field_evals[0] - before[0], code_generations[0] - before[1], built
 
-    assert cost(LONG_FLOW * (1 - 1e-9)) == (7, 2)
-    assert cost(-LONG_FLOW * (1 - 1e-9)) == (7, 2)
-    assert cost(LONG_FLOW * (1 + 1e-9)) == (1 + 12, 3)
-    assert cost(-LONG_FLOW * (1 + 1e-9)) == (1 + 12, 3)
-    many, generated = cost(1.0)  # max_step 0.1: at least ten steps
-    assert many > 1 + 12 * 9 and (many - 1) % 12 == 0 and generated == 3
-    assert code_compiles[0] == 3
+    assert cost(LONG_FLOW * (1 - 1e-9)) == (7, 3, ["_dp5"])
+    assert cost(-LONG_FLOW * (1 - 1e-9)) == (7, 3, ["_dp5"])
+    assert cost(LONG_FLOW * (1 + 1e-9)) == (1 + 12, 3, ["_dop853"])
+    assert cost(-LONG_FLOW * (1 + 1e-9)) == (1 + 12, 3, ["_dop853"])
+    many, generated, built = cost(1.0)  # max_step 0.1: at least ten steps
+    assert many > 1 + 12 * 9 and (many - 1) % 12 == 0 and (generated, built) == (3, ["_dop853"])
+    assert code_compiles[0] == 4
 
 
 @pytest.mark.parametrize("coeffs, s", [((1, 0), 0.4), ((0.6, -0.8), -0.7),

@@ -11,11 +11,12 @@ import leafgauge
 
 SOURCES = sorted(Path(leafgauge.__file__).parent.glob("*.py"))
 
-# rule constant -> the functions of fields.py that read it; _compile_step
-# binds the threshold for the per-stage monitor, the squared form of vanishes,
-# and _tangency gives transversality_check and base_point their verdict
+# rule constant -> the functions of fields.py that read it; _namespace
+# binds the threshold, once per field, for the monitor of the generated flow
+# code, the squared form of vanishes, and _tangency gives
+# transversality_check and base_point their verdict
 HOMES = {
-    "NONVANISH_THRESHOLD": {"_vanish_bound", "_compile_step"},
+    "NONVANISH_THRESHOLD": {"_vanish_bound", "_namespace"},
     "TANGENCY_SINE": {"_tangency"},
 }
 

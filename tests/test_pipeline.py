@@ -255,6 +255,17 @@ def test_polynomial_build_work_counts(name, evals, field_evals):
     assert field_evals[0] == evals
 
 
+@pytest.mark.parametrize("name, evals", [("pzw", 54_659), ("field_v3", 46_721)])
+def test_tol_ode_reaches_the_flows(name, evals, field_evals):
+    # a looser ODE tolerance moves no report past its check, so the work
+    # count shows that it reaches the flows: at 1e-9 a pzw build takes
+    # 54,659 field evaluations, 62,411 at the default 1e-12; field_v3's
+    # steps are set by max_step, and it takes 46,721 at either
+    _, report = _fixture_build(name, 0x5EED, tol_ode=1e-9)
+    assert report.overall_pass
+    assert field_evals[0] == evals
+
+
 @pytest.mark.parametrize("name", ["pzw", "pz4", "field_v3", "field_nonholo", "curved"])
 def test_base_transversality_is_the_ray_velocity_sine(name):
     # |det[x | V(x)]| / (|x| |V(x)|) and |(n1.x, n2.x)| / |x| are both the
@@ -300,12 +311,12 @@ def test_build_evaluates_the_field_at_x_once(name, monkeypatch):
     assert at_x[0] == 1
 
 
-def _fixture_build(name: str, seed: int):
+def _fixture_build(name: str, seed: int, **overrides):
     from leafgauge.fixtures import load_fixture, resolve_config
     from conftest import FIXTURE_DIR
 
     fx = load_fixture(FIXTURE_DIR / f"{name}.json")
-    cfg = resolve_config(fx.config, seed=seed)
+    cfg = resolve_config(fx.config, seed=seed, **overrides)
     if fx.field is not None:
         return run_field_pipeline(fx.field, fx.point, fx.degree, cfg)
     return run_pipeline(fx.polynomial, fx.point, fx.degree, cfg)
