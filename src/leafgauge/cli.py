@@ -24,8 +24,8 @@ from pathlib import Path
 
 from .errors import AssumptionError, FixtureError, LeafgaugeError, NumericError
 from .fields import PointC2, derive_candidate_fields, select_field
-from .fixtures import (REPORT_SCHEMA, Fixture, config_to_dict, fixture_to_dict, gauge_degree,
-                       load_fixture, load_report, point_from_real4, resolve_config)
+from .fixtures import (REPORT_SCHEMA, Fixture, config_to_dict, fixture_to_dict, load_fixture,
+                       load_report, point_from_real4, resolve_config)
 from .flows import trace_leaf
 from .gauge import gauge_grid_rows
 from .pipeline import PipelineConfig, run_field_pipeline, run_pipeline, validate_hypotheses
@@ -184,9 +184,11 @@ def _emit_report(payload: dict, out: str | None) -> None:
 def cmd_build_gauge(args) -> int:
     if args.grid_n < 1:
         raise FixtureError(f"bad --grid-n {args.grid_n}, expected at least 1")
+    if args.degree is not None and args.degree < 1:
+        raise FixtureError(f"bad --degree {args.degree}, expected a positive integer")
     fx = load_fixture(args.fixture)
     point = _require_point(fx, args)
-    degree = fx.degree if args.degree is None else gauge_degree(args.degree)
+    degree = fx.degree if args.degree is None else args.degree
     cfg = _config(fx, args)
     gauge, report = _run_fixture_pipeline(fx, point, degree, cfg)
     payload = _report_payload(fx, point, gauge.degree, cfg, gauge, report)
@@ -223,23 +225,12 @@ _DRIFT_REL_TOL = 1e-9
 
 
 def _close(saved, rebuilt) -> bool:
-    """saved has the shape of rebuilt (a vector, or a list of row vectors)
-    and each row is within _DRIFT_REL_TOL of it, relative to the larger of
-    the two row norms."""
-    if not (isinstance(saved, list) and len(saved) == len(rebuilt)):
-        return False
+    """Each row of saved (a vector, or a list of row vectors, of rebuilt's
+    shape) is within _DRIFT_REL_TOL of rebuilt's, relative to the rebuilt
+    row's norm; an infinite or NaN saved value never is."""
     rows = zip(saved, rebuilt) if isinstance(rebuilt[0], list) else [(saved, rebuilt)]
-    for a, b in rows:
-        if not (isinstance(a, list) and len(a) == len(b)):
-            return False
-        try:
-            a = [float(v) for v in a]
-        except (TypeError, ValueError, OverflowError):
-            return False
-        tol = _DRIFT_REL_TOL * max(math.hypot(*a), math.hypot(*b))
-        if not all(abs(x - y) <= tol for x, y in zip(a, b)):
-            return False
-    return True
+    return all(abs(x - y) <= _DRIFT_REL_TOL * math.hypot(*b)
+               for a, b in rows for x, y in zip(a, b))
 
 
 def _artifact_drift(saved_gauge: dict, saved_entries: list | None,
@@ -250,17 +241,14 @@ def _artifact_drift(saved_gauge: dict, saved_entries: list | None,
     None.  Entry lists of different lengths give one triple: the names
     only the saved list has and those only the rebuilt list has."""
     drift = []
-    rg = rebuilt["gauge"]
-    for key in sorted(set(saved_gauge) | set(rg)):
-        was, now = saved_gauge.get(key), rg.get(key)
-        same = (key in saved_gauge and key in rg
-                and (_close(was, now) if key in ("frame", "ray_velocity") else was == now))
-        if not same:
+    for key, now in sorted(rebuilt["gauge"].items()):
+        was = saved_gauge[key]
+        if not (_close(was, now) if key in ("frame", "ray_velocity") else was == now):
             drift.append((f"gauge.{key}", was, now))
     if saved_entries is not None:
         ours = rebuilt["report"]["entries"]
         if len(saved_entries) != len(ours):
-            saved_only, rebuilt_only = [e.get("name") for e in saved_entries], []
+            saved_only, rebuilt_only = [e["name"] for e in saved_entries], []
             for name in (e["name"] for e in ours):
                 if name in saved_only:
                     saved_only.remove(name)
@@ -269,10 +257,10 @@ def _artifact_drift(saved_gauge: dict, saved_entries: list | None,
             drift.append(("report.entries", saved_only, rebuilt_only))
         else:
             for was, now in zip(saved_entries, ours):
-                drift += [(f"report.entries[{now['name']}].{k}", was.get(k), now[k])
+                drift += [(f"report.entries[{now['name']}].{k}", was[k], now[k])
                           for k in ("name", "passed", "samples", "skipped", "tolerance",
                                     "mode")
-                          if was.get(k) != now[k]]
+                          if was[k] != now[k]]
     return drift
 
 

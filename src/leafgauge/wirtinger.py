@@ -57,20 +57,6 @@ def _coeff(re: Rational, im: Rational = 0) -> Coeff:
     return (Fraction(re), Fraction(im))
 
 
-def as_int(value) -> int:
-    """value as an int.  Unlike int(), a value with a fractional part (2.5)
-    raises ValueError instead of being truncated; 4.0 is 4.  A bool, a str
-    or None (a JSON true, "4" or null) is no number and raises TypeError."""
-    if type(value) is int:
-        return value
-    if value is None or isinstance(value, (bool, str)):
-        raise TypeError(f"{value!r} is not an integer")
-    q = Fraction(value)  # exact for a float; OverflowError for an infinity
-    if q.denominator != 1:
-        raise ValueError(f"{value!r} is not an integer")
-    return q.numerator
-
-
 class WirtingerPoly:
     """Sparse polynomial in (z, zbar, w, wbar) with exact complex-rational
     coefficients.  Instances are immutable; all arithmetic returns new
@@ -84,8 +70,8 @@ class WirtingerPoly:
         coeffs: dict[Exponent, Coeff] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coeff in items:
-            exp = tuple(map(as_int, exp))
-            if len(exp) != 4 or any(e < 0 for e in exp):
+            exp = tuple(exp)
+            if len(exp) != 4 or not all(type(e) is int and e >= 0 for e in exp):
                 raise ValueError(f"bad exponent quadruple {exp!r}")
             re, im = _coeff(coeff[0], coeff[1])
             r0, i0 = coeffs.get(exp, (0, 0))
@@ -453,10 +439,8 @@ def poly_to_records(p: WirtingerPoly) -> list[dict]:
 
 
 def poly_from_records(records: Iterable[Mapping]) -> WirtingerPoly:
-    """Inverse of poly_to_records; coefficient strings are parsed as exact
-    rationals (decimal strings like "0.25" and ratios like "1/3" both work)."""
-    terms = []
-    for rec in records:
-        exp = (rec["dz"], rec["dzbar"], rec["dw"], rec["dwbar"])
-        terms.append((exp, (Fraction(str(rec["re"])), Fraction(str(rec.get("im", "0"))))))
-    return WirtingerPoly(terms)
+    """Inverse of poly_to_records: int exponents, and coefficients that
+    WirtingerPoly takes (ints, Fractions, or strings like "0.25" and "1/3");
+    im may be left out.  JSON input is read by leafgauge.fixtures first."""
+    return WirtingerPoly(((r["dz"], r["dzbar"], r["dw"], r["dwbar"]), (r["re"], r.get("im", 0)))
+                         for r in records)

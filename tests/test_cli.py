@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import contextlib
 import copy
+import io
 import json
 import math
 import os
@@ -777,86 +779,167 @@ def _pairs(block: dict) -> list:
 _V3_FIELD = json.loads(Path(fx("field_v3.json")).read_text())["field"]
 
 
+def _json_type(value) -> str:
+    return {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string",
+            list: "array", dict: "object"}[type(value)]
+
+
+def _dotted(path) -> str:
+    """A key path as the reader names it: description.fixture.polynomial[0].re"""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+def _typed(path) -> str:
+    # the stderr fragment naming a key path and the JSON type it got
+    return f"{_dotted(path[:-1])} is a JSON {path[-1]}"
+
+
+# one value of each JSON type (numbers small enough that no run grows)
+_ONE_OF_EACH = {"null": None, "boolean": True, "number": -1.5, "string": "x", "array": [],
+                "object": {}}
+_CONFIG_NAMES = ("chart_radius", "bracket_halfwidth", "tol_ode", "tol_root", "newton_tol",
+                 "max_step", "samples", "seed")
+# each key path of a fixture (through the first item of each list) and
+# the JSON types its reader takes; a JSON number is also a rational
+_FIXTURE_PATHS = {
+    ("name",): {"string"}, ("n",): {"number"}, ("point",): {"array"}, ("point", 2): {"number"},
+    ("polynomial",): {"array"}, ("polynomial", 0): {"object"},
+    **{("polynomial", 0, k): {"number"} for k in ("dz", "dzbar", "dw", "dwbar")},
+    **{("polynomial", 0, k): {"string", "number"} for k in ("re", "im")},
+    ("field",): {"object"}, ("field", "z"): {"array"}, ("field", "w"): {"array"},
+    ("field", "m"): {"number"}, ("field", "w", 0, "dzbar"): {"number"},
+    ("config",): {"object"}, **{("config", k): {"number"} for k in _CONFIG_NAMES},
+}
+
+
+def _set(path, value):
+    # the edit of pz4 (with field_v3's field added) that puts value at path
+    def edit(d):
+        d["field"] = copy.deepcopy(_V3_FIELD)
+        node = d
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = copy.deepcopy(value)
+    return edit
+
+
+def _row(command, edit, code, *want, id):
+    return pytest.param(command, edit, code, want, id=id)
+
+
 _BOUNDARY = [
-    pytest.param("verify", lambda d: d["description"].update(degree=0), 4,
-                 id="verify-degree-0"),
-    pytest.param("verify", lambda d: d["description"].update(degree=-2), 4,
-                 id="verify-degree-negative"),
-    pytest.param("verify", lambda d: d["description"].update(
-        fixture=_pairs(d["description"]["fixture"])), 4, id="verify-fixture-list"),
-    pytest.param("verify", lambda d: d["description"].update(
-        config=_pairs(d["description"]["config"])), 4, id="verify-config-pairs"),
-    pytest.param("verify", lambda d: d["description"]["config"].update(fixture_config=0.3), 4,
-                 id="verify-config-key-fixture_config"),
-    pytest.param("build-gauge", lambda d: d.update(config=_pairs(d["config"])), 4,
-                 id="build-config-pairs"),
-    pytest.param("check-poly", lambda d: d.update(n=0), 4, id="check-poly-n-0"),
+    _row("verify", lambda d: d["description"].update(degree=0), 4,
+         "description.degree is a JSON number: 0 is not a positive integer", id="verify-degree-0"),
+    _row("verify", lambda d: d["description"].update(degree=-2), 4,
+         "description.degree is a JSON number", id="verify-degree-negative"),
+    _row("verify", lambda d: d["description"].update(
+        fixture=_pairs(d["description"]["fixture"])), 4, "description.fixture is a JSON array",
+        id="verify-fixture-list"),
+    _row("verify", lambda d: d["description"].update(
+        config=_pairs(d["description"]["config"])), 4, "description.config is a JSON array",
+        id="verify-config-pairs"),
+    _row("verify", lambda d: d["description"]["config"].update(fixture_config=0.3), 4,
+         "unknown key description.config.fixture_config (a JSON number)",
+         id="verify-config-key-fixture_config"),
+    _row("build-gauge", lambda d: d.update(config=_pairs(d["config"])), 4,
+         "config is a JSON array", id="build-config-pairs"),
+    _row("check-poly", lambda d: d.update(n=0), 4, "n is a JSON number: 0 is not a positive",
+         id="check-poly-n-0"),
     # a JSON boolean is no number: float(True) is 1.0 and Fraction(True) is 1
-    pytest.param("build-gauge", lambda d: d.update(n=True), 4, id="build-n-true"),
-    pytest.param("build-gauge", lambda d: d["config"].update(samples=True), 4,
-                 id="build-config-samples-true"),
-    pytest.param("build-gauge", lambda d: d["config"].update(tol_root=True), 4,
-                 id="build-config-float-true"),
-    pytest.param("build-gauge", lambda d: d.update(point=[True, 0, 0, 0]), 4,
-                 id="build-point-true"),
-    pytest.param("check-poly", lambda d: d["polynomial"][0].update(dw=False), 4,
-                 id="check-poly-exponent-false"),
-    pytest.param("verify", lambda d: d["description"].update(degree=True), 4,
-                 id="verify-degree-true"),
-    pytest.param("verify", lambda d: d["description"]["config"].update(tol_root=True), 4,
-                 id="verify-config-float-true"),
+    _row("build-gauge", lambda d: d.update(n=True), 4, "n is a JSON boolean", id="build-n-true"),
+    _row("build-gauge", lambda d: d["config"].update(samples=True), 4,
+         "config.samples is a JSON boolean", id="build-config-samples-true"),
+    _row("build-gauge", lambda d: d["config"].update(tol_root=True), 4,
+         "config.tol_root is a JSON boolean", id="build-config-float-true"),
+    _row("build-gauge", lambda d: d.update(point=[True, 0, 0, 0]), 4,
+         "point[0] is a JSON boolean", id="build-point-true"),
+    _row("check-poly", lambda d: d["polynomial"][0].update(dw=False), 4,
+         "polynomial[0].dw is a JSON boolean", id="check-poly-exponent-false"),
+    _row("verify", lambda d: d["description"].update(degree=True), 4,
+         "description.degree is a JSON boolean", id="verify-degree-true"),
+    _row("verify", lambda d: d["description"]["config"].update(tol_root=True), 4,
+         "description.config.tol_root is a JSON boolean", id="verify-config-float-true"),
     # a JSON string is no number either: float("1") is 1.0 and Fraction("4") is 4
-    pytest.param("build-gauge", lambda d: d.update(n="4"), 4, id="build-n-string"),
-    pytest.param("build-gauge", lambda d: d["config"].update(samples="5"), 4,
-                 id="build-config-samples-string"),
-    pytest.param("build-gauge", lambda d: d["config"].update(seed="7"), 4,
-                 id="build-config-seed-string"),
-    pytest.param("build-gauge", lambda d: d["config"].update(tol_root="1e-11"), 4,
-                 id="build-config-float-string"),
-    pytest.param("build-gauge", lambda d: d.update(point=["1", "0", "0", "0"]), 4,
-                 id="build-point-string"),
-    pytest.param("check-poly", lambda d: d["polynomial"][0].update(dz="2"), 4,
-                 id="check-poly-exponent-string"),
-    pytest.param("build-gauge", lambda d: d.update(field={**_V3_FIELD, "m": "1"}), 4,
-                 id="build-field-m-string"),
-    pytest.param("verify", lambda d: d["description"].update(degree="4"), 4,
-                 id="verify-degree-string"),
-    pytest.param("verify", lambda d: d["description"]["config"].update(samples="10"), 4,
-                 id="verify-config-samples-string"),
-    pytest.param("verify", lambda d: d["description"]["config"].update(tol_root="1e-11"), 4,
-                 id="verify-config-float-string"),
+    _row("build-gauge", lambda d: d.update(n="4"), 4, "n is a JSON string", id="build-n-string"),
+    _row("build-gauge", lambda d: d["config"].update(samples="5"), 4,
+         "config.samples is a JSON string", id="build-config-samples-string"),
+    _row("build-gauge", lambda d: d["config"].update(seed="7"), 4,
+         "config.seed is a JSON string", id="build-config-seed-string"),
+    _row("build-gauge", lambda d: d["config"].update(tol_root="1e-11"), 4,
+         "config.tol_root is a JSON string", id="build-config-float-string"),
+    _row("build-gauge", lambda d: d.update(point=["1", "0", "0", "0"]), 4,
+         "point[0] is a JSON string", id="build-point-string"),
+    _row("check-poly", lambda d: d["polynomial"][0].update(dz="2"), 4,
+         "polynomial[0].dz is a JSON string", id="check-poly-exponent-string"),
+    _row("build-gauge", lambda d: d.update(field={**_V3_FIELD, "m": "1"}), 4,
+         "field.m is a JSON string", id="build-field-m-string"),
+    _row("verify", lambda d: d["description"].update(degree="4"), 4,
+         "description.degree is a JSON string", id="verify-degree-string"),
+    _row("verify", lambda d: d["description"]["config"].update(samples="10"), 4,
+         "description.config.samples is a JSON string", id="verify-config-samples-string"),
+    _row("verify", lambda d: d["description"]["config"].update(tol_root="1e-11"), 4,
+         "description.config.tol_root is a JSON string", id="verify-config-float-string"),
     # a JSON null is no number either: it is refused like a bool or a
     # string, and its message names the null
-    pytest.param("build-gauge", lambda d: d.update(n=None), 4, id="build-n-null"),
-    pytest.param("build-gauge", lambda d: d.update(field={**_V3_FIELD, "m": None}), 4,
-                 id="build-field-m-null"),
-    pytest.param("check-poly", lambda d: d["polynomial"][0].update(dw=None), 4,
-                 id="check-poly-exponent-null"),
-    pytest.param("build-gauge", lambda d: d["config"].update(samples=None), 4,
-                 id="build-config-samples-null"),
-    pytest.param("build-gauge", lambda d: d["config"].update(seed=None), 4,
-                 id="build-config-seed-null"),
-    pytest.param("build-gauge", lambda d: d["config"].update(chart_radius=None), 4,
-                 id="build-config-chart_radius-null"),
-    pytest.param("build-gauge", lambda d: d.update(point=[1.0, None, 0.0, 0.0]), 4,
-                 id="build-point-null"),
-    *[pytest.param(command, lambda d, poly=poly: d.update(polynomial=poly), 2,
-                   id=f"{command}-{name}")
+    _row("build-gauge", lambda d: d.update(n=None), 4, "n is a JSON null", id="build-n-null"),
+    _row("build-gauge", lambda d: d.update(field={**_V3_FIELD, "m": None}), 4,
+         "field.m is a JSON null", id="build-field-m-null"),
+    _row("check-poly", lambda d: d["polynomial"][0].update(dw=None), 4,
+         "polynomial[0].dw is a JSON null", id="check-poly-exponent-null"),
+    _row("build-gauge", lambda d: d["config"].update(samples=None), 4,
+         "config.samples is a JSON null", id="build-config-samples-null"),
+    _row("build-gauge", lambda d: d["config"].update(seed=None), 4,
+         "config.seed is a JSON null", id="build-config-seed-null"),
+    _row("build-gauge", lambda d: d["config"].update(chart_radius=None), 4,
+         "config.chart_radius is a JSON null", id="build-config-chart_radius-null"),
+    _row("build-gauge", lambda d: d.update(point=[1.0, None, 0.0, 0.0]), 4,
+         "point[1] is a JSON null", id="build-point-null"),
+    *[_row(command, lambda d, poly=poly: d.update(polynomial=poly), 2, id=f"{command}-{name}")
       for command in ("derive-field", "trace-leaf")
       for name, poly in _BAD_POLYNOMIALS.items()],
+    # an array or an object where a number belongs fell through to
+    # Fraction's "argument should be a string or a Rational instance"
+    _row("build-gauge", lambda d: d.update(n=[2]), 4, "n is a JSON array: [2] is not",
+         id="build-n-array"),
+    _row("build-gauge", lambda d: d.update(field={**_V3_FIELD, "m": {}}), 4,
+         "field.m is a JSON object: {} is not", id="build-field-m-object"),
+    # a repeated key built on its last value, and an unknown top-level key
+    # was ignored; both exited 0
+    _row("build-gauge", lambda d: json.dumps(d).replace('"n": 4', '"n": 2, "n": 3'), 4,
+         "key 'n' is given twice (2, then 3)", id="build-n-twice"),
+    _row("build-gauge", lambda d: d.update(degree=4), 4, "unknown key degree (a JSON number)",
+         id="build-unknown-key"),
+    # a string point was read one character at a time ("'1' is not a number")
+    _row("build-gauge", lambda d: d.update(point="1,0,1,0"), 4,
+         "point is a JSON string: '1,0,1,0' is not an array of length 4",
+         id="build-point-text"),
+    # Fraction's "Invalid literal for Fraction: 'nan'", and a traceback for "1/0"
+    *[_row("check-poly", lambda d, re=re: d["polynomial"][0].update(re=re), 4,
+           f"polynomial[0].re is a JSON string: '{re}' is not an exact rational",
+           id=f"check-poly-re-{re.replace('/', ':')}")
+      for re in ("nan", "1/0")],
+    # every key path of a fixture that takes a value of the wrong JSON type
+    *[_row("build-gauge", _set(path, value), 4, _typed((*path, kind)),
+           id=f"type-{_dotted(path)}-{kind}")
+      for path, takes in _FIXTURE_PATHS.items()
+      for kind, value in _ONE_OF_EACH.items() if kind not in takes],
 ]
 
 
-@pytest.mark.parametrize("command, edit, code", _BOUNDARY)
-def test_bad_input_gets_its_exit_code(command, edit, code, tmp_path, capsys):
-    # one line on stderr naming the fault, and no report on stdout or disk
+@pytest.mark.parametrize("command, edit, code, want", _BOUNDARY)
+def test_bad_input_gets_its_exit_code(command, edit, code, want, tmp_path, capsys):
+    # one line on stderr naming the fault (for bad input: the key path and
+    # the JSON type it got), and no report on stdout or disk
     out = tmp_path / "out.json"
     if command == "verify":
         _, data = _saved_pz4(tmp_path)
         edit(data)
         args = ["verify", _resaved(tmp_path, data), "--out", str(out)]
     else:
-        args = [command, _edited_fixture(tmp_path, "pz4.json", edit)]
+        data = json.loads(Path(fx("pz4.json")).read_text())
+        path = tmp_path / "edited.json"
+        path.write_text(edit(data) or json.dumps(data))    # an edit may return the text
+        args = [command, str(path)]
         if command in ("build-gauge", "trace-leaf"):
             args += ["--out", str(out)]
     capsys.readouterr()
@@ -866,10 +949,14 @@ def test_bad_input_gets_its_exit_code(command, edit, code, tmp_path, capsys):
     assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
     assert captured.out == ""
     assert not out.exists()
+    err = captured.err
+    assert all(fragment in err for fragment in want), err
+    if code == 4:
+        # no exception repr, and nothing of how int(), float() or Fraction() failed
+        assert not any(s in err for s in ("Error(", "NoneType", "Rational", "Fraction")), err
     if command != "verify" and "null" in Path(args[1]).read_text():
         # a null is named as such, not by how int(), float() or Fraction()
         # failed on it
-        err = captured.err
         assert "None is not a" in err and "NoneType" not in err and "Rational" not in err, err
 
 
@@ -884,15 +971,14 @@ def _key_paths(node, path=()):
         yield from _key_paths(node[0], path + (0,))
 
 
-def _json_type(value) -> str:
-    if isinstance(value, bool):
-        return "boolean"
-    return "number" if isinstance(value, (int, float)) else type(value).__name__
-
-
 _DROP = object()
-# one value of each JSON type (numbers small enough that no run grows)
-_SWAPS = [None, True, 0, -1.5, "x", [], {}]
+_SWAPS = list(_ONE_OF_EACH.values())
+# the key paths of a saved pz4 report that its reader may go without
+_FX = ("description", "fixture")
+_OPTIONAL = {("description", "config"), *[("description", "config", k) for k in _CONFIG_NAMES],
+             (*_FX, "name"), (*_FX, "point"), (*_FX, "n"), (*_FX, "config"),
+             *[(*_FX, "config", k) for k in ("chart_radius", "bracket_halfwidth")],
+             (*_FX, "polynomial", 0, "im")}
 
 
 @pytest.fixture(scope="module")
@@ -906,7 +992,8 @@ def saved_pz4_report(tmp_path_factory):
 @given(data=st.data())
 def test_verify_survives_any_one_key_mutation(saved_pz4_report, data):
     # drop one key of a saved report, or give it a value of another JSON
-    # type: verify answers with an exit code, never a traceback
+    # type: a wrong type exits 4 naming the key path and the type, and so
+    # does a dropped key the reader needs
     path, report = saved_pz4_report
     key = data.draw(st.sampled_from(list(_key_paths(report))))
     mutated = copy.deepcopy(report)
@@ -922,4 +1009,14 @@ def test_verify_survives_any_one_key_mutation(saved_pz4_report, data):
         parent[key[-1]] = swap
     edited = path.with_name("edited.json")
     edited.write_text(json.dumps(mutated))
-    assert main(["verify", str(edited), "--out", str(path.with_name("again.json"))]) in (0, 2, 3, 4)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["verify", str(edited), "--out", str(path.with_name("again.json"))])
+    if swap is _DROP and key in _OPTIONAL:
+        assert code in (0, 3)
+    elif swap is _DROP:
+        assert code == 4 and _dotted(key) in err.getvalue(), err.getvalue()
+    elif key[-1] in ("re", "im") and _json_type(swap) == "number":
+        assert code in (0, 2, 3)    # a number reads as the rational it prints as
+    else:
+        assert code == 4 and _typed((*key, _json_type(swap))) in err.getvalue(), err.getvalue()

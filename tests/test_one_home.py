@@ -1,6 +1,7 @@
-"""One home per base-point rule: the nonvanishing threshold and the tangency
-bound are read in leafgauge.fields only, each by the one function that
-applies it, so a copy of either rule in another place fails here."""
+"""One home per rule: the nonvanishing threshold and the tangency bound
+are read in leafgauge.fields only, each by the one function that applies
+it, and JSON is parsed only by the reader in leafgauge.fixtures, so a copy
+of either rule, or a second JSON reader, fails here."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,23 @@ def test_each_rule_constant_has_its_functions():
     for name, owner in _reads(Path(leafgauge.__file__).parent / "fields.py"):
         reads.setdefault(name, set()).add(owner)
     assert reads == HOMES
+
+
+def _json_parses(path: Path):
+    """The enclosing top-level function (or None) of every call or import
+    of json.load or json.loads in the module at path."""
+    for top in ast.parse(path.read_text()).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"
+                    or isinstance(node, ast.ImportFrom) and node.module == "json"
+                    and {a.name for a in node.names} & {"load", "loads"}):
+                yield owner
+
+
+def test_json_is_parsed_only_by_the_fixture_reader():
+    # every JSON input (fixtures and saved reports) goes through one strict
+    # reader: duplicate keys refused, every key path typed by one table
+    parses = [(path.name, owner) for path in SOURCES for owner in _json_parses(path)]
+    assert parses == [("fixtures.py", "_read_json")]

@@ -55,6 +55,15 @@ def test_eval_real_poly_has_exact_zero_imag():
     assert val.imag == 0.0
 
 
+def test_eval_takes_a_z_w_pair():
+    # (2+i) |z|^2 w at (1+i, 2) is (2+i) * 2 * 2 by hand; a (z, w) pair is
+    # the point PointC2(z, w)
+    p = mono(1, 1, 1, 0, 2, 1)
+    assert poly_eval(p, (1 + 1j, 2)) == 8 + 4j
+    pt = (0.3 - 0.7j, 1.1 + 0.2j)
+    assert poly_eval(p, pt) == poly_eval(p, PointC2(*pt))
+
+
 # -- differentiation ---------------------------------------------------------
 
 def test_diff_single_monomial():
@@ -194,6 +203,16 @@ def test_vanishing_on_a_line_is_not_harmonicity():
 def test_records_round_trip():
     p = mono(1, 0, 0, 1, Fraction(1, 3), -2) + mono(0, 2, 1, 0, "0.25")
     assert poly_from_records(poly_to_records(p)) == p
+
+
+def test_str_of_imaginary_and_mixed_sign_coefficients():
+    # a pure-imaginary coefficient prints as "{im}i", any other complex one
+    # as "(re±imi)"
+    assert str(mono(1, 0, 0, 0, 0, Fraction(3, 2))) == "3/2i*z"
+    assert str(mono(0, 0, 0, 0, 0, -1)) == "-1i"
+    assert str(mono(0, 1, 2, 0, 1, -2)) == "(1-2i)*zbar*w^2"
+    assert str(mono(0, 0, 0, 1, Fraction(-1, 3), 1) + mono(1, 0, 0, 0, 0, 2)) == \
+        "(-1/3+1i)*wbar + 2i*z"
 
 
 # -- algebraic invariants (property-based) -------------------------------------
