@@ -5,11 +5,11 @@ Subcommands:
     derive-field  print the two candidate tangent fields of a polynomial
     trace-leaf    sample one leaf on a flow-time grid, emit CSV
     build-gauge   full pipeline, JSON report and optional gauge sample CSV
-    verify        rebuild a saved report and compare the rebuild with it
+    verify        re-derive a saved report's verdicts, rebuild it, compare
 
 Exit codes: 0 pass, 2 hypothesis/assumption violation, 3 numeric failure
-(including a failing verification report, and a saved report that verify's
-rebuild does not reproduce), 4 malformed input or an unwritable output path.
+(also a failing report, and a saved report whose verdicts or rebuild do
+not match it), 4 malformed input or an unwritable output path.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .fixtures import (REPORT_SCHEMA, Fixture, config_to_dict, fixture_to_dict, 
 from .flows import trace_leaf
 from .gauge import gauge_grid_rows
 from .pipeline import PipelineConfig, run_field_pipeline, run_pipeline, validate_hypotheses
-from .verify import check_rng, report_to_dict, report_to_text, sample_chart_ball
+from .verify import check_entry, check_rng, report_to_dict, report_to_text, sample_chart_ball
 
 __all__ = ["main"]
 
@@ -206,15 +206,13 @@ def cmd_build_gauge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    fx, point, degree, saved, saved_gauge, saved_entries = load_report(args.report)
-    seed = args.seed if args.seed is not None else saved.get("seed")
-    cfg = resolve_config(fx.config, **{**saved, "seed": seed})
+    fx, point, degree, saved_cfg, saved = load_report(args.report)
+    cfg = resolve_config(saved_cfg, seed=args.seed)     # the saved seed unless --seed
     gauge, report = _run_fixture_pipeline(fx, point, degree, cfg)
     payload = _report_payload(fx, point, gauge.degree, cfg, gauge, report)
     _emit_report(payload, args.out)
-    same_seed = "seed" in saved and cfg.seed == saved["seed"]
-    drift = _artifact_drift(saved_gauge, saved_entries if same_seed else None, payload)
-    for key, was, now in drift:
+    drift = _artifact_drift(saved, payload, cfg.seed == saved_cfg["seed"])
+    for key, (was, now) in drift.items():
         print(f"drift {key}: saved {was!r}, rebuilt {now!r}", file=sys.stderr)
     return EXIT_PASS if report.overall_pass and not drift else EXIT_NUMERIC
 
@@ -233,34 +231,32 @@ def _close(saved, rebuilt) -> bool:
                for a, b in rows for x, y in zip(a, b))
 
 
-def _artifact_drift(saved_gauge: dict, saved_entries: list | None,
-                    rebuilt: dict) -> list[tuple]:
-    """(key, saved value, rebuilt value) for every saved field that the
-    rebuild does not reproduce: the gauge block, and each entry's name,
-    verdict, sample counts, tolerance and mode unless saved_entries is
-    None.  Entry lists of different lengths give one triple: the names
-    only the saved list has and those only the rebuilt list has."""
-    drift = []
-    for key, now in sorted(rebuilt["gauge"].items()):
-        was = saved_gauge[key]
-        if not (_close(was, now) if key in ("frame", "ray_velocity") else was == now):
-            drift.append((f"gauge.{key}", was, now))
-    if saved_entries is not None:
-        ours = rebuilt["report"]["entries"]
-        if len(saved_entries) != len(ours):
-            saved_only, rebuilt_only = [e["name"] for e in saved_entries], []
-            for name in (e["name"] for e in ours):
-                if name in saved_only:
-                    saved_only.remove(name)
-                else:
-                    rebuilt_only.append(name)
-            drift.append(("report.entries", saved_only, rebuilt_only))
-        else:
-            for was, now in zip(saved_entries, ours):
-                drift += [(f"report.entries[{now['name']}].{k}", was[k], now[k])
-                          for k in ("name", "passed", "samples", "skipped", "tolerance",
-                                    "mode")
-                          if was[k] != now[k]]
+def _artifact_drift(saved: dict, rebuilt: dict, same_seed: bool) -> dict:
+    """key -> (saved value, rebuilt value) for each saved field that the code
+    writing reports would not write.  Under any seed: the gauge block, each
+    entry's verdict (check_entry's, on its own residual, tolerance and mode)
+    and overall_pass (all saved verdicts).  Under the saved seed also the
+    rebuild's every entry key but the residual, matched by name, its names
+    (a saved one repeated, or on one side only), overall_pass and note."""
+    old, new = saved["report"], rebuilt["report"]
+    entries = old["entries"]
+    pairs = [(f"gauge.{k}", saved["gauge"][k], now) for k, now in sorted(rebuilt["gauge"].items())]
+    pairs += [(f"report.entries[{e['name']}].passed", e["passed"],
+               check_entry(e["name"], e["residual"], e["tolerance"], e["mode"]).passed)
+              for e in entries]
+    pairs.append(("report.overall_pass", old["overall_pass"], all(e["passed"] for e in entries)))
+    if same_seed:
+        by_name, names = {e["name"]: e for e in new["entries"]}, [e["name"] for e in entries]
+        # two disjoint lists: they differ unless both are empty
+        saved_only = [n for i, n in enumerate(names) if n not in by_name or n in names[:i]]
+        pairs.append(("report.entries", saved_only, [n for n in by_name if n not in names]))
+        pairs += [(f"report.entries[{e['name']}].{k}", e[k], now) for e in entries
+                  for k, now in by_name.get(e["name"], {}).items() if k != "residual"]
+        pairs += [(f"report.{k}", old[k], new[k]) for k in ("overall_pass", "note")]
+    drift = {}
+    for key, was, now in pairs:
+        if not (_close(was, now) if key in ("gauge.frame", "gauge.ray_velocity") else was == now):
+            drift.setdefault(key, (was, now))
     return drift
 
 

@@ -100,11 +100,12 @@ _FIXTURE = _Object({}, {"name": _TEXT, "polynomial": _TERMS,
                         "field": _Object({"z": _TERMS, "w": _TERMS, "m": _NATURAL}),
                         "point": [_FLOAT, 4], "n": _POSITIVE, "config": _CONFIG}, "fixture")
 # the gauge block and the entries are compared with a rebuild: any number
-# reads, and a value that the rebuild does not reproduce is drift
+# reads, and a value that the rebuild does not reproduce is drift.  A saved
+# configuration is complete: each key of _CONFIG is needed, the seed too
 _REPORT = _Object({
     "schema": _TEXT,
-    "description": _Object({"fixture": _FIXTURE, "point": [_FLOAT, 4], "degree": _POSITIVE},
-                           {"config": _CONFIG}),
+    "description": _Object({"fixture": _FIXTURE, "point": [_FLOAT, 4], "degree": _POSITIVE,
+                            "config": _Object(_CONFIG)}),
     "gauge": _Object({"base": [_FLOAT, 4], "frame": [[_FLOAT, 4], 4], "radius_scale": _FLOAT,
                       "ray_velocity": [_FLOAT, 2], "degree": _INT, "bracket_halfwidth": _FLOAT}),
     "report": _Object({"entries": [_Object({
@@ -206,17 +207,17 @@ def load_fixture(path) -> Fixture:
     return _fixture(_read_json(path, _FIXTURE), Path(path).stem)
 
 
-def load_report(path) -> tuple[Fixture, PointC2, int, dict, dict, list]:
-    """A saved report: the fixture, base point, gauge degree and run
-    configuration (under fixture keys) of its description, its gauge block
-    and its entry list."""
+def load_report(path) -> tuple[Fixture, PointC2, int, dict, dict]:
+    """A saved report: the fixture, base point, gauge degree and complete
+    run configuration (under fixture keys) of its description, and the
+    whole report as read."""
     data = _read_json(path, _REPORT)
     if data["schema"] != REPORT_SCHEMA:
         raise FixtureError(f"report schema is {data['schema']!r}, not {REPORT_SCHEMA}")
     desc = data["description"]
     return (_fixture(desc["fixture"], "saved", "description.fixture."),
             point_from_real4(desc["point"], "description.point"), desc["degree"],
-            desc.get("config", {}), data["gauge"], data["report"]["entries"])
+            desc["config"], data)
 
 
 def fixture_to_dict(fx: Fixture) -> dict:
@@ -236,7 +237,7 @@ def fixture_to_dict(fx: Fixture) -> dict:
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    """The run configuration a report saves, under its fixture keys."""
+    """The complete run configuration a report saves, under fixture keys."""
     return {key: getattr(cfg, name) for key, name in _CONFIG_KEYS.items()}
 
 

@@ -73,10 +73,10 @@ def integrate_flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float,
     """Solve q' = a*X1(q) + b*X2(q) from q0 over the time interval [0, s].
     A zero-time flow returns q0 itself.
 
-    Raises NumericError on a non-finite time or coefficient,
-    StepBudgetError when the step budget is exhausted, RankDropError when
-    the field norm falls below the relative nonvanishing threshold along
-    the trajectory, and NumericError when the trajectory blows up.
+    Raises NumericError on a non-finite time or coefficient, StepBudgetError
+    when the step budget is exhausted, RankDropError when the field norm
+    falls below the relative nonvanishing threshold along the trajectory,
+    and NumericError when the trajectory or its error norm blows up.
     """
     z, w, _ = _flow(V, coeffs, s, q0.z, q0.w, cfg, None)
     return _end_point(q0, z, w)
@@ -115,25 +115,28 @@ def _flow(V: VectorFieldC2, coeffs: tuple[float, float], s: float, z: complex, w
     h = direction * max(h, 1e-12 * abs(s))
 
     steps = 0
-    while direction * (s - t) > 1e-16 * abs(s):
-        if steps >= MAX_STEPS:
-            raise StepBudgetError(f"flow integration exceeded {MAX_STEPS} steps")
-        steps += 1
-        if direction * (t + h) > direction * s:
-            h = s - t
-        zn, wn, vzn, vwn, kz, kw, err = step(z, w, h, mix, k1z, k1w, tol)
+    try:
+        while direction * (s - t) > 1e-16 * abs(s):
+            if steps >= MAX_STEPS:
+                raise StepBudgetError(f"flow integration exceeded {MAX_STEPS} steps")
+            steps += 1
+            if direction * (t + h) > direction * s:
+                h = s - t
+            zn, wn, vzn, vwn, kz, kw, err = step(z, w, h, mix, k1z, k1w, tol)
 
-        if err <= 1.0:
-            t += h
-            z, w, vz, vw = zn, wn, vzn, vwn
-            k1z, k1w = kz, kw  # FSAL
-            factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** tableau.expo))
-        else:
-            factor = max(_MIN_FACTOR, _SAFETY * err ** tableau.expo)
-        h *= factor
-        if abs(h) > cfg.max_step:
-            h = direction * cfg.max_step
+            if err <= 1.0:
+                t += h
+                z, w, vz, vw = zn, wn, vzn, vwn
+                k1z, k1w = kz, kw  # FSAL
+                factor = _MAX_FACTOR if err == 0.0 else min(
+                    _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** tableau.expo))
+            else:
+                factor = max(_MIN_FACTOR, _SAFETY * err ** tableau.expo)
+            h *= factor
+            if abs(h) > cfg.max_step:
+                h = direction * cfg.max_step
+    except OverflowError as exc:    # a tolerance so small that the error norm overflows
+        raise NumericError("flow error norm overflowed") from exc
 
     return z, w, (vz, vw)
 

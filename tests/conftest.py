@@ -116,6 +116,17 @@ def forks(monkeypatch):
     return calls
 
 
+def wrap_steps(monkeypatch, wrap) -> None:
+    """Replace each field's generated flow step of pair "dp5" or "dop853"
+    by wrap(pair, step).  The class-level properties over the cached steps
+    take precedence over the instance caches, so fields built earlier are
+    wrapped too."""
+    for pair in ("dp5", "dop853"):
+        cached = getattr(VectorFieldC2, f"_{pair}")
+        monkeypatch.setattr(VectorFieldC2, f"_{pair}", property(
+            lambda self, pair=pair, cached=cached: wrap(pair, cached.__get__(self, VectorFieldC2))))
+
+
 @pytest.fixture
 def field_evals(monkeypatch):
     """A one-element list counting field evaluations, a deterministic
@@ -124,10 +135,9 @@ def field_evals(monkeypatch):
     for each call of its DOP853 step (stages 2-13).  A landed point's
     field value comes from the FSAL stage of the step that landed there,
     counted with that step, so the leaf solver and the second leg of
-    leaf_flow_map take it without an evaluation.  The class-level
-    properties over the cached steps take precedence over the instance
-    caches, so fields built earlier count too.  The verification
-    suite runs in this process, so its work counts too."""
+    leaf_flow_map take it without an evaluation.  Fields built earlier
+    count too.  The verification suite runs in this process, so its work
+    counts too."""
     serial(monkeypatch)
     calls = [0]
     evaluate = VectorFieldC2.eval_complex
@@ -136,22 +146,42 @@ def field_evals(monkeypatch):
         calls[0] += 1
         return evaluate(self, z, w)
 
-    def counting(cached, stages):
-        def counted_step(self):
-            step = cached.__get__(self, VectorFieldC2)
+    def counting(pair, step):
+        stages = {"dp5": 6, "dop853": 12}[pair]
 
-            def counted(*args):
-                calls[0] += stages
-                return step(*args)
+        def counted_step(*args):
+            calls[0] += stages
+            return step(*args)
 
-            return counted
-
-        return property(counted_step)
+        return counted_step
 
     monkeypatch.setattr(VectorFieldC2, "eval_complex", counted)
-    monkeypatch.setattr(VectorFieldC2, "_dp5", counting(VectorFieldC2._dp5, 6))
-    monkeypatch.setattr(VectorFieldC2, "_dop853", counting(VectorFieldC2._dop853, 12))
+    wrap_steps(monkeypatch, counting)
     return calls
+
+
+@pytest.fixture
+def flow_steps(monkeypatch):
+    """Calls of each field's generated flow steps by pair, a deterministic
+    measure of the step-size control: {"dp5": [steps, rejected], "dop853":
+    [steps, rejected]}, where a step is rejected when its error norm is not
+    at most 1, as flows._flow decides.  A step that raises is not counted.
+    Fields built earlier count too, and the verification suite runs in this
+    process."""
+    serial(monkeypatch)
+    counts = {"dp5": [0, 0], "dop853": [0, 0]}
+
+    def counting(pair, step):
+        def counted_step(*args):
+            out = step(*args)
+            counts[pair][0] += 1
+            counts[pair][1] += not out[-1] <= 1.0
+            return out
+
+        return counted_step
+
+    wrap_steps(monkeypatch, counting)
+    return counts
 
 
 @pytest.fixture

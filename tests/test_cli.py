@@ -298,8 +298,12 @@ def test_verify_detects_tampered_entries(tmp_path, capsys):
     first = data["report"]["entries"][0]["name"]
     assert f"drift report.entries[{first}].samples:" in err
     assert err.count(".passed:") == len(data["report"]["entries"])
-    # under another seed the entries are not comparable, only the gauge is
-    assert main(["verify", _resaved(tmp_path, data), "--seed", "7"]) == 0
+    # under another seed the entries are not compared with the rebuild, but
+    # each saved verdict must still be check_entry's on its own residual
+    assert main(["verify", _resaved(tmp_path, data), "--seed", "7"]) == 3
+    err = capsys.readouterr().err
+    assert err.count(".passed:") == len(data["report"]["entries"])
+    assert ".samples:" not in err
 
 
 def test_verify_detects_a_changed_tolerance_or_mode(tmp_path, capsys):
@@ -343,6 +347,71 @@ def test_verify_names_the_entries_a_rebuild_lacks(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("drift report.entries: saved ['base_transversality', 'leaf_levi_form', "
                    "'leaf_second_difference'], rebuilt []\n")
+
+
+def _failing_everywhere(data):
+    # every entry marked failed with a residual of 1e9, and the report too
+    for entry in data["report"]["entries"]:
+        entry.update(passed=False, residual=1e9)
+    data["report"]["overall_pass"] = False
+
+
+def _drift_lines(err: str) -> list[str]:
+    lines = err.splitlines()
+    assert all(line.startswith("drift ") for line in lines), err
+    assert len({line.split(":")[0] for line in lines}) == len(lines), err   # one per key
+    return lines
+
+
+def test_verify_needs_the_saved_seed(tmp_path, capsys):
+    # a report without its seed verified its gauge block alone and exited 0
+    _, data = _saved_pz4(tmp_path)
+    _failing_everywhere(data)
+    del data["description"]["config"]["seed"]
+    capsys.readouterr()
+    assert main(["verify", _resaved(tmp_path, data)]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: bad report: description.config.seed is missing\n"
+
+
+def test_verify_detects_a_report_failing_everywhere(tmp_path, capsys):
+    _, data = _saved_pz4(tmp_path)
+    _failing_everywhere(data)
+    capsys.readouterr()
+    assert main(["verify", _resaved(tmp_path, data), "--out", str(tmp_path / "again.json")]) == 3
+    # two min-mode entries fail check_entry's verdict (1e9 passes a lower
+    # bound), the others only the rebuild's; each is named once
+    lines = _drift_lines(capsys.readouterr().err)
+    names = [e["name"] for e in data["report"]["entries"]]
+    assert sorted(lines) == sorted(
+        [f"drift report.entries[{n}].passed: saved False, rebuilt True" for n in names]
+        + ["drift report.overall_pass: saved False, rebuilt True"])
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "7"]], ids=["saved-seed", "seed-7"])
+def test_verify_rederives_a_verdict_from_its_residual(seed, tmp_path, capsys):
+    # a residual far past its tolerance under a saved pass: the residual is
+    # compared through its verdict only, at any seed
+    _, data = _saved_pz4(tmp_path)
+    entry = next(e for e in data["report"]["entries"] if e["name"] == "chart_leaf_scaling")
+    assert entry["tolerance"] == 1e-6 and entry["passed"]
+    entry["residual"] = 123.0
+    capsys.readouterr()
+    assert main(["verify", _resaved(tmp_path, data), *seed,
+                 "--out", str(tmp_path / "again.json")]) == 3
+    assert _drift_lines(capsys.readouterr().err) == [
+        "drift report.entries[chart_leaf_scaling].passed: saved True, rebuilt False"]
+
+
+def test_verify_detects_an_edited_overall_verdict_and_note(tmp_path, capsys):
+    _, data = _saved_pz4(tmp_path)
+    assert data["report"]["overall_pass"] and data["report"]["note"] == ""
+    data["report"].update(overall_pass=False, note="edited")
+    capsys.readouterr()
+    assert main(["verify", _resaved(tmp_path, data), "--out", str(tmp_path / "again.json")]) == 3
+    assert _drift_lines(capsys.readouterr().err) == [
+        "drift report.overall_pass: saved False, rebuilt True",
+        "drift report.note: saved 'edited', rebuilt ''"]
 
 
 def test_verify_rejects_report_without_gauge(tmp_path):
@@ -454,6 +523,18 @@ def test_huge_point_is_exit_3(args, capsys):
     # assumption verdict
     assert main([*args, "--point", "1e300,0,1e300,0"]) == 3
     assert "overflows a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build-gauge", "trace-leaf"])
+def test_tiny_ode_tolerance_is_exit_3(command, tmp_path, capsys):
+    # tolerances from 1e-150 down to 1e-30 exhaust the step budget; below
+    # that the error norm of a step overflows, which exited 1 with a traceback
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, fx("field_v3.json"), "--tol-ode", "1e-200", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid, span", [("5x5", 0.1), ("7x3", 0.3), ("1x4", 0.2),
@@ -918,6 +999,12 @@ _BOUNDARY = [
            f"polynomial[0].re is a JSON string: '{re}' is not an exact rational",
            id=f"check-poly-re-{re.replace('/', ':')}")
       for re in ("nan", "1/0")],
+    # a flow tolerance so small that a DOP853 step's error norm overflows
+    # raised OverflowError (exit 1, a traceback)
+    *[_row(command, lambda d, tol=tol: d["config"].update(tol_ode=tol), 3,
+           "flow error norm overflowed", id=f"{command}-tol_ode-{tol}")
+      for command, tol in (("build-gauge", 1e-200), ("trace-leaf", 1e-200),
+                           ("build-gauge", 1e-320))],
     # every key path of a fixture that takes a value of the wrong JSON type
     *[_row("build-gauge", _set(path, value), 4, _typed((*path, kind)),
            id=f"type-{_dotted(path)}-{kind}")
@@ -945,7 +1032,7 @@ def test_bad_input_gets_its_exit_code(command, edit, code, want, tmp_path, capsy
     capsys.readouterr()
     assert main(args) == code
     captured = capsys.readouterr()
-    prefix = {2: "assumption violated: ", 4: "error: "}[code]
+    prefix = {2: "assumption violated: ", 3: "numeric failure: ", 4: "error: "}[code]
     assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
     assert captured.out == ""
     assert not out.exists()
@@ -971,14 +1058,40 @@ def _key_paths(node, path=()):
         yield from _key_paths(node[0], path + (0,))
 
 
-_DROP = object()
+_DROP, _EDIT = object(), object()
 _SWAPS = list(_ONE_OF_EACH.values())
-# the key paths of a saved pz4 report that its reader may go without
+# the key paths of a saved pz4 report that its reader may go without; a
+# saved run configuration is complete, so none of its keys is among them
 _FX = ("description", "fixture")
-_OPTIONAL = {("description", "config"), *[("description", "config", k) for k in _CONFIG_NAMES],
-             (*_FX, "name"), (*_FX, "point"), (*_FX, "n"), (*_FX, "config"),
+_OPTIONAL = {(*_FX, "name"), (*_FX, "point"), (*_FX, "n"), (*_FX, "config"),
              *[(*_FX, "config", k) for k in ("chart_radius", "bracket_halfwidth")],
              (*_FX, "polynomial", 0, "im")}
+# same-type edits of a saved report's block that no writer would make, on
+# the block holding the key: a flipped verdict, a changed note, and a
+# residual moved across its tolerance (every saved entry passes)
+_EDITS = {
+    "passed": lambda e: not e["passed"],
+    "overall_pass": lambda r: not r["overall_pass"],
+    "note": lambda r: r["note"] + " edited",
+    "residual": lambda e: e["tolerance"] - 1.0 if e["mode"] == "min" else 2 * e["tolerance"] + 1,
+}
+
+
+def _drift_key(name: str, block: dict) -> str:
+    # the key verify names for an edit of name in block: an entry by its
+    # name, and a residual by the verdict it breaks
+    if name in ("passed", "residual"):
+        return f"report.entries[{block['name']}].passed"
+    return f"report.{name}"
+
+
+def _verify_code(path, mutated) -> tuple:
+    edited = path.with_name("edited.json")
+    edited.write_text(json.dumps(mutated))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["verify", str(edited), "--out", str(path.with_name("again.json"))])
+    return code, err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -993,7 +1106,8 @@ def saved_pz4_report(tmp_path_factory):
 def test_verify_survives_any_one_key_mutation(saved_pz4_report, data):
     # drop one key of a saved report, or give it a value of another JSON
     # type: a wrong type exits 4 naming the key path and the type, and so
-    # does a dropped key the reader needs
+    # does a dropped key the reader needs.  A same-type edit of a verdict,
+    # the note or a residual exits 3 naming its key
     path, report = saved_pz4_report
     key = data.draw(st.sampled_from(list(_key_paths(report))))
     mutated = copy.deepcopy(report)
@@ -1001,22 +1115,39 @@ def test_verify_survives_any_one_key_mutation(saved_pz4_report, data):
     for part in key[:-1]:
         parent = parent[part]
     was = parent[key[-1]]
-    swap = data.draw(st.sampled_from([_DROP, *(v for v in _SWAPS
-                                               if _json_type(v) != _json_type(was))]))
+    swap = data.draw(st.sampled_from([_DROP, *[_EDIT][:key[-1] in _EDITS],
+                                      *(v for v in _SWAPS if _json_type(v) != _json_type(was))]))
     if swap is _DROP:
         del parent[key[-1]]
+    elif swap is _EDIT:
+        parent[key[-1]] = _EDITS[key[-1]](parent)
     else:
         parent[key[-1]] = swap
-    edited = path.with_name("edited.json")
-    edited.write_text(json.dumps(mutated))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(["verify", str(edited), "--out", str(path.with_name("again.json"))])
+    code, err = _verify_code(path, mutated)
     if swap is _DROP and key in _OPTIONAL:
         assert code in (0, 3)
     elif swap is _DROP:
-        assert code == 4 and _dotted(key) in err.getvalue(), err.getvalue()
+        assert code == 4 and _dotted(key) in err, err
+    elif swap is _EDIT:
+        assert code == 3 and f"drift {_drift_key(key[-1], parent)}:" in err, err
     elif key[-1] in ("re", "im") and _json_type(swap) == "number":
         assert code in (0, 2, 3)    # a number reads as the rational it prints as
     else:
-        assert code == 4 and _typed((*key, _json_type(swap))) in err.getvalue(), err.getvalue()
+        assert code == 4 and _typed((*key, _json_type(swap))) in err, err
+
+
+@pytest.mark.parametrize("name", list(_EDITS))
+def test_verify_names_each_same_type_edit(name, saved_pz4_report):
+    # the same-type edits of the mutation test, on every entry: each exits 3
+    # with one drift line naming its key, and a flipped entry verdict a
+    # second one, for the saved overall verdict it no longer makes
+    path, report = saved_pz4_report
+    in_entry = name in ("passed", "residual")
+    for i in range(len(report["report"]["entries"]) if in_entry else 1):
+        mutated = copy.deepcopy(report)
+        block = mutated["report"]["entries"][i] if in_entry else mutated["report"]
+        block[name] = _EDITS[name](block)
+        code, err = _verify_code(path, mutated)
+        want = [_drift_key(name, block)] + ["report.overall_pass"] * (name == "passed")
+        assert code == 3, err
+        assert [line.split(":")[0] for line in err.splitlines()] == [f"drift {k}" for k in want]

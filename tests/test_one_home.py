@@ -1,7 +1,8 @@
 """One home per rule: the nonvanishing threshold and the tangency bound
 are read in leafgauge.fields only, each by the one function that applies
-it, and JSON is parsed only by the reader in leafgauge.fixtures, so a copy
-of either rule, or a second JSON reader, fails here."""
+it, JSON is parsed only by the reader in leafgauge.fixtures, and a report
+entry's verdict is made only by verify.check_entry, so a copy of any of
+these rules, or a second JSON reader, fails here."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,23 @@ def test_json_is_parsed_only_by_the_fixture_reader():
     # reader: duplicate keys refused, every key path typed by one table
     parses = [(path.name, owner) for path in SOURCES for owner in _json_parses(path)]
     assert parses == [("fixtures.py", "_read_json")]
+
+
+def _entry_makers(path: Path):
+    """The enclosing top-level function (or None) of every call of
+    CheckEntry in the module at path."""
+    for top in ast.parse(path.read_text()).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "CheckEntry"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == "CheckEntry"):
+                yield owner
+
+
+def test_verdicts_are_made_only_by_check_entry():
+    # a report entry's verdict (residual <= tolerance, or >= in min mode) is
+    # made in one place: the suite writes every entry through check_entry,
+    # and verify re-derives each saved verdict through it
+    makers = [(path.name, owner) for path in SOURCES for owner in _entry_makers(path)]
+    assert makers == [("verify.py", "check_entry")]

@@ -255,6 +255,25 @@ def test_polynomial_build_work_counts(name, evals, field_evals):
     assert field_evals[0] == evals
 
 
+@pytest.mark.parametrize("name, dop853, rejected, dp5, evals", [
+    ("pzw", 3_315, 440, 3_508, 62_411),
+    ("pz4", 1_530, 0, 178, 21_007),
+    ("field_v3", 2_308, 0, 2_907, 46_721),
+    ("field_nonholo", 3_340, 439, 3_468, 62_471),
+])
+def test_build_flow_steps_by_pair(name, dop853, rejected, dp5, evals, flow_steps, field_evals):
+    # each shipped build's generated flow steps at its shipped config and
+    # the default seed 0x5EED: DOP853 steps (about 13% of them rejected on
+    # pzw and field_nonholo, none on pz4 and field_v3) and DP5(4) steps,
+    # none of them rejected.  At 12 and 6 evaluations a step, with 1,583
+    # direct evaluations (1,579 on pz4), they make the field_evals pins, so
+    # any change to the step-size control shows here by pair
+    _, report = _fixture_build(name, 0x5EED)
+    assert report.overall_pass
+    assert flow_steps == {"dop853": [dop853, rejected], "dp5": [dp5, 0]}
+    assert field_evals[0] == evals
+
+
 @pytest.mark.parametrize("name, evals", [("pzw", 54_659), ("field_v3", 46_721)])
 def test_tol_ode_reaches_the_flows(name, evals, field_evals):
     # a looser ODE tolerance moves no report past its check, so the work
