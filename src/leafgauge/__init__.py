@@ -5,7 +5,6 @@ vector field or derived symbolically from a Levi-degenerate polynomial."""
 from .charts import ChartConfig, LeafChart, build_chart, in_chart_ball, leaf_coords
 from .errors import (
     AssumptionError,
-    DegenerateRootError,
     FixtureError,
     LeafgaugeError,
     NumericError,

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from .errors import DegenerateRootError, NumericError, ProjectionError
+from .errors import ProjectionError, RankDropError
 from .fields import BasePoint, PointC2, VectorFieldC2, base_point
 from .flows import FlowConfig, _flow
 
@@ -88,8 +88,9 @@ def build_chart(V: VectorFieldC2, x: PointC2,
 
 
 def _chart_at(V: VectorFieldC2, point: BasePoint, cfg: ChartConfig) -> LeafChart:
-    """The LeafChart of V at a decided base point, shrinking the radius on
-    projection failures (halved down to 1e-4, then construction fails)."""
+    """The LeafChart of V at a decided base point.  The radius halves, down to
+    1e-4, only while a boundary probe fails where it lands (ProjectionError,
+    RankDropError); every other NumericError propagates."""
     rho = cfg.radius_scale
     while True:
         chart = LeafChart(field=V, point=point, radius_scale=rho,
@@ -97,11 +98,11 @@ def _chart_at(V: VectorFieldC2, point: BasePoint, cfg: ChartConfig) -> LeafChart
         try:
             _probe(chart)
             return chart
-        except NumericError:
+        except (ProjectionError, RankDropError) as exc:
             rho /= 2
             if rho < _MIN_RADIUS:
-                raise ProjectionError(
-                    "chart construction failed: radius shrunk below minimum")
+                raise ProjectionError("chart construction failed: radius shrunk below "
+                                      f"minimum; last probe: {exc}") from exc
 
 
 def _probe(chart: LeafChart) -> None:
@@ -142,8 +143,9 @@ def _project(chart: LeafChart, q: PointC2, m=None, t: float = 1.0):
     (ds1*X1 + ds2*X2) / |ds| from p over time |ds|: the point of the
     unit-time flow of ds1*X1 + ds2*X2, with the steps sized by the
     displacement rather than by max_step.  The whole step is halved, at
-    most 8 tries, until the residual drops.  A failure names q and the
-    last residual norm against its tolerance.
+    most 8 tries, until the residual drops.  Every failure (a singular
+    system, no descent, an exhausted budget; t fixed or free) raises
+    ProjectionError naming q and the last residual against its tolerance.
     """
     x0, x1, x2, x3 = chart.base4
     (a0, a1, a2, a3), (b0, b1, b2, b3) = chart.frame[0], chart.frame[1]
@@ -180,8 +182,7 @@ def _project(chart: LeafChart, q: PointC2, m=None, t: float = 1.0):
               p[0] * c0 + p[1] * c1 + p[2] * c2 + p[3] * c3) if free else (0.0, 0.0, 1.0))
         step = _newton_step(J, r)
         if step is None:
-            raise _failure(DegenerateRootError if free else ProjectionError,
-                           "singular Newton system", q, rn, tol)
+            raise _failure("singular Newton system", q, rn, tol)
         ds1, ds2, dt = step
         n = math.hypot(ds1, ds2)
         unit = (ds1 / n, ds2 / n) if n > 0.0 else (0.0, 0.0)
@@ -195,14 +196,14 @@ def _project(chart: LeafChart, q: PointC2, m=None, t: float = 1.0):
                 break
             lam /= 2
         else:
-            raise _failure(ProjectionError, "no descent direction", q, rn, tol)
+            raise _failure("no descent direction", q, rn, tol)
         z, w, v, p, t, r, rn = zt, wt, vt, pt, tt, rt, rtn
-    raise _failure(ProjectionError, "iteration budget exhausted", q, rn, tol)
+    raise _failure("iteration budget exhausted", q, rn, tol)
 
 
-def _failure(error, why: str, q: PointC2, rn: float, tol: float):
-    return error(f"leaf projection failed: {why} at q = {q.to_real4()!r}, "
-                 f"last residual {rn!r} against tolerance {tol!r}")
+def _failure(why: str, q: PointC2, rn: float, tol: float) -> ProjectionError:
+    return ProjectionError(f"leaf projection failed: {why} at q = {q.to_real4()!r}, "
+                           f"last residual {rn!r} against tolerance {tol!r}")
 
 
 def leaf_coords(chart: LeafChart, q: PointC2) -> tuple[float, float]:

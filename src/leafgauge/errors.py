@@ -3,6 +3,8 @@
 The split mirrors the CLI exit-code contract: assumption violations are
 mathematical (the input data fails a hypothesis), numeric failures are
 algorithmic (a solver ran out of road), and fixture errors are I/O.
+Each class names its absorber; every other error ends the run with
+exit 3 (numeric), 2 (assumption) or 4 (fixture) in cli.main.
 """
 
 
@@ -19,7 +21,8 @@ class NumericError(LeafgaugeError):
 
 
 class RankDropError(NumericError):
-    """The vector field norm fell below the nonvanishing threshold."""
+    """The vector field norm fell below the nonvanishing threshold.
+    Absorbed by charts._chart_at, which shrinks the ball."""
 
 
 class StepBudgetError(NumericError):
@@ -27,15 +30,16 @@ class StepBudgetError(NumericError):
 
 
 class ProjectionError(NumericError):
-    """The leaf projection Newton iteration did not converge."""
+    """The leaf-solve Newton iteration failed: a singular system, no descent
+    or an exhausted budget.  Absorbed by charts._chart_at, which shrinks the
+    ball, and by gauge.solve_scale, which reports the point outside the
+    gauge domain."""
 
 
 class RootSearchError(NumericError):
-    """No admissible root of the radial mismatch in the search bracket."""
-
-
-class DegenerateRootError(NumericError):
-    """The radial mismatch has a vanishing slope away from its root."""
+    """No admissible root of the radial mismatch in the search bracket.
+    Absorbed by check_homogeneity and check_scaling_laws, which skip the
+    scaled point."""
 
 
 class FixtureError(LeafgaugeError):

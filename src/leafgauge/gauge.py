@@ -100,9 +100,8 @@ def radial_mismatch(G: GaugeFunction, q: PointC2, t: float) -> float:
 def solve_scale(G: GaugeFunction, q: PointC2, t_guess: float | None = None) -> float:
     """The unique scale factor t in (1 - delta, 1 + delta) with
     radial_mismatch(G, q, t) = 0, by Newton on the leaf of q from t_guess
-    (default 1).  Raises RootSearchError when the iteration does not
-    converge or its root lies outside that interval, and
-    DegenerateRootError when the Newton system is singular.
+    (default 1).  Raises RootSearchError when the iteration fails (its
+    ProjectionError) or its root lies outside that interval.
     """
     lo, hi = 1.0 - G.bracket_halfwidth, 1.0 + G.bracket_halfwidth
     t0 = 1.0 if t_guess is None else min(max(t_guess, lo), hi)

@@ -224,11 +224,8 @@ def _term_str(exp: Exponent, cf: Coeff) -> str:
 # ---------------------------------------------------------------------------
 
 def _zw(q) -> tuple[complex, complex]:
-    """Accept a PointC2-like object (attributes .z/.w) or a (z, w) pair."""
-    if hasattr(q, "z") and hasattr(q, "w"):
-        return complex(q.z), complex(q.w)
-    z, w = q
-    return complex(z), complex(w)
+    """(z, w) of a PointC2."""
+    return complex(q.z), complex(q.w)
 
 
 def _gpowers(re: int, im: int, n: int) -> list[tuple[int, int]]:

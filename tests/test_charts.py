@@ -9,19 +9,24 @@ import pytest
 from leafgauge import (
     AssumptionError,
     ChartConfig,
+    FlowConfig,
     NumericError,
     PointC2,
     ProjectionError,
+    RankDropError,
+    StepBudgetError,
     VectorFieldC2,
     WirtingerPoly,
     build_chart,
     check_chart,
     in_chart_ball,
     leaf_coords,
+    select_field,
     transversality_check,
 )
 from leafgauge import charts
-from conftest import chart_cfg, make_field_nonholo, make_field_v3
+from leafgauge.fields import base_point
+from conftest import X_PZ4, chart_cfg, make_field_nonholo, make_field_v3, make_pz4
 
 
 def mono(a, b, c, d, re=1, im=0):
@@ -188,7 +193,52 @@ def test_chart_config_validation():
 
 
 def test_build_respects_radius_floor(monkeypatch):
-    # an impossible newton budget exhausts the radius halving and fails
+    # an impossible newton budget exhausts the radius halving and fails,
+    # naming the last probe failure
     monkeypatch.setattr(charts, "NEWTON_MAX_ITER", 1)
-    with pytest.raises(ProjectionError, match="radius"):
+    with pytest.raises(ProjectionError, match="radius") as info:
         build_chart(make_field_v3(), PointC2(1, 1), chart_cfg(0.3))
+    assert "iteration budget exhausted" in str(info.value)
+    assert isinstance(info.value.__cause__, ProjectionError)
+
+
+def _probed_radii(monkeypatch, fail_first=None) -> list[float]:
+    """The radius of every chart _chart_at probes.  Given an error class
+    fail_first, the first probe raises it and the later ones pass."""
+    radii, probe = [], charts._probe
+
+    def recording(chart):
+        radii.append(chart.radius_scale)
+        if fail_first is None:
+            probe(chart)
+        elif len(radii) == 1:
+            raise fail_first("first probe failed")
+    monkeypatch.setattr(charts, "_probe", recording)
+    return radii
+
+
+@pytest.mark.parametrize("error, shrinks", [(ProjectionError, True), (RankDropError, True),
+                                            (StepBudgetError, False), (NumericError, False)])
+def test_radius_halves_only_on_probe_failures(error, shrinks, monkeypatch):
+    # a failure that depends on where a probe lands halves the ball; any
+    # other propagates with its own message
+    radii = _probed_radii(monkeypatch, fail_first=error)
+    if shrinks:
+        assert build_chart(make_field_v3(), PointC2(1, 1), chart_cfg(0.3)).radius_scale == 0.15
+        assert radii == [0.3, 0.15]
+    else:
+        with pytest.raises(error, match="first probe failed"):
+            build_chart(make_field_v3(), PointC2(1, 1), chart_cfg(0.3))
+        assert radii == [0.3]
+
+
+def test_exhausted_flow_budget_keeps_the_ball(monkeypatch):
+    # at tol 1e-50 every probe flow of pz4 exhausts its step budget; the
+    # radius loop once halved the ball five times, to 0.009375, and built
+    # the chart there
+    radii = _probed_radii(monkeypatch)
+    V = select_field(make_pz4(), X_PZ4)
+    cfg = ChartConfig(radius_scale=0.30, flow=FlowConfig(tol=1e-50))
+    with pytest.raises(StepBudgetError, match="exceeded 20000 steps"):
+        charts._chart_at(V, base_point(V, X_PZ4), cfg)
+    assert radii == [0.30]

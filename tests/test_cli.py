@@ -334,6 +334,7 @@ def test_verify_names_the_entries_a_rebuild_lacks(tmp_path, capsys):
     assert main(["build-gauge", fx("pzw.json"), "--samples", "10",
                  "--out", str(report_path)]) == 0
     data = json.loads(report_path.read_text())
+    rebuilt = [e["name"] for e in data["report"]["entries"]]
     old = [("base_transversality", 1.0, 1e-8, "min", 1),
            ("leaf_levi_form", 2.4e-16, 1e-9, "max", 10),
            ("leaf_second_difference", 3.8e-13, 1e-6, "max", 10)]
@@ -345,8 +346,22 @@ def test_verify_names_the_entries_a_rebuild_lacks(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", _resaved(tmp_path, data), "--out", str(tmp_path / "again.json")]) == 3
     err = capsys.readouterr().err
-    assert err == ("drift report.entries: saved ['base_transversality', 'leaf_levi_form', "
-                   "'leaf_second_difference'], rebuilt []\n")
+    saved = [e["name"] for e in data["report"]["entries"]]
+    assert err == f"drift report.entries: saved {saved!r}, rebuilt {rebuilt!r}\n"
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "7"]], ids=["saved-seed", "seed-7"])
+def test_verify_detects_reordered_entries(seed, tmp_path, capsys):
+    # the same entries in reverse order are not the report the build writes,
+    # under any seed: the names and their order do not depend on it
+    _, data = _saved_pz4(tmp_path)
+    names = [e["name"] for e in data["report"]["entries"]]
+    data["report"]["entries"].reverse()
+    capsys.readouterr()
+    assert main(["verify", _resaved(tmp_path, data), *seed,
+                 "--out", str(tmp_path / "again.json")]) == 3
+    assert _drift_lines(capsys.readouterr().err) == [
+        f"drift report.entries: saved {names[::-1]!r}, rebuilt {names!r}"]
 
 
 def _failing_everywhere(data):
@@ -528,13 +543,20 @@ def test_huge_point_is_exit_3(args, capsys):
 @pytest.mark.parametrize("command", ["build-gauge", "trace-leaf"])
 def test_tiny_ode_tolerance_is_exit_3(command, tmp_path, capsys):
     # tolerances from 1e-150 down to 1e-30 exhaust the step budget; below
-    # that the error norm of a step overflows, which exited 1 with a traceback
+    # that the error norm of a step overflows, which exited 1 with a
+    # traceback.  The build names that flow failure: the chart's radius loop
+    # once took it for a failed probe, shrank the ball to its floor and
+    # named the chart instead
     out = tmp_path / "out"
-    capsys.readouterr()
-    assert main([command, fx("field_v3.json"), "--tol-ode", "1e-200", "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numeric failure: ") and err.count("\n") == 1, err
-    assert not out.exists()
+    for name in ("pzw", "pz4", "field_v3", "field_nonholo"):
+        for tol, why in (("1e-200", "flow error norm overflowed"),
+                         ("1e-50", "flow integration exceeded 20000 steps")):
+            capsys.readouterr()
+            assert main([command, fx(f"{name}.json"), "--tol-ode", tol,
+                         "--out", str(out)]) == 3, (name, tol)
+            err = capsys.readouterr().err
+            assert err == f"numeric failure: {why}\n", (name, tol)
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("grid, span", [("5x5", 0.1), ("7x3", 0.3), ("1x4", 0.2),

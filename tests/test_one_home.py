@@ -2,7 +2,8 @@
 are read in leafgauge.fields only, each by the one function that applies
 it, JSON is parsed only by the reader in leafgauge.fixtures, and a report
 entry's verdict is made only by verify.check_entry, so a copy of any of
-these rules, or a second JSON reader, fails here."""
+these rules, or a second JSON reader, fails here.  So does an except
+clause that absorbs a whole family of errors outside its one home."""
 
 import ast
 from pathlib import Path
@@ -90,3 +91,33 @@ def test_verdicts_are_made_only_by_check_entry():
     # and verify re-derives each saved verdict through it
     makers = [(path.name, owner) for path in SOURCES for owner in _entry_makers(path)]
     assert makers == [("verify.py", "check_entry")]
+
+
+# the broad classes an except clause may name, each in one top-level
+# function: the CLI turns any NumericError into exit 3, and the suite's
+# runner carries any exception across the worker boundary.  Every other
+# clause names the narrow class it can remedy (a smaller chart ball for a
+# failed probe, a skipped sample for a point outside the gauge domain)
+BROAD = {"NumericError", "LeafgaugeError", "Exception", "BaseException"}
+
+
+def _caught(path: Path):
+    """(class name, enclosing top-level function or None) for each class an
+    except clause of the module at path names; a bare except names
+    BaseException."""
+    for top in ast.parse(path.read_text()).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            for n in ast.walk(node.type or ast.Name(id="BaseException")):
+                if isinstance(n, ast.Name):
+                    yield n.id, owner
+                elif isinstance(n, ast.Attribute):
+                    yield n.attr, owner
+
+
+def test_broad_errors_are_caught_only_in_their_homes():
+    caught = [(path.name, owner, name) for path in SOURCES
+              for name, owner in _caught(path) if name in BROAD]
+    assert caught == [("cli.py", "main", "NumericError"), ("verify.py", "_run_each", "Exception")]

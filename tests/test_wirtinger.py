@@ -55,13 +55,9 @@ def test_eval_real_poly_has_exact_zero_imag():
     assert val.imag == 0.0
 
 
-def test_eval_takes_a_z_w_pair():
-    # (2+i) |z|^2 w at (1+i, 2) is (2+i) * 2 * 2 by hand; a (z, w) pair is
-    # the point PointC2(z, w)
-    p = mono(1, 1, 1, 0, 2, 1)
-    assert poly_eval(p, (1 + 1j, 2)) == 8 + 4j
-    pt = (0.3 - 0.7j, 1.1 + 0.2j)
-    assert poly_eval(p, pt) == poly_eval(p, PointC2(*pt))
+def test_eval_of_a_complex_coefficient_by_hand():
+    # (2+i) |z|^2 w at (1+i, 2) is (2+i) * 2 * 2
+    assert poly_eval(mono(1, 1, 1, 0, 2, 1), PointC2(1 + 1j, 2)) == 8 + 4j
 
 
 # -- differentiation ---------------------------------------------------------
@@ -208,6 +204,8 @@ def test_records_round_trip():
 def test_str_of_imaginary_and_mixed_sign_coefficients():
     # a pure-imaginary coefficient prints as "{im}i", any other complex one
     # as "(re±imi)"
+    assert str(mono(1, 0, 0, 0, 0, 2)) == "2i*z"
+    assert str(mono(1, 0, 0, 0, 1, -2)) == "(1-2i)*z"
     assert str(mono(1, 0, 0, 0, 0, Fraction(3, 2))) == "3/2i*z"
     assert str(mono(0, 0, 0, 0, 0, -1)) == "-1i"
     assert str(mono(0, 1, 2, 0, 1, -2)) == "(1-2i)*zbar*w^2"
